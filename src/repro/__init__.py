@@ -79,7 +79,7 @@ campaign quickstart.
 import importlib
 from typing import Any
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 #: Lazy export map (PEP 562): public name -> defining module.  `import
 #: repro` stays cheap — protocols, engine, sketching, and the analysis
@@ -122,8 +122,6 @@ _LAZY_EXPORTS = {
     "TriangleReduction": "repro.reductions",
     # sketching
     "AGMConnectivityProtocol": "repro.sketching",
-    # kernel backends
-    "KernelError": "repro.errors",
     # engine
     "Executor": "repro.engine",
     "SerialExecutor": "repro.engine",

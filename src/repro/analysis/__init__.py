@@ -7,40 +7,23 @@ them in the aligned plain-text form the benchmarks write to
 tables as the paper-vs-measured record.
 """
 
+import importlib
+from typing import Any
+
 from repro.analysis.tables import format_table
-from repro.analysis.experiments import (
-    exp_lemma1_counting,
-    exp_lemma2_encoding,
-    exp_lemma3_decoding,
-    exp_theorem5_reconstruction,
-    exp_theorem1_square,
-    exp_theorem2_diameter,
-    exp_theorem3_triangle,
-    exp_adversary,
-    exp_forest,
-    exp_generalized_degeneracy,
-    exp_connectivity_partition,
-    exp_connectivity_sketch,
-    exp_degeneracy_classes,
-    exp_bipartiteness_sketch,
-    exp_rounds_tradeoff,
-    exp_coalition,
-    exp_results_gate,
-)
 
 
-def __getattr__(name: str):
-    # Deprecated: EXPERIMENTS is now the experiment registry
-    # (kind="experiment" in repro.registry); first touch warns.
-    if name == "EXPERIMENTS":
-        from repro.analysis import experiments
-
-        return experiments.EXPERIMENTS
+def __getattr__(name: str) -> Any:
+    # The exp_* functions resolve lazily: repro.analysis.experiments pulls
+    # in every protocol family (and numpy via graphs.counting), which the
+    # CLI must not pay for on verbs that never run an experiment.
+    if name in __all__:
+        value = getattr(importlib.import_module("repro.analysis.experiments"), name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# EXPERIMENTS resolves via __getattr__ (deprecated) but stays out of
-# __all__ so star-imports neither warn nor consume the warn-once latch.
 __all__ = [
     "format_table",
     "exp_lemma1_counting",

@@ -76,7 +76,6 @@ Row = Sequence[object]
 Result = tuple[str, list[str], list[Row]]
 
 __all__ = [
-    "EXPERIMENTS",
     "exp_lemma1_counting",
     "exp_lemma2_encoding",
     "exp_lemma3_decoding",
@@ -652,17 +651,3 @@ def exp_results_gate() -> Result:
         rows,
     )
 
-
-# The EXPERIMENTS dict literal is gone — experiments register themselves
-# above (kind="experiment" in repro.registry); the old name survives as a
-# deprecated read-only view handed out by __getattr__ below.
-
-
-def __getattr__(name: str):
-    if name == "EXPERIMENTS":
-        from repro import registry
-
-        view = registry.EXPERIMENTS_VIEW
-        view._warn()
-        return view
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -116,7 +116,6 @@ class Session:
         self._resume: bool = False
         self._trace: bool = False
         self._progress: Any = None
-        self._kernels: str | None = None
 
     # ------------------------------------------------------------------ #
     # builder steps (copy-on-write)
@@ -268,21 +267,6 @@ class Session:
         clone._progress = enabled
         return clone
 
-    def kernels(self, backend: str | None) -> "Session":
-        """Select the sketch kernel backend (``"pure"`` or ``"numpy"``).
-
-        ``"numpy"`` runs the hot paths (L0 updates, field derivation, bit
-        packing) in array lanes — bit-identical records, guaranteed by the
-        parity gate (:mod:`repro.sketching.kernels`), so it never changes
-        content hashes or cache keys.  ``None`` restores the default
-        (the ambient backend, normally ``"pure"``).  Validation happens at
-        :meth:`run` time; requesting numpy without it installed raises
-        :class:`~repro.errors.KernelError`.
-        """
-        clone = self._clone()
-        clone._kernels = backend
-        return clone
-
     # ------------------------------------------------------------------ #
     # terminal steps
     # ------------------------------------------------------------------ #
@@ -328,7 +312,6 @@ class Session:
         kwargs = dict(
             shards=self._shards, shard_index=self._shard_index,
             resume=self._resume, trace=self._trace, progress=self._progress,
-            kernels=self._kernels,
         )
         if executor is not None:
             result = campaign.run(executor, **kwargs)

@@ -210,157 +210,6 @@ def _bench_bits_pack_naive(scale: float = 1.0) -> BenchCase:
 
 
 # --------------------------------------------------------------------- #
-# numpy kernel backend vs pure twins (digest parity is the gate)
-# --------------------------------------------------------------------- #
-#
-# These pairs put the array-backed kernels and their pure twins on the
-# SAME inputs as the pure microbenches above, so their pinned digests
-# must equal the pure pins byte for byte — the bench gate is the parity
-# gate.  The optimized member runs the numpy backend; the ``-naive``
-# twin runs the pure hot path (not the pre-optimization reference), so
-# ``speedups[<name>-numpy]`` reads "numpy backend over today's pure
-# code".  Registration is unconditional — the registry catalog (and the
-# pinned API surface) must not depend on optional imports — but the
-# factory raises BenchError without numpy, and the no-numpy CI leg runs
-# an explicit pure-only subset.
-
-
-def _require_numpy(bench: str) -> None:
-    from repro.errors import BenchError
-    from repro.sketching import kernels
-
-    if not kernels.numpy_available():
-        raise BenchError(
-            f"benchmark {bench!r} requires numpy; run the pure-only subset "
-            "(or install numpy) on interpreters without it"
-        )
-
-
-@register("l0-update-numpy", kind="benchmark",
-          capabilities=("micro", "sketching", "kernels"),
-          summary="L0 sampler update stream through the numpy kernel backend "
-                  "(vectorized multi-level fan-out).")
-def _bench_l0_update_numpy(scale: float = 1.0) -> BenchCase:
-    _require_numpy("l0-update-numpy")
-    from repro.sketching import kernels
-
-    params, updates = _l0_inputs(scale)
-
-    def op():
-        sampler = L0Sampler(params)
-        with kernels.use_kernels("numpy"):
-            sampler.update_many(updates)
-        return {"ops": len(updates), "digest": _digest(sampler.counters())}
-
-    return BenchCase(op=op, meta={"m": params.m, "levels": params.levels,
-                                  "updates": len(updates), "kernels": "numpy"})
-
-
-@register("l0-update-numpy-naive", kind="benchmark",
-          capabilities=("micro", "sketching", "kernels", "reference"),
-          summary="The same update stream through the pure backend — the "
-                  "parity twin the numpy digests must match.")
-def _bench_l0_update_numpy_naive(scale: float = 1.0) -> BenchCase:
-    from repro.sketching import kernels
-
-    params, updates = _l0_inputs(scale)
-
-    def op():
-        sampler = L0Sampler(params)
-        with kernels.use_kernels("pure"):
-            sampler.update_many(updates)
-        return {"ops": len(updates), "digest": _digest(sampler.counters())}
-
-    return BenchCase(op=op, meta={"m": params.m, "levels": params.levels,
-                                  "updates": len(updates), "kernels": "pure"})
-
-
-@register("bits-pack-numpy", kind="benchmark",
-          capabilities=("micro", "bits", "kernels"),
-          summary="Whole-stream bit packing via kernels.pack_arrays + "
-                  "BitWriter.write_packed (pre-staged arrays).")
-def _bench_bits_pack_numpy(scale: float = 1.0) -> BenchCase:
-    _require_numpy("bits-pack-numpy")
-    import numpy as np
-
-    from repro.sketching import kernels
-
-    fields = _pack_fields(scale)
-    total = sum(w for _, w in fields)
-    # Arrays are staged off the clock: this pair gates the *kernel*
-    # throughput (pack + splice), the shape protocol encoders feed it.
-    values = np.array([f[0] for f in fields], dtype=np.int64)
-    widths = np.array([f[1] for f in fields], dtype=np.int64)
-
-    def op():
-        writer = BitWriter()
-        packed = kernels.pack_arrays(values, widths)
-        assert packed is not None  # 61-bit fields are inside the envelope
-        writer.write_packed(*packed)
-        return {"ops": len(fields), "bits": len(writer),
-                "digest": _digest(writer.to_bytes().hex())}
-
-    return BenchCase(op=op, meta={"fields": len(fields), "stream_bits": total,
-                                  "kernels": "numpy"})
-
-
-@register("bits-pack-numpy-naive", kind="benchmark",
-          capabilities=("micro", "bits", "kernels", "reference"),
-          summary="The same field stream through BitWriter.write_many — the "
-                  "parity twin the packed bytes must match.")
-def _bench_bits_pack_numpy_naive(scale: float = 1.0) -> BenchCase:
-    fields = _pack_fields(scale)
-    total = sum(w for _, w in fields)
-
-    def op():
-        writer = BitWriter()
-        writer.write_many(fields)
-        return {"ops": len(fields), "bits": len(writer),
-                "digest": _digest(writer.to_bytes().hex())}
-
-    return BenchCase(op=op, meta={"fields": len(fields), "stream_bits": total,
-                                  "kernels": "pure"})
-
-
-@register("derive-params-numpy", kind="benchmark",
-          capabilities=("micro", "sketching", "kernels"),
-          summary="Batched parameter derivation via "
-                  "kernels.derive_params_block_batch (one pass, all rows).")
-def _bench_derive_params_numpy(scale: float = 1.0) -> BenchCase:
-    _require_numpy("derive-params-numpy")
-    from repro.sketching import kernels
-
-    tag_pairs = _derive_tags(scale)
-
-    def op():
-        acc = 0
-        for a, b, z in kernels.derive_params_block_batch(_SEED, 3, tag_pairs):
-            acc ^= a ^ b ^ z
-        return {"ops": 3 * len(tag_pairs), "digest": _digest(acc)}
-
-    return BenchCase(op=op, meta={"instances": len(tag_pairs),
-                                  "kernels": "numpy"})
-
-
-@register("derive-params-numpy-naive", kind="benchmark",
-          capabilities=("micro", "sketching", "kernels", "reference"),
-          summary="The same derivations via scalar derive_params_block calls "
-                  "— the parity twin the xor-fold must match.")
-def _bench_derive_params_numpy_naive(scale: float = 1.0) -> BenchCase:
-    tag_pairs = _derive_tags(scale)
-
-    def op():
-        acc = 0
-        for n, r in tag_pairs:
-            a, b, z = derive_params_block(_SEED, 3, n, r)
-            acc ^= a ^ b ^ z
-        return {"ops": 3 * len(tag_pairs), "digest": _digest(acc)}
-
-    return BenchCase(op=op, meta={"instances": len(tag_pairs),
-                                  "kernels": "pure"})
-
-
-# --------------------------------------------------------------------- #
 # end-to-end loads
 # --------------------------------------------------------------------- #
 

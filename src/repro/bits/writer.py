@@ -99,26 +99,6 @@ class BitWriter:
             self._acc = (self._acc << chunk_bits) | chunk
             self._nbits += chunk_bits
 
-    def write_packed(self, data: bytes, nbits: int) -> None:
-        """Append ``nbits`` pre-packed bits (MSB first, right-padded bytes).
-
-        The splice point for array-backed packers
-        (:func:`repro.sketching.kernels.pack_fields`): the kernel renders a
-        whole field stream to bytes off to the side, and this folds it onto
-        the stream in one shift — bit-identical to :meth:`write_many` on the
-        same fields.  ``data`` must hold at least ``nbits`` bits; trailing
-        pad bits beyond ``nbits`` are ignored.
-        """
-        if nbits < 0:
-            raise CodecError(f"nbits must be >= 0, got {nbits}")
-        if nbits > len(data) * 8:
-            raise CodecError(
-                f"nbits {nbits} exceeds the {len(data) * 8} bits in data"
-            )
-        value = int.from_bytes(data, "big") >> (len(data) * 8 - nbits)
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-
     def write_writer(self, other: "BitWriter") -> None:
         """Append the full contents of another writer."""
         self._acc = (self._acc << other._nbits) | other._acc

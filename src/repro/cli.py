@@ -28,9 +28,6 @@ Usage::
     python -m repro jobs                           # list the daemon's jobs
     python -m repro job j000001 --follow           # follow one to completion
 
-``python -m repro EXP-L2`` / ``python -m repro all`` remain as aliases for
-the ``experiment`` subcommand so existing scripts keep working.
-
 Exit codes: 0 success, 1 gate/domain failure (``diff`` found differences,
 ``baseline check`` failed, ``bench --gate`` regressed — including a trend
 regression from ``--trends``, ``merge`` found incomplete shards — retry
@@ -121,10 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     progress_group.add_argument("--no-progress", action="store_false",
                                 dest="progress",
                                 help="disable live progress")
-    p_camp.add_argument("--kernels", choices=("pure", "numpy"), default=None,
-                        help="sketch kernel backend (default: pure; numpy "
-                        "needs the optional dependency installed — records "
-                        "are bit-identical either way)")
     p_camp.add_argument("--json", action="store_true", help="emit the summary as JSON")
 
     p_merge = sub.add_parser(
@@ -388,7 +381,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.errors import KernelError, ObsError, ReproError, ShardError
+    from repro.errors import ObsError, ReproError, ShardError
     from repro.engine import load_campaign, make_executor
 
     try:
@@ -424,12 +417,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 trace=args.trace,
                 progress=progress,
-                kernels=args.kernels,
             )
-    except (ShardError, ObsError, KernelError) as exc:
+    except (ShardError, ObsError) as exc:
         # bad shard geometry, missing/stale manifest, edited grid, a trace
-        # without a results_dir, a kernel backend whose dependency is
-        # missing — all usage-shaped refusals with the fix in the message
+        # without a results_dir — all usage-shaped refusals with the fix
+        # in the message
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
@@ -1099,12 +1091,6 @@ def _cmd_job(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Back-compat: `python -m repro EXP-T5` / `all` mean `experiment <id>`.
-    # Only experiment-shaped tokens get the shim — anything else unknown
-    # must fall through to argparse's invalid-choice usage error.
-    if argv and (argv[0] == "all" or argv[0].startswith("EXP")):
-        argv.insert(0, "experiment")
-
     parser = _build_parser()
     if not argv:
         parser.print_usage(sys.stderr)

@@ -72,20 +72,6 @@ from repro.engine.shard import (
 )
 
 
-def __getattr__(name: str):
-    # Deprecated registry-dict names (GRAPH_FAMILIES, PROTOCOL_BUILDERS,
-    # BUILTIN_CAMPAIGNS) resolve lazily so `import repro` stays silent;
-    # the first touch warns DeprecationWarning via the compat views.
-    if name in ("GRAPH_FAMILIES", "PROTOCOL_BUILDERS"):
-        from repro.engine import scenario
-
-        return getattr(scenario, name)
-    if name == "BUILTIN_CAMPAIGNS":
-        from repro.engine import campaign
-
-        return campaign.BUILTIN_CAMPAIGNS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Executor",
     "SerialExecutor",

@@ -36,7 +36,6 @@ fixed benchmark load used by ``benchmarks/bench_engine.py``.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import json
 import pathlib
 from collections.abc import Iterable, Mapping
@@ -55,7 +54,6 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.faults import FaultSpec
 from repro.engine.scenario import RunRecord, RunSpec, Scenario, execute_run
-from repro.sketching import kernels as kernel_backends
 from repro.engine.shard import (
     JsonlStreamWriter,
     ShardManifest,
@@ -75,16 +73,6 @@ __all__ = [
     "builtin_campaign",
     "load_campaign",
 ]
-
-
-def __getattr__(name: str):
-    # PEP 562 deprecation shim: the old builtin-campaign dict is now a
-    # read-only registry view that warns DeprecationWarning once.
-    if name == "BUILTIN_CAMPAIGNS":
-        view = registry.BUILTIN_CAMPAIGNS_VIEW
-        view._warn()
-        return view
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -308,7 +296,6 @@ class Campaign:
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         metrics: MetricsRegistry | None = None,
         shard_index: int | None = None,
-        kernels: str | None = None,
     ) -> tuple[list[RunRecord], int, int, int]:
         """Execute ``specs`` in order, making each record durable as it lands.
 
@@ -363,11 +350,7 @@ class Campaign:
         pending = [s for s, h in zip(specs, order) if h not in durable]
         slots: list[RunRecord | None] = [self._cache_load(s) for s in pending]
         misses = [s for s, r in zip(pending, slots) if r is None]
-        run_fn = (
-            execute_run if kernels is None
-            else functools.partial(execute_run, kernels=kernels)
-        )
-        miss_iter = executor.imap_observed(run_fn, misses)
+        miss_iter = executor.imap_observed(execute_run, misses)
 
         writer = None
         if stream_path is not None:
@@ -438,7 +421,6 @@ class Campaign:
         resume: bool = False,
         trace: bool = False,
         progress: "bool | ProgressReporter | None" = None,
-        kernels: str | None = None,
     ) -> CampaignResult:
         """Execute the grid (or one shard of it) and persist JSONL records.
 
@@ -476,14 +458,6 @@ class Campaign:
             :class:`~repro.obs.progress.ProgressReporter`, or an instance
             for custom streams.  Runs off the same event bus as tracing
             but needs no ``results_dir`` (events stay in-process).
-        kernels:
-            Kernel backend for the sketch hot paths (``"pure"`` or
-            ``"numpy"``, see :mod:`repro.sketching.kernels`).  ``None``
-            keeps the ambient backend.  Guaranteed digest-neutral (the
-            parity gate pins it), so it is an execution-level choice like
-            the executor kind and never enters spec content hashes or the
-            cache key.  Validated up front: requesting ``"numpy"`` without
-            numpy installed raises :class:`~repro.errors.KernelError`.
 
         Every persisted run (sharded or not) writes
         ``<results_dir>/<name>.manifest.json`` atomically (with a final
@@ -493,8 +467,6 @@ class Campaign:
         """
         t0 = monotonic_clock()
         executor = executor or SerialExecutor()
-        if kernels is not None:
-            kernels = kernel_backends.resolve_kernels(kernels)
         if shards is None and shard_index is not None:
             raise ShardError("shard_index requires shards")
         if shards is not None:
@@ -573,7 +545,7 @@ class Campaign:
                                 runs=len(specs), shards=None, resume=resume)
                     records, hits, misses, resumed = self._run_stream(
                         specs, executor, stream, resume=resume,
-                        tracer=tracer, metrics=metrics, kernels=kernels,
+                        tracer=tracer, metrics=metrics,
                     )
                     jsonl_path = stream
                 else:
@@ -605,7 +577,6 @@ class Campaign:
                             recs, h, m, r = self._run_stream(
                                 per_shard[i], executor, stream, resume=resume,
                                 tracer=tracer, metrics=metrics, shard_index=i,
-                                kernels=kernels,
                             )
                         write_done_marker(
                             self.results_dir, self.name, i, shards,

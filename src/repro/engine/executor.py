@@ -18,7 +18,7 @@ Three backends share the :class:`Executor` interface:
 * :class:`SerialExecutor` — plain loop; the reference semantics.  A serial
   engine run is bit-for-bit identical to ``Referee.run`` (tested).
 * :class:`ThreadPoolExecutor` — threads; useful when the local/global
-  functions release the GIL (numpy-heavy sketches) or for IO-bound result
+  functions release the GIL (native extensions) or for IO-bound result
   sinks, and as a sanity point between serial and processes.
 * :class:`ProcessPoolExecutor` — processes; the backend that actually
   saturates cores on pure-Python protocol code.

@@ -13,10 +13,7 @@ Names are validated at construction time against the registries
 (:data:`repro.registry.GRAPH_FAMILY` / :data:`repro.registry.PROTOCOL`);
 a typo raises :class:`~repro.errors.UnknownRegistryEntry` naming the
 nearest known entry (``unknown protocol 'degenracy'; did you mean
-'degeneracy'?``).  The pre-registry dict literals survive as deprecated
-read-only views — accessing ``GRAPH_FAMILIES`` / ``PROTOCOL_BUILDERS``
-on this module warns ``DeprecationWarning`` once and resolves through the
-registry.
+'degeneracy'?``).
 
 Determinism contract (the SciLLM/APEX seed discipline from SNIPPETS.md):
 every random choice in a run is a pure function of the spec — the graph
@@ -42,9 +39,6 @@ from repro.model.protocol import OneRoundProtocol
 from repro.model.referee import Referee, RunReport, monotonic_clock
 from repro.engine.faults import FaultCounters, FaultSpec
 
-# GRAPH_FAMILIES / PROTOCOL_BUILDERS resolve via __getattr__ (deprecated)
-# but are kept out of __all__ so star-imports neither warn nor consume the
-# views' warn-once latches.
 __all__ = [
     "Scenario",
     "RunSpec",
@@ -60,21 +54,6 @@ __all__ = [
 SPEC_VERSION = 2
 
 Params = tuple[tuple[str, Any], ...]
-
-
-def __getattr__(name: str):
-    # PEP 562 deprecation shims: the old registry dicts live on as
-    # read-only views that warn once on first touch (even when that touch
-    # is `from repro.engine.scenario import PROTOCOL_BUILDERS`).
-    if name == "GRAPH_FAMILIES":
-        view = registry.GRAPH_FAMILIES_VIEW
-        view._warn()
-        return view
-    if name == "PROTOCOL_BUILDERS":
-        view = registry.PROTOCOL_BUILDERS_VIEW
-        view._warn()
-        return view
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_params(value: Mapping[str, Any] | Params | None) -> Params:
@@ -353,22 +332,14 @@ class RunRecord:
         )
 
 
-def execute_run(spec: RunSpec, kernels: str | None = None) -> RunRecord:
+def execute_run(spec: RunSpec) -> RunRecord:
     """Build the graph and protocol named by ``spec``, run one round, record.
 
     Module-level and argument-picklable, so process pools fan it out
-    directly (``kernels`` rides along via ``functools.partial``).  The
-    kernel backend scopes the *execution* only — it is excluded from the
-    spec content hash because the parity gate guarantees identical records
-    on every backend.  Library-level failures are part of the measurement —
+    directly.  Library-level failures are part of the measurement —
     a frugality violation or a decode failure under fault injection becomes
     a ``status`` of ``"violation"``/``"error"``, never a crashed campaign.
     """
-    if kernels is not None:
-        from repro.sketching.kernels import use_kernels
-
-        with use_kernels(kernels):
-            return execute_run(spec)
     t0 = monotonic_clock()
     record = RunRecord(spec=spec, status="ok")
     try:

@@ -28,7 +28,6 @@ __all__ = [
     "BaselineError",
     "StoreError",
     "BenchError",
-    "KernelError",
     "ShardError",
     "ShardIncomplete",
     "ObsError",
@@ -105,8 +104,8 @@ class UnknownRegistryEntry(ProtocolError, KeyError):
     """A name was looked up in a registry that has no such entry.
 
     Subclasses :class:`ProtocolError` (so the pre-registry ``except``
-    clauses keep working) *and* :class:`KeyError` (so the deprecated
-    dict-shaped registry views honour the Mapping contract).  Carries the
+    clauses keep working) *and* :class:`KeyError` (so dict-style
+    ``except KeyError`` lookups keep working).  Carries the
     registry ``kind``, the failing ``name``, the nearest known entry as a
     ``suggestion`` (difflib; ``None`` when nothing is close), and the tuple
     of ``known`` canonical names.
@@ -162,11 +161,6 @@ class StoreError(ResultsError):
 class BenchError(ReproError):
     """Raised by the benchmark harness (:mod:`repro.bench`) on bad suite
     arguments or a missing/malformed bench baseline."""
-
-
-class KernelError(ReproError):
-    """Raised on an unknown kernel backend, or one whose optional
-    dependency (numpy) is not installed in this interpreter."""
 
 
 class ShardError(ProtocolError):

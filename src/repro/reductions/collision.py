@@ -34,6 +34,7 @@ from repro.graphs.counting import enumerate_labeled_graphs
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.protocols.powersum import compute_power_sums
+from repro.sketching.field import derive_params
 
 __all__ = [
     "LocalEncoder",
@@ -117,13 +118,11 @@ class HashedNeighborhoodEncoder(LocalEncoder):
         mask = 0
         for v in neighborhood:
             mask |= 1 << v
-        # splitmix64-style scramble of (i, mask, salt); stable across runs
-        x = (hash((i, mask, self.salt)) & 0xFFFFFFFFFFFFFFFF) or 1
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 31
+        # splitmix64 chain over (salt, i, mask in 64-bit chunks): the same
+        # value on every platform and interpreter, unlike builtin hash().
+        # The chunk count depends only on n, so distinct masks never alias.
+        chunks = (mask >> shift & 0xFFFFFFFFFFFFFFFF for shift in range(0, n + 1, 64))
+        x = derive_params(self.salt, i, *chunks)
         w = BitWriter()
         w.write_bits(x & ((1 << self.bits) - 1), self.bits)
         return Message.from_writer(w)

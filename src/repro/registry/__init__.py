@@ -33,10 +33,7 @@ signature) are introspectable via :func:`catalog`, which feeds
 names raise :class:`~repro.errors.UnknownRegistryEntry` with a difflib
 "did you mean" suggestion.
 
-This module is also the only place allowed to *enumerate* what exists —
-the pre-registry dict literals survive solely as deprecated read-only
-views (:data:`GRAPH_FAMILIES_VIEW` etc., surfaced under their old names by
-the owning modules' ``__getattr__``).
+This module is also the only place allowed to *enumerate* what exists.
 """
 
 from __future__ import annotations
@@ -46,12 +43,10 @@ from typing import Any
 
 from repro.errors import RegistryError, UnknownRegistryEntry
 from repro.registry.core import Registry, RegistryEntry
-from repro.registry.compat import DeprecatedRegistryView
 
 __all__ = [
     "Registry",
     "RegistryEntry",
-    "DeprecatedRegistryView",
     "RegistryError",
     "UnknownRegistryEntry",
     "GRAPH_FAMILY",
@@ -181,15 +176,3 @@ def catalog() -> dict[str, dict[str, dict]]:
     """
     return {kind: KINDS[kind].catalog() for kind in sorted(KINDS)}
 
-
-# Deprecated dict-shaped views; handed out (under the old names) by
-# module __getattr__ in repro.engine.scenario / repro.engine.campaign /
-# repro.analysis.experiments and their packages.
-GRAPH_FAMILIES_VIEW = DeprecatedRegistryView(
-    GRAPH_FAMILY, "GRAPH_FAMILIES", "repro.registry.GRAPH_FAMILY")
-PROTOCOL_BUILDERS_VIEW = DeprecatedRegistryView(
-    PROTOCOL, "PROTOCOL_BUILDERS", "repro.registry.PROTOCOL")
-EXPERIMENTS_VIEW = DeprecatedRegistryView(
-    EXPERIMENT, "EXPERIMENTS", "repro.registry.EXPERIMENT")
-BUILTIN_CAMPAIGNS_VIEW = DeprecatedRegistryView(
-    CAMPAIGN, "BUILTIN_CAMPAIGNS", "repro.registry.CAMPAIGN")

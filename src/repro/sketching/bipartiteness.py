@@ -33,7 +33,6 @@ from repro.bits.writer import BitWriter
 from repro.errors import DecodeError, SketchFailure
 from repro.model.message import Message
 from repro.model.protocol import DecisionProtocol
-from repro.sketching import kernels
 from repro.sketching.connectivity import (
     _UnionFind,
     _unzigzag,
@@ -138,7 +137,7 @@ class SketchBipartitenessProtocol(DecisionProtocol):
                     fields.append((_zigzag(c1), wd1))
                     fields.append((c2, 61))
         writer = BitWriter()
-        kernels.write_fields(writer, fields)
+        writer.write_many(fields)
         return Message.from_writer(writer)
 
     # ------------------------------------------------------------------ #

@@ -35,7 +35,6 @@ from repro.errors import DecodeError, SketchFailure
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import DecisionProtocol
-from repro.sketching import kernels
 from repro.sketching.l0sampler import L0Sampler, L0SamplerParams
 from repro.registry import register
 
@@ -153,7 +152,7 @@ class AGMConnectivityProtocol(DecisionProtocol):
     def _node_samplers(self, n: int, i: int, neighborhood: frozenset[int]) -> list[L0Sampler]:
         # The incidence updates are identical for every round's sampler, so
         # build the (index, delta) stream once and feed each round through
-        # update_many — the batched path the kernel backends vectorize.
+        # update_many.
         updates = incidence_updates(n, i, neighborhood)
         samplers = []
         for r in range(self.rounds_for(n)):
@@ -167,7 +166,7 @@ class AGMConnectivityProtocol(DecisionProtocol):
             return Message.empty()
         w0, w1 = self._widths(n)
         # Collect every fixed-width field, then pack the whole message in
-        # one pass (bit-identical to per-field writes on every backend).
+        # one pass (bit-identical to per-field writes).
         fields: list[tuple[int, int]] = []
         for sampler in self._node_samplers(n, i, neighborhood):
             for c0, c1, c2 in sampler.counters():
@@ -175,7 +174,7 @@ class AGMConnectivityProtocol(DecisionProtocol):
                 fields.append((_zigzag(c1), w1))
                 fields.append((c2, 61))
         writer = BitWriter()
-        kernels.write_fields(writer, fields)
+        writer.write_many(fields)
         return Message.from_writer(writer)
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.errors import SketchFailure
-from repro.sketching import kernels
 from repro.sketching.field import MERSENNE61, derive_params_block
 from repro.sketching.onesparse import OneSparseResult, OneSparseSketch, RecoveryStatus
 
@@ -102,16 +101,7 @@ class L0Sampler:
             sketch.c2 = (sketch.c2 + term) % MERSENNE61
 
     def update_many(self, updates: "Iterable[tuple[int, int]]") -> None:
-        """Apply ``(index, delta)`` pairs in one pass (batched :meth:`update`).
-
-        Dispatches on the active kernel backend: under ``"numpy"`` the whole
-        stream is fanned across levels in one vectorized pass
-        (:func:`repro.sketching.kernels.l0_update_many`), counter-identical
-        to the pure loop below — the parity suite pins this.
-        """
-        if kernels.active_kernels() != "pure":
-            kernels.l0_update_many(self, updates)
-            return
+        """Apply ``(index, delta)`` pairs in one pass (batched :meth:`update`)."""
         for index, delta in updates:
             self.update(index, delta)
 

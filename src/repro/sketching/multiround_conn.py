@@ -25,7 +25,6 @@ from repro.bits.writer import BitWriter
 from repro.errors import DecodeError, SketchFailure
 from repro.model.message import Message
 from repro.model.multiround import MultiRoundProtocol
-from repro.sketching import kernels
 from repro.sketching.connectivity import (
     AGMConnectivityProtocol,
     _UnionFind,
@@ -65,13 +64,10 @@ class MultiRoundSketchConnectivity(MultiRoundProtocol):
         sampler.update_many(incidence_updates(n, i, neighborhood))
         w0, w1 = self._inner._widths(n)
         writer = BitWriter()
-        kernels.write_fields(
-            writer,
-            (
-                field
-                for c0, c1, c2 in sampler.counters()
-                for field in ((_zigzag(c0), w0), (_zigzag(c1), w1), (c2, 61))
-            ),
+        writer.write_many(
+            field
+            for c0, c1, c2 in sampler.counters()
+            for field in ((_zigzag(c0), w0), (_zigzag(c1), w1), (c2, 61))
         )
         return Message.from_writer(writer)
 

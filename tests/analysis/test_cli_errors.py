@@ -46,9 +46,9 @@ class TestUsageErrors:
         assert main(["report", "--help"]) == 0
         assert "--by" in capsys.readouterr().out
 
-    def test_exp_alias_still_routes_to_experiment(self, capsys):
+    def test_bare_experiment_id_is_usage_error(self, capsys):
         assert main(["EXP-NOPE"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert "invalid choice: 'EXP-NOPE'" in capsys.readouterr().err
 
     def test_baseline_without_action(self, capsys):
         assert main(["baseline"]) == 2

@@ -42,11 +42,6 @@ class TestCli:
         assert main(["list", "--kind", "protocol", "--json"]) == 0
         assert set(json.loads(capsys.readouterr().out)) == {"protocol"}
 
-    def test_single_experiment(self, capsys):
-        assert main(["EXP-DEGEN"]) == 0
-        out = capsys.readouterr().out
-        assert "degeneracy of the paper's graph classes" in out
-
     def test_experiment_subcommand(self, capsys):
         assert main(["experiment", "EXP-DEGEN"]) == 0
         assert "degeneracy of the paper's graph classes" in capsys.readouterr().out
@@ -58,7 +53,7 @@ class TestCli:
         assert tables[0]["headers"] and tables[0]["rows"]
 
     def test_unknown_experiment(self, capsys):
-        assert main(["EXP-NOPE"]) == 2
+        assert main(["experiment", "EXP-NOPE"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_no_arguments_is_usage_error(self, capsys):

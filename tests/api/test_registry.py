@@ -169,6 +169,16 @@ class TestLazyLoading:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    def test_import_repro_cli_stays_cheap(self):
+        """Every CLI verb pays for `import repro.cli`; keep heavy deps out."""
+        code = (
+            "import sys, repro.cli\n"
+            "heavy = [m for m in ('numpy', 'networkx',"
+            " 'repro.analysis.experiments') if m in sys.modules]\n"
+            "assert not heavy, heavy\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
 
 class TestGlobalRegistries:
     def test_catalog_covers_all_kinds_sorted(self):

@@ -99,35 +99,6 @@ class TestBenchmarkPairParity:
             assert results[name]["ops"] == results[f"{name}-naive"]["ops"]
             assert results[name]["bits"] == results[f"{name}-naive"]["bits"]
 
-    def test_numpy_kernel_twins_digest_identically(self):
-        """The kernel-backend pairs share inputs with the pure microbenches,
-        so all four digests per family must agree — numpy vs pure twin AND
-        vs the original pure pin."""
-        from repro.sketching.kernels import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy not installed; the pure-only bench leg covers this")
-        names = ["l0-update", "bits-pack", "derive-params"]
-        suite = [n for base in names
-                 for n in (base, f"{base}-numpy", f"{base}-numpy-naive")]
-        results = run_suite(suite, scale=0.1, repeats=1)["results"]
-        for base in names:
-            digests = {results[n]["digest"]
-                       for n in (base, f"{base}-numpy", f"{base}-numpy-naive")}
-            assert len(digests) == 1, (base, digests)
-
-    def test_numpy_benches_raise_cleanly_without_numpy(self, monkeypatch):
-        """Factory-time BenchError (not ImportError) when numpy is missing."""
-        from repro.bench import builtin as bench_builtin
-        from repro.errors import BenchError
-        from repro.sketching import kernels
-
-        monkeypatch.setattr(kernels, "_np", None)
-        with pytest.raises(BenchError, match="requires numpy"):
-            bench_builtin._bench_l0_update_numpy(0.1)
-        with pytest.raises(BenchError, match="pure-only"):
-            bench_builtin._bench_bits_pack_numpy(0.1)
-
 
 SMOKE_BASELINE = pathlib.Path(__file__).parents[2] / "benchmarks" / "baselines" / "smoke.json"
 

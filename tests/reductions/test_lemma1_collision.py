@@ -151,6 +151,17 @@ class TestCollisionSearch:
         assert w is not None
         assert w.verify(HashedNeighborhoodEncoder(bits=2, salt=7), has_square)
 
+    @pytest.mark.parametrize("n,i,neighborhood,acc", [
+        (4, 1, (), 0x27EC),
+        (4, 2, (1, 3), 0xB745),
+        (70, 5, (1, 64, 70), 0xEEBC),  # mask spans two 64-bit chunks
+        (70, 5, (1, 64), 0x418C),
+    ])
+    def test_hashed_encoder_golden_messages(self, n, i, neighborhood, acc):
+        """Pinned digests: identical on every platform, word size and run."""
+        msg = HashedNeighborhoodEncoder(bits=16, salt=7).local(n, i, frozenset(neighborhood))
+        assert (msg.acc, msg.bits) == (acc, 16)
+
     def test_forced_collision_crossover_is_finite(self):
         """Lemma 1 + Kleitman–Winston: find the n where square-free graphs
         alone outnumber every possible 4-log-unit message vector — beyond

@@ -60,7 +60,7 @@ class TestHierarchy:
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
