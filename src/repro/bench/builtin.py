@@ -471,7 +471,7 @@ def _bench_serve_status_poll(scale: float = 1.0) -> BenchCase:
 
 
 # --------------------------------------------------------------------- #
-# the record store and incremental aggregation (PR 10)
+# incremental aggregation
 # --------------------------------------------------------------------- #
 
 
@@ -514,59 +514,6 @@ def _store_records(scale: float) -> list[dict]:
     return records
 
 
-def _store_compact_fixture(scale: float):
-    """Both representations of the same campaign, on disk, off the clock."""
-    import pathlib
-    import tempfile
-
-    from repro.results.records import canonical_line
-    from repro.store import write_columnar
-
-    records = _store_records(scale)
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-    root = pathlib.Path(tmp.name)
-    jsonl = root / "bench.jsonl"
-    jsonl.write_text("".join(canonical_line(r) + "\n" for r in records))
-    # Uncompressed: the claim under test is page slicing, not deflate.
-    columns = write_columnar(root / "bench.columns", records, compress=False)
-    return tmp, jsonl, columns, len(records)
-
-
-@register("store-compact", kind="benchmark", capabilities=("micro", "store"),
-          summary="One trend metric out of a compacted campaign: slice the "
-                  "result.max_message_bits page from the columnar store.")
-def _bench_store_compact(scale: float = 1.0) -> BenchCase:
-    from repro.store import read_column
-
-    tmp, _jsonl, columns, count = _store_compact_fixture(scale)
-
-    def op():
-        # `tmp` is closed over, keeping both files alive across repeats.
-        assert tmp is not None
-        values = read_column(columns, "result.max_message_bits")
-        return {"ops": len(values), "digest": _digest(values)}
-
-    return BenchCase(op=op, meta={"records": count, "layout": "columnar"})
-
-
-@register("store-compact-naive", kind="benchmark",
-          capabilities=("micro", "store", "reference"),
-          summary="The same metric by parsing every canonical JSONL record "
-                  "— the pre-store path the column slice must beat.")
-def _bench_store_compact_naive(scale: float = 1.0) -> BenchCase:
-    tmp, jsonl, _columns, count = _store_compact_fixture(scale)
-
-    def op():
-        assert tmp is not None
-        values = [
-            json.loads(line)["result"]["max_message_bits"]
-            for line in jsonl.read_text().splitlines() if line
-        ]
-        return {"ops": len(values), "digest": _digest(values)}
-
-    return BenchCase(op=op, meta={"records": count, "layout": "jsonl"})
-
-
 _AGG_POLLS = 16  # summary polls per simulated campaign
 
 
@@ -578,7 +525,7 @@ def _agg_chunks(scale: float) -> list[list[dict]]:
 
 
 @register("aggregate-incremental", kind="benchmark",
-          capabilities=("micro", "store"),
+          capabilities=("micro", "results"),
           summary="A polled campaign summary served from maintained "
                   "Aggregator state: feed each new chunk, snapshot groups.")
 def _bench_aggregate_incremental(scale: float = 1.0) -> BenchCase:
@@ -599,7 +546,7 @@ def _bench_aggregate_incremental(scale: float = 1.0) -> BenchCase:
 
 
 @register("aggregate-incremental-naive", kind="benchmark",
-          capabilities=("micro", "store", "reference"),
+          capabilities=("micro", "results", "reference"),
           summary="The same polls re-aggregating every record seen so far "
                   "from scratch — the O(n·polls) bug the cache fixed.")
 def _bench_aggregate_incremental_naive(scale: float = 1.0) -> BenchCase:

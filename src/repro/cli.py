@@ -13,9 +13,6 @@ Usage::
     python -m repro trace results/smoke.events.jsonl   # phase breakdown
     python -m repro stats smoke                # metrics, Prometheus text
     python -m repro merge smoke                # reassemble shard streams
-    python -m repro merge smoke --compact      # + columnar sibling & trend point
-    python -m repro store compact results/smoke.jsonl   # write smoke.columns
-    python -m repro store verify results/smoke.jsonl    # prove it lossless
     python -m repro report results/smoke.jsonl --by protocol,n
     python -m repro report results/smoke.jsonl --trend  # + trend ledger gate
     python -m repro diff results-a/smoke.jsonl results-b/smoke.jsonl
@@ -28,19 +25,19 @@ Usage::
     python -m repro jobs                           # list the daemon's jobs
     python -m repro job j000001 --follow           # follow one to completion
 
-Exit codes: 0 success, 1 gate/domain failure (``diff`` found differences,
-``baseline check`` failed, ``bench --gate`` regressed — including a trend
-regression from ``--trends``, ``merge`` found incomplete shards — retry
-after resuming them, ``report`` pointed at a missing/empty records file
-or found a trend regression with ``--trend``, ``store verify`` found a
-stale or lossy columnar file, ``submit`` refused by a full queue — retry
-later, ``job`` landed failed/cancelled), 2 usage or connection error
-(unknown subcommand, malformed flags, unreadable or schema-invalid
-input, bad shard geometry, ``--resume`` without a manifest or against a
-stale/edited one, no daemon listening at ``--url``, an unknown job ID).  An interrupted ``campaign`` returns 130 after releasing
-its workers (partial results stay durable — re-run with ``--resume``).
-Argparse errors are converted to return codes — :func:`main` never lets
-``SystemExit`` escape.
+Exit codes: 0 success, 1 gate/domain failure (``diff`` found
+differences, ``baseline check`` failed, ``bench --gate`` regressed —
+including a trend regression from ``--trends``, ``merge`` found
+incomplete shards — retry after resuming them, ``report`` pointed at a
+missing/empty records file or found a trend regression with ``--trend``,
+``submit`` refused by a full queue — retry later, ``job`` landed
+failed/cancelled), 2 usage or connection error (unknown subcommand,
+malformed flags, unreadable or schema-invalid input, bad shard geometry,
+``--resume`` without a manifest or against a stale/edited one, no daemon
+listening at ``--url``, an unknown job ID). An interrupted ``campaign``
+returns 130 after releasing its workers (partial results stay durable —
+re-run with ``--resume``). Argparse errors are converted to return codes
+— :func:`main` never lets ``SystemExit`` escape.
 
 Experiment tables are also written by ``pytest benchmarks/`` into
 ``benchmarks/results/``; campaigns stream JSONL records into ``results/``
@@ -59,7 +56,7 @@ from repro.analysis import format_table
 __all__ = ["main"]
 
 _SUBCOMMANDS = ("list", "experiment", "campaign", "merge", "report", "diff",
-                "baseline", "bench", "trace", "stats", "store", "serve",
+                "baseline", "bench", "trace", "stats", "serve",
                 "submit", "jobs", "job")
 
 
@@ -127,10 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--results-dir", default="results", metavar="DIR",
                          help="where the manifest and shard streams live "
                          "(default: results/)")
-    p_merge.add_argument("--compact", action="store_true",
-                         help="also write the columnar .columns sibling and "
-                         "append the campaign's trend point to "
-                         "<results-dir>/trends.jsonl")
     p_merge.add_argument("--json", action="store_true",
                          help="emit the merge summary as JSON")
 
@@ -221,29 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="where metrics snapshots live (default: results/)")
     p_stats.add_argument("--json", action="store_true",
                          help="emit the raw snapshot as JSON")
-
-    p_store = sub.add_parser(
-        "store", help="columnar record store: compact, verify, read")
-    store_sub = p_store.add_subparsers(dest="action",
-                                       metavar="{compact,verify,read}")
-    p_sc = store_sub.add_parser(
-        "compact", help="write the columnar .columns sibling of a JSONL file")
-    p_sc.add_argument("records", help="path to a results/<name>.jsonl file")
-    p_sc.add_argument("--no-compress", action="store_true",
-                      help="skip deflating the column pages")
-    p_sc.add_argument("--json", action="store_true",
-                      help="emit the compaction summary as JSON")
-    p_sv = store_sub.add_parser(
-        "verify", help="prove a columnar file lossless against its JSONL "
-        "(exit 1 when stale or lossy)")
-    p_sv.add_argument("records", help="path to a results/<name>.jsonl file")
-    p_sv.add_argument("columns", nargs="?", default=None,
-                      help="columnar file (default: the .columns sibling)")
-    p_sv.add_argument("--json", action="store_true",
-                      help="emit the verdict as JSON")
-    p_sr = store_sub.add_parser(
-        "read", help="decode a .columns file back to canonical JSONL on stdout")
-    p_sr.add_argument("columns", help="path to a <name>.columns file")
 
     p_serve = sub.add_parser(
         "serve", help="run the campaign service daemon (HTTP/JSON on "
@@ -463,8 +433,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     from repro.engine import ShardManifest, merge_shards
 
     try:
-        path, count = merge_shards(args.results_dir, args.campaign,
-                                   compact=args.compact)
+        path, count = merge_shards(args.results_dir, args.campaign)
     except ShardIncomplete as exc:
         # shards still running / torn — a retryable gate failure, not misuse
         print(f"not ready: {exc}", file=sys.stderr)
@@ -480,19 +449,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     except (ReproError, OSError) as exc:  # missing/stale/corrupt manifest
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = {"campaign": args.campaign, "records": count, "jsonl": str(path)}
-    if args.compact:
-        from repro.store import columnar_path, trends_path
-
-        payload["columns"] = str(columnar_path(path))
-        payload["trends"] = str(trends_path(args.results_dir))
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"campaign": args.campaign, "records": count,
+                          "jsonl": str(path)}, indent=2, sort_keys=True))
         return 0
     print(f"merged {args.campaign}: {count} records -> {path}")
-    if args.compact:
-        print(f"  columns -> {payload['columns']}")
-        print(f"  trends  -> {payload['trends']}")
     return 0
 
 
@@ -575,38 +536,26 @@ def _report_trend(args, records_path, spec_hashes, bits):
     import pathlib
 
     from repro.errors import StoreError
-    from repro.store import (
-        DEFAULT_WINDOW, TREND_VERSION, append_point, campaign_trend_key,
-        load_points, regressed, series, trends_path,
+    from repro.results.trends import (
+        DEFAULT_WINDOW, append_point, campaign_point, load_points, regressed,
+        series, trends_path,
     )
 
     ledger = pathlib.Path(args.trends) if args.trends \
         else trends_path(records_path.parent)
-    name = records_path.stem
-    key = campaign_trend_key(spec_hashes)
-    stats = bits.stats()
-    point = {
-        "trend_version": TREND_VERSION,
-        "kind": "campaign",
-        "key": key,
-        "name": name,
-        "metrics": {
-            "records": stats["count"],
-            "max_message_bits_mean": stats["mean"],
-            "max_message_bits_p95": stats["p95"],
-        },
-    }
+    point = campaign_point(name=records_path.stem, spec_hashes=spec_hashes,
+                           bits=bits)
     try:
-        prior = series(load_points(ledger), kind="campaign", key=key,
-                       name=name, metric="max_message_bits_p95")
+        prior = series(load_points(ledger), kind="campaign", key=point["key"],
+                       name=point["name"], metric="max_message_bits_p95")
         append_point(ledger, point)
     except (StoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    values = prior + [stats["p95"]]
+    values = prior + [point["metrics"]["max_message_bits_p95"]]
     return {
         "ledger": str(ledger),
-        "key": key,
+        "key": point["key"],
         "points": len(values),
         "metrics": point["metrics"],
         "series": values[-(DEFAULT_WINDOW + 1):],
@@ -789,7 +738,7 @@ def _bench_trends(ledger: str, report: dict):
     """
     from repro.errors import StoreError
     from repro.results.baseline import CheckFailure
-    from repro.store import (
+    from repro.results.trends import (
         DEFAULT_WINDOW, append_point, bench_point, bench_trend_key,
         load_points, regressed, series,
     )
@@ -863,50 +812,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.errors import ResultsError, StoreError
-    from repro.store import columnar_path, compact, read_columnar, verify
-
-    if args.action is None:
-        print("repro store: error: an action is required (compact, verify, "
-              "or read)", file=sys.stderr)
-        return 2
-    try:
-        if args.action == "compact":
-            path, count = compact(args.records,
-                                  compress=not args.no_compress)
-            if args.json:
-                print(json.dumps({"records": count, "columns": str(path)},
-                                 indent=2, sort_keys=True))
-            else:
-                print(f"compacted {args.records}: {count} records -> {path}")
-            return 0
-        if args.action == "read":
-            for record in read_columnar(args.columns):
-                print(json.dumps(record, sort_keys=True))
-            return 0
-        # verify: losslessness is a gate — a stale/lossy store is exit 1.
-        try:
-            count = verify(args.records, args.columns)
-        except StoreError as exc:
-            if args.json:
-                print(json.dumps({"passed": False, "error": str(exc)},
-                                 indent=2, sort_keys=True))
-            else:
-                print(f"FAILED: {exc}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps({"passed": True, "records": count},
-                             indent=2, sort_keys=True))
-        else:
-            print(f"verified {args.records}: {count} records round-trip "
-                  "byte-identical")
-        return 0
-    except (ResultsError, OSError) as exc:  # unreadable/schema-invalid input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _serve_url(args: argparse.Namespace) -> str:
@@ -1120,8 +1025,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_trace(args)
     if args.command == "stats":
         return _cmd_stats(args)
-    if args.command == "store":
-        return _cmd_store(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "submit":

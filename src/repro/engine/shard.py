@@ -536,7 +536,7 @@ def read_done_marker(
 
 
 def merge_shards(
-    results_dir: str | pathlib.Path, name: str, *, compact: bool = False
+    results_dir: str | pathlib.Path, name: str
 ) -> tuple[pathlib.Path, int]:
     """Reassemble shard streams into the canonical ``<name>.jsonl``.
 
@@ -555,12 +555,6 @@ def merge_shards(
     canonically, so ``repro merge`` succeeds uniformly on anything a
     manifest describes (an incomplete monolithic stream is
     :class:`~repro.errors.ShardIncomplete`, fixed by ``--resume``).
-
-    With ``compact=True`` the merge additionally runs
-    :func:`repro.store.compact_campaign`: the columnar ``.columns``
-    sibling is (re)written and the campaign's trend point is appended to
-    the results directory's ``trends.jsonl`` — both derived artifacts,
-    after the canonical file is already durable.
 
     Returns ``(path, records)``.
     """
@@ -639,9 +633,4 @@ def merge_shards(
         out_path, (by_hash[h].to_json_dict() for h in manifest.spec_hashes)
     )
     manifest.write(results_dir)  # refresh the completion snapshot
-    if compact:
-        # Deferred import: repro.store sits above the engine layer.
-        from repro.store import compact_campaign
-
-        compact_campaign(results_dir, name)
     return out_path, len(manifest.spec_hashes)

@@ -152,10 +152,9 @@ class BaselineError(ResultsError):
 
 
 class StoreError(ResultsError):
-    """Raised by the columnar record store and the trend ledger
-    (:mod:`repro.store`): a missing/truncated/corrupt ``.columns`` file, a
-    schema the codec cannot represent, or a malformed ``trends.jsonl``
-    entry anywhere but the torn tail."""
+    """Raised by the trend ledger (:mod:`repro.results.trends`): a
+    malformed ``trends.jsonl`` entry anywhere but the torn tail, or a
+    point asked of a campaign with no records."""
 
 
 class BenchError(ReproError):

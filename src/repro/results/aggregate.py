@@ -444,7 +444,7 @@ class Aggregator:
     """Incremental group-by aggregation: feed records as shards land.
 
     The maintained-state counterpart of :func:`aggregate` — the serve
-    ``/summary`` endpoint and merge-time compaction feed every durable
+    ``/summary`` endpoint and ``repro report`` feed every durable
     record once and snapshot :meth:`groups` on demand, instead of
     re-scanning the stream per question.  Because all group state is
     order-independent (see the module docstring), the snapshot after

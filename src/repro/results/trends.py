@@ -2,11 +2,12 @@
 
 A frozen baseline answers "is this run worse than the pin?"; it cannot
 answer "has p95 been creeping up for three releases?".  The trend ledger
-closes that gap: every gated bench run and every compacted campaign merge
-appends one *point* per metric source to an append-only
-``<results_dir>/trends.jsonl``, and the gates (``repro bench --gate
---trends``, ``repro report --trend``) read the series back and fail on
-trajectories, not just point regressions.
+closes that gap: every gated bench run (``repro bench --gate --trends``),
+every ``repro report --trend`` and every merged serve job appends one
+*point* per metric source to an append-only
+``<results_dir>/trends.jsonl``, and the gates read the series back and
+fail on trajectories, not just point regressions.  The daemon also
+publishes each job's point as ``trend_*`` gauges on ``/metrics``.
 
 A point is one canonical-JSON line::
 
@@ -39,9 +40,13 @@ import json
 import os
 import pathlib
 from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ShardError, StoreError
 from repro.results.records import check_mapping
+
+if TYPE_CHECKING:
+    from repro.results.aggregate import RunningStats
 
 __all__ = [
     "TREND_VERSION",
@@ -200,19 +205,15 @@ def bench_point(
 
 
 def campaign_point(
-    *, name: str, spec_hashes: Sequence[str], records: Iterable[Mapping]
+    *, name: str, spec_hashes: Sequence[str], bits: RunningStats
 ) -> dict:
     """The ledger entry for one merged campaign.
 
-    Metrics are the campaign-wide record count and the p95 / mean of
-    ``result.max_message_bits`` — the paper's headline number, and the
-    one whose slow creep across re-runs a single frozen baseline misses.
+    ``bits`` has been fed every record's ``result.max_message_bits`` —
+    the paper's headline number, and the one whose slow creep across
+    re-runs a single frozen baseline misses.  Metrics are the record
+    count and the mean / p95 of those bits.
     """
-    from repro.results.aggregate import RunningStats
-
-    bits = RunningStats()
-    for record in records:
-        bits.feed(record["result"]["max_message_bits"])
     if bits.count == 0:
         raise StoreError(f"campaign {name!r}: no records to summarize")
     stats = bits.stats()

@@ -8,7 +8,8 @@ a **shard assignment** ``(job, shard_index)``: a job submitted with
 and manifest and done markers included — so the durability story is the
 engine's own, not a service re-implementation.  When a job's last shard
 lands, the scheduler merges the shard streams into the canonical
-``<name>.jsonl`` and the job is ``done``.
+``<name>.jsonl``, appends the campaign's point to the job's trend ledger,
+and the job is ``done``.
 
 Design decisions a reader should not have to reverse-engineer:
 
@@ -35,7 +36,6 @@ Design decisions a reader should not have to reverse-engineer:
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import threading
 import time
@@ -49,6 +49,22 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.store import PRIORITIES, TERMINAL_STATES, JobStore
 
 __all__ = ["Scheduler"]
+
+
+def _append_campaign_point(results_dir, name: str, path) -> dict:
+    """Append the merged ``path``'s campaign point to the job's ledger."""
+    from repro.results import iter_records, spec_content_hash
+    from repro.results.aggregate import RunningStats
+    from repro.results.trends import append_point, campaign_point, trends_path
+
+    bits = RunningStats()
+    spec_hashes = []
+    for record in iter_records(path):
+        spec_hashes.append(spec_content_hash(record["spec"]))
+        bits.feed(record["result"]["max_message_bits"])
+    point = campaign_point(name=name, spec_hashes=spec_hashes, bits=bits)
+    append_point(trends_path(results_dir), point)
+    return point
 
 
 def build_campaign(job: dict[str, Any], results_dir) -> Campaign:
@@ -379,42 +395,40 @@ class Scheduler:
             return
         results_dir = self.store.results_dir(job["id"])
         try:
-            # compact=True: the merge also writes the columnar sibling and
-            # appends this campaign's point to the job's trend ledger.
             path, count = await asyncio.to_thread(
-                functools.partial(merge_shards, compact=True),
-                results_dir, job["name"],
+                merge_shards, results_dir, job["name"]
             )
         except ReproError as exc:
             self._finish(job, "failed", error=f"merge failed: {exc}")
             return
-        self._publish_trends(results_dir)
+        await self._record_trend(results_dir, job["name"], path)
         self._finish(job, "done", records=count, jsonl=str(path))
 
-    def _publish_trends(self, results_dir) -> None:
-        """Fold a job's freshly-appended trend point into the metrics.
+    async def _record_trend(self, results_dir, name: str, path) -> None:
+        """Append the merged campaign's trend point and publish it.
 
-        ``/metrics`` then carries one gauge per (campaign, metric) series
-        — the live view of the same numbers ``trends.jsonl`` accumulates
-        durably.  Advisory: a malformed ledger must not fail the job.
+        ``trends.jsonl`` gains one campaign point per merged job, and
+        ``/metrics`` carries it as one gauge per (campaign, metric) — the
+        live view of the numbers the ledger accumulates durably.
+        Advisory: the canonical records are already durable, so a ledger
+        that cannot be written costs the job its gauges (and counts a
+        ``serve_trend_errors``), never its state.
         """
-        from repro.store import load_points, trends_path
-
         # Advisory means advisory: NOTHING here may stand between a merged
         # job and its terminal state (a wedged gauge update once left jobs
         # "running" forever — the regression test pins this).
         try:
-            points = load_points(trends_path(results_dir))
-            for point in points[-8:]:  # tail is this job's; bounded either way
-                for metric, value in point["metrics"].items():
-                    self.metrics.set_gauge(
-                        f"trend_{metric}", value,
-                        kind=point["kind"], series=point["name"],
-                    )
-            if points:
-                self.metrics.inc("serve_trend_points")
+            point = await asyncio.to_thread(
+                _append_campaign_point, results_dir, name, path
+            )
+            for metric, value in point["metrics"].items():
+                self.metrics.set_gauge(
+                    f"trend_{metric}", value,
+                    kind=point["kind"], series=point["name"],
+                )
+            self.metrics.inc("serve_trend_points")
         except Exception:
-            return
+            self.metrics.inc("serve_trend_errors")
 
     def _finish(self, job: dict[str, Any], state: str, **fields: Any) -> dict[str, Any]:
         started = job.get("_started_clock")

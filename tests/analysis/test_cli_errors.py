@@ -58,6 +58,18 @@ class TestUsageErrors:
         assert main(["baseline", "melt"]) == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["merge", "smoke", "--compact"],
+        ["store", "compact", "results/smoke.jsonl"],
+        ["store", "verify", "results/smoke.jsonl"],
+        ["store", "read", "results/smoke.jsonl"],
+    ])
+    def test_removed_store_surfaces_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+
 
 class TestReportPaths:
     def test_report_missing_file(self, capsys, tmp_path):

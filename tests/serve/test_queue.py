@@ -10,7 +10,10 @@ import asyncio
 
 import pytest
 
+from repro.cli import main
+from repro.engine.shard import ShardManifest
 from repro.errors import QueueFull, ServeError, WorkerCrash
+from repro.results.trends import campaign_trend_key, load_points, trends_path
 from repro.serve.queue import Scheduler, validate_submission
 from repro.serve.store import JobStore
 
@@ -156,7 +159,7 @@ def test_worker_crash_retries_then_succeeds(tmp_path, monkeypatch):
     sched = _scheduler(tmp_path, retries=2, backoff=0.001)
     monkeypatch.setattr(
         "repro.serve.queue.merge_shards",
-        lambda results_dir, name, compact=False: (results_dir / "x.jsonl", 0),
+        lambda results_dir, name: (results_dir / "x.jsonl", 0),
     )
     job = _run_assignment_with(
         sched, monkeypatch, [WorkerCrash("pool died"), _FakeResult()]
@@ -166,51 +169,62 @@ def test_worker_crash_retries_then_succeeds(tmp_path, monkeypatch):
     assert sched.metrics.to_dict()["counters"]["serve_shard_retries"] == 1
 
 
+def _run_real_job(sched, shards=1):
+    """Drive a real smoke job through every shard, the scheduler's own
+    merge and its trend append."""
+    async def drive():
+        job = sched.submit({"campaign": "smoke", "shards": shards})
+        for index in range(shards):
+            await sched._run_assignment(job["id"], index)
+        return sched.store.get(job["id"])
+
+    return asyncio.run(drive())
+
+
 def test_trend_publish_failure_cannot_wedge_completion(tmp_path, monkeypatch):
     """Regression: a raising gauge update once left merged jobs 'running'
     forever — trend publishing is advisory and must never block _finish."""
-    from repro.store import TREND_VERSION, append_point, trends_path
-
     sched = _scheduler(tmp_path, retries=0)
-
-    def fake_merge(results_dir, name, compact=False):
-        append_point(trends_path(results_dir), {
-            "trend_version": TREND_VERSION, "kind": "campaign",
-            "key": "k", "name": name, "metrics": {"records": 1},
-        })
-        return results_dir / "x.jsonl", 1
-
-    monkeypatch.setattr("repro.serve.queue.merge_shards", fake_merge)
 
     def broken_gauge(*args, **kwargs):
         raise TypeError("gauge exploded")
 
     monkeypatch.setattr(sched.metrics, "set_gauge", broken_gauge)
-    job = _run_assignment_with(sched, monkeypatch, [_FakeResult()])
+    job = _run_real_job(sched)
     assert job["state"] == "done"
+    # The durable point landed; only its gauges were lost.
+    results_dir = sched.store.results_dir(job["id"])
+    assert len(load_points(trends_path(results_dir))) == 1
+    counters = sched.metrics.to_dict()["counters"]
+    assert "serve_trend_points" not in counters
+    assert counters["serve_trend_errors"] == 1
 
 
-def test_completed_job_publishes_trend_gauges(tmp_path, monkeypatch):
-    from repro.store import TREND_VERSION, append_point, trends_path
-
+def test_completed_job_publishes_trend_gauges(tmp_path):
     sched = _scheduler(tmp_path, retries=0)
-
-    def fake_merge(results_dir, name, compact=False):
-        assert compact is True  # the scheduler always compacts on merge
-        append_point(trends_path(results_dir), {
-            "trend_version": TREND_VERSION, "kind": "campaign",
-            "key": "k", "name": name,
-            "metrics": {"records": 3, "max_message_bits_p95": 20},
-        })
-        return results_dir / "x.jsonl", 3
-
-    monkeypatch.setattr("repro.serve.queue.merge_shards", fake_merge)
-    job = _run_assignment_with(sched, monkeypatch, [_FakeResult()])
+    job = _run_real_job(sched)
     assert job["state"] == "done"
+    results_dir = sched.store.results_dir(job["id"])
+    manifest = ShardManifest.load(results_dir, "smoke")
+    points = load_points(trends_path(results_dir))
+    assert len(points) == 1
+    assert points[0]["kind"] == "campaign" and points[0]["name"] == "smoke"
+    assert points[0]["key"] == campaign_trend_key(manifest.spec_hashes)
     snap = sched.metrics.to_dict()
     gauges = snap["gauges"]
     assert any(k.startswith("trend_records") for k in gauges)
     assert snap["counters"].get("serve_trend_points") == 1
+
+
+def test_report_trend_and_serve_merge_build_equal_points(tmp_path):
+    sched = _scheduler(tmp_path / "serve", retries=0)
+    job = _run_real_job(sched, shards=2)
+    assert job["state"] == "done"
+    results_dir = sched.store.results_dir(job["id"])
+    ledger = tmp_path / "report-trends.jsonl"
+    assert main(["report", str(results_dir / "smoke.jsonl"),
+                 "--trends", str(ledger), "--json"]) == 0
+    assert load_points(ledger) == load_points(trends_path(results_dir))
 
 
 def test_worker_crash_exhausts_retries(tmp_path, monkeypatch):

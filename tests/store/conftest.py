@@ -1,4 +1,5 @@
-"""Shared factories for the store/trend test battery."""
+"""Shared record factories for the trend-ledger and incremental-aggregation
+batteries."""
 
 import random
 
@@ -37,8 +38,7 @@ def _random_record(rng: random.Random) -> dict:
     """One schema-valid record with randomized axes and measurements."""
     faults = None
     if rng.random() < 0.3:
-        # Mix int and float fault rates: their JSON spellings differ, so
-        # the codec's canonical-JSON columns must preserve them exactly.
+        # Mix int and float fault rates, whose JSON spellings differ.
         faults = {
             "drop": rng.choice([0, 0.1, 0.25]),
             "duplicate": rng.choice([0, 1, 0.5]),

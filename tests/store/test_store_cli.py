@@ -1,9 +1,9 @@
-"""CLI surface for the store: compact/verify/read, merge --compact,
-``report --trend``, and the bench trend gate.
+"""CLI surface for the trend ledger: ``report --trend`` and the bench
+trend gate.
 
-Exit-code convention (PR 2): 0 success, 1 domain failure (stale store,
-trend regression, campaign with nothing to report), 2 usage error.
-Errors are messages, never tracebacks.
+Exit-code convention: 0 success, 1 domain failure (trend regression,
+campaign with nothing to report), 2 usage error.  Errors are messages,
+never tracebacks.
 """
 
 import json
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.store import (
+from repro.results.trends import (
     TREND_VERSION,
     append_point,
     bench_trend_key,
@@ -29,84 +29,6 @@ def campaign_dir(tmp_path):
                      "--shards", "3", "--shard-index", str(i)]) == 0
     assert main(["merge", "smoke", "--results-dir", str(tmp_path)]) == 0
     return tmp_path
-
-
-class TestStoreSubcommand:
-    def test_compact_then_verify_then_read(self, campaign_dir, capsys):
-        records = campaign_dir / "smoke.jsonl"
-        capsys.readouterr()
-        assert main(["store", "compact", str(records), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["records"] == 8
-        assert payload["columns"].endswith("smoke.columns")
-
-        assert main(["store", "verify", str(records), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["passed"] is True and payload["records"] == 8
-
-        assert main(["store", "read",
-                     str(campaign_dir / "smoke.columns")]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines() == [
-            line for line in records.read_text().splitlines() if line.strip()
-        ]
-
-    def test_verify_stale_store_exits_one(self, campaign_dir, capsys):
-        records = campaign_dir / "smoke.jsonl"
-        assert main(["store", "compact", str(records)]) == 0
-        with records.open("a") as fh:  # campaign re-run appended a record
-            first = records.read_text().splitlines()[0]
-            fh.write(first + "\n")
-        capsys.readouterr()
-        assert main(["store", "verify", str(records)]) == 1
-        err = capsys.readouterr().err
-        assert "FAILED" in err or "holds" in err
-        assert "Traceback" not in err
-
-    def test_compact_missing_records_exits_two(self, tmp_path, capsys):
-        assert main(["store", "compact",
-                     str(tmp_path / "ghost.jsonl")]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-
-    def test_read_missing_columns_exits_two(self, tmp_path, capsys):
-        assert main(["store", "read", str(tmp_path / "ghost.columns")]) == 2
-        err = capsys.readouterr().err
-        assert "does not exist" in err
-        assert "Traceback" not in err
-
-
-class TestMergeCompact:
-    def test_merge_compact_writes_store_and_trend(self, tmp_path, capsys):
-        for i in range(3):
-            assert main(["campaign", "smoke", "--results-dir", str(tmp_path),
-                         "--shards", "3", "--shard-index", str(i)]) == 0
-        capsys.readouterr()
-        assert main(["merge", "smoke", "--results-dir", str(tmp_path),
-                     "--compact", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["columns"].endswith("smoke.columns")
-        assert payload["trends"].endswith("trends.jsonl")
-        assert (tmp_path / "smoke.columns").exists()
-
-        points = load_points(trends_path(tmp_path))
-        assert len(points) == 1
-        assert points[0]["kind"] == "campaign"
-        assert points[0]["metrics"]["records"] == 8
-
-        # Round-trip acceptance: the store proves lossless via the CLI.
-        assert main(["store", "verify",
-                     str(tmp_path / "smoke.jsonl")]) == 0
-
-    def test_repeated_merge_compact_extends_series(self, tmp_path, capsys):
-        for i in range(2):
-            assert main(["campaign", "smoke", "--results-dir", str(tmp_path),
-                         "--shards", "2", "--shard-index", str(i)]) == 0
-        for _ in range(3):
-            assert main(["merge", "smoke", "--results-dir", str(tmp_path),
-                         "--compact"]) == 0
-        points = load_points(trends_path(tmp_path))
-        assert len(points) == 3
-        assert len({p["key"] for p in points}) == 1  # same grid, same series
 
 
 class TestReportTrend:

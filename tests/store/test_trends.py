@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import StoreError
-from repro.store import (
+from repro.results.aggregate import RunningStats
+from repro.results.trends import (
     DEFAULT_WINDOW,
     TREND_VERSION,
     append_point,
@@ -133,10 +134,17 @@ def test_bench_point_shape():
     assert point["metrics"] == {"wall_p95_seconds": 0.5}
 
 
-def test_campaign_point_metrics(make_record):
-    records = [make_record(max_bits=b) for b in (10, 20, 30, 40)]
+def _bits(*values):
+    stats = RunningStats()
+    for value in values:
+        stats.feed(value)
+    return stats
+
+
+def test_campaign_point_metrics():
     point = validate_point(
-        campaign_point(name="smoke", spec_hashes=["h"], records=records)
+        campaign_point(name="smoke", spec_hashes=["h"],
+                       bits=_bits(10, 20, 30, 40))
     )
     assert point["kind"] == "campaign"
     assert point["metrics"]["records"] == 4
@@ -146,4 +154,4 @@ def test_campaign_point_metrics(make_record):
 
 def test_campaign_point_zero_records_raises():
     with pytest.raises(StoreError, match="no records"):
-        campaign_point(name="smoke", spec_hashes=["h"], records=[])
+        campaign_point(name="smoke", spec_hashes=["h"], bits=_bits())
