@@ -15,11 +15,14 @@ elimination order is *discovered* by the referee, never transmitted.
 The recognition variant is the paper's closing remark of Section III: reject
 iff the pruning process ever finds no vertex of degree ≤ k.
 
-Complexity: with a min-degree worklist the loop body is ``O(decode + k·deg)``;
-with the Newton decoder each decode is ``O(n·k)``, giving ``O(n²k)`` total,
-the paper's ``O(n²)`` for fixed k.  A prebuilt
-:class:`~repro.protocols.powersum.PowerSumLookupTable` makes decodes
-``O(k)`` dictionary work instead.
+Complexity: with a min-degree worklist the loop body is ``O(decode + k·deg)``
+(the check that the decoded neighbours are still unpruned is ``O(k)`` set
+probes, never a copy of the remaining set).  The Newton decoder finds the
+roots in closed form for ``d <= 2`` and by Newton iteration from above
+otherwise, ``O(k² log n)`` big-int operations per neighbour, so the whole
+global phase is about ``O(n·k³ log n)`` — within the paper's ``O(n²)`` for
+fixed k.  A prebuilt :class:`~repro.protocols.powersum.PowerSumLookupTable`
+makes decodes ``O(k)`` dictionary work instead.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def prune_decode(
             nbrs = table.lookup_partial(degree, tuple(sums))
         else:
             nbrs = decode_neighborhood_newton(degree, tuple(sums), n)
-        if not nbrs <= remaining - {x}:
+        if x in nbrs or not nbrs <= remaining:
             raise DecodeError(
                 f"vertex {x} decoded neighbours {sorted(nbrs)} outside the remaining graph"
             )

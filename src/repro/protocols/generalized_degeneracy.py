@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.bits.reader import BitReader
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, GraphError, RecognitionFailure
+from repro.errors import BitstreamError, DecodeError, GraphError, RecognitionFailure
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import ReconstructionProtocol
@@ -111,7 +111,7 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
                 b = [r.read_bits((p + 1) * w) for p in range(1, k + 1)]
                 bc = [r.read_bits((p + 1) * w) for p in range(1, k + 1)]
                 r.expect_exhausted()
-            except Exception as exc:
+            except BitstreamError as exc:
                 raise DecodeError(f"malformed generalized-degeneracy message: {exc}") from exc
             if not 1 <= v <= n or v in state:
                 raise DecodeError(f"bad or duplicate vertex ID {v}")
@@ -145,7 +145,7 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
                 nbrs = remaining - co_nbrs - {x}
             else:
                 nbrs = decode_neighborhood_newton(d, tuple(b), n)
-            if not nbrs <= remaining - {x}:
+            if x in nbrs or not nbrs <= remaining:
                 raise DecodeError(f"vertex {x} decoded neighbours outside the remaining graph")
             remaining.discard(x)
             for v in remaining:

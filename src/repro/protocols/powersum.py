@@ -15,8 +15,10 @@ with ``w = ceil(log2(n+1))``, so the message costs ``O(k² log n)`` bits
 
 * :func:`decode_neighborhood_newton` — Newton's identities convert power
   sums to elementary symmetric polynomials (exact integer arithmetic), and
-  the neighbours are the integer roots of the resulting monic polynomial,
-  found by scanning ``1..n`` with Horner + synthetic division, ``O(n·d)``;
+  the neighbours are the integer roots of the resulting monic polynomial:
+  closed forms for ``d <= 2``, integer Newton iteration from above plus
+  deflation beyond, ``O(d² log n)`` big-int operations per root (a
+  scan of ``1..n`` only when the fast path fails, to name the error);
 * :class:`PowerSumLookupTable` — Lemma 3's preprocessing: enumerate all
   ``<= k``-subsets of ``1..n`` and index them by their power-sum vector;
   one dictionary probe per decode (``O(n^k)`` space, so guarded).
@@ -34,7 +36,7 @@ from itertools import combinations
 from repro.bits.reader import BitReader
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, GraphError
+from repro.errors import BitstreamError, DecodeError, GraphError
 from repro.model.message import Message
 
 __all__ = [
@@ -108,7 +110,7 @@ def decode_powersum_message(n: int, k: int, msg: Message) -> PowerSumRecord:
         degree = r.read_bits(w)
         sums = tuple(r.read_bits((p + 1) * w) for p in range(1, k + 1))
         r.expect_exhausted()
-    except Exception as exc:  # underflow / leftover bits
+    except BitstreamError as exc:  # underflow / leftover bits
         raise DecodeError(f"malformed power-sum message: {exc}") from exc
     if not 1 <= vertex <= n:
         raise DecodeError(f"decoded vertex ID {vertex} outside 1..{n}")
@@ -140,29 +142,105 @@ def newton_identities(power_sums: tuple[int, ...] | list[int]) -> list[int]:
 
 
 def integer_roots_of_monic(elementary: list[int], n: int) -> list[int]:
-    """All roots in ``1..n`` of ``x^d - e_1 x^{d-1} + e_2 x^{d-2} - ...``.
+    """All roots in ``1..n`` of ``x^d - e_1 x^{d-1} + e_2 x^{d-2} - ...``, ascending.
 
-    The polynomial whose roots are the neighbours.  Scan candidates with
-    Horner, synthetic-divide on each hit; Corollary 1 guarantees the
-    genuine decode finds exactly ``d`` distinct roots.
+    The polynomial whose roots are the neighbours; Corollary 1 guarantees
+    the genuine decode has exactly ``d`` distinct roots in ``1..n``.  They
+    are found without scanning ``1..n``:
+
+    * ``d = 1``: the root is ``e_1``;
+    * ``d = 2``: ``(e_1 ± r) / 2`` with ``r = isqrt(e_1² - 4 e_2)``;
+    * ``d >= 3``: integer Newton iteration from above Samuelson's bound on
+      the largest root, then synthetic division by it, down to ``d = 2``.
+
+    Each Newton run takes at most ``d·log2(n) + 1`` steps of ``O(d)``
+    big-int work, so a genuine decode costs ``O(d³ log n)`` operations
+    (``O(1)`` for ``d <= 2``).  Any miss — a non-real, non-integer,
+    repeated or out-of-range root — falls back to the ascending Horner scan
+    of ``1..n`` (``O(n·d)``), which names the error.
     """
-    d = len(elementary)
-    # coefficients of Π (x - r_i), highest degree first
     coeffs = [1] + [(-1) ** (idx + 1) * e for idx, e in enumerate(elementary)]
+    roots = _newton_roots(coeffs, n)
+    if roots is None:
+        return _scan_roots(coeffs, n)
+    return sorted(roots)
+
+
+def _newton_roots(coeffs: list[int], n: int) -> list[int] | None:
+    """The ``d`` distinct roots in ``1..n`` of the monic ``coeffs``, or None."""
+    d = len(coeffs) - 1
+    roots: list[int] = []
+    while len(coeffs) > 3:
+        x = _largest_integer_root(coeffs, n)
+        if x is None:
+            return None
+        roots.append(x)
+        coeffs = _deflate(coeffs, x)
+    if len(coeffs) == 3:
+        e1, e2 = -coeffs[1], coeffs[2]
+        disc = e1 * e1 - 4 * e2
+        if disc <= 0:
+            return None
+        r = math.isqrt(disc)
+        if r * r != disc:  # r² ≡ e_1² (mod 4), so e_1 ± r is always even
+            return None
+        roots += ((e1 - r) // 2, (e1 + r) // 2)
+    elif len(coeffs) == 2:
+        roots.append(-coeffs[1])
+    if len(set(roots)) < d or any(not 1 <= x <= n for x in roots):
+        return None
+    return roots
+
+
+def _largest_integer_root(coeffs: list[int], n: int) -> int | None:
+    """Integer Newton iteration from above; the largest root if it is an integer.
+
+    Samuelson's inequality bounds every real root by ``(e_1 + sqrt((d-1)
+    (d·p_2 - e_1²))) / d``; start strictly above it (capped at ``n``).  Above
+    the largest root P is positive, increasing and convex, so the step
+    ``x -= ceil(P(x)/P'(x))`` never passes an integer largest root and
+    shrinks the distance to it by at least ``1/d`` of itself.  None when an
+    invariant breaks (roots not all real, P(x) < 0, step cap reached).
+    """
+    d = len(coeffs) - 1
+    e1, e2 = -coeffs[1], coeffs[2]
+    spread = (d - 1) * (d * (e1 * e1 - 2 * e2) - e1 * e1)
+    if spread < 0:
+        return None
+    x = min(n, (e1 + math.isqrt(spread) + d) // d + 1)
+    for _ in range(d * n.bit_length() + 2):
+        p = dp = 0
+        for c in coeffs:
+            dp = dp * x + p
+            p = p * x + c
+        if p == 0:
+            return x
+        if p < 0 or dp <= 0:
+            return None
+        x += -p // dp  # x - ceil(p / dp)
+    return None
+
+
+def _deflate(coeffs: list[int], root: int) -> list[int]:
+    """Synthetic division of ``coeffs`` by ``(x - root)``; the remainder is 0."""
+    out = [coeffs[0]]
+    for c in coeffs[1:-1]:
+        out.append(c + out[-1] * root)
+    return out
+
+
+def _scan_roots(coeffs: list[int], n: int) -> list[int]:
+    """The ascending Horner scan of ``1..n``; only failed fast decodes get here."""
+    d = len(coeffs) - 1
     roots: list[int] = []
     candidate = 1
     while len(roots) < d and candidate <= n:
-        # Horner evaluation at `candidate`
         acc = 0
         for c in coeffs:
             acc = acc * candidate + c
         if acc == 0:
             roots.append(candidate)
-            # synthetic division by (x - candidate)
-            new_coeffs = [coeffs[0]]
-            for c in coeffs[1:-1]:
-                new_coeffs.append(c + new_coeffs[-1] * candidate)
-            coeffs = new_coeffs
+            coeffs = _deflate(coeffs, candidate)
             # distinct roots (a neighbourhood is a set): advance
         candidate += 1
     if len(roots) < d:

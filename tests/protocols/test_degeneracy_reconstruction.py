@@ -162,6 +162,12 @@ class TestFailureInjection:
         with pytest.raises(DecodeError):
             prune_decode(2, 1, records)
 
+    def test_self_neighbour_rejected(self):
+        # vertex 1's sums decode to {1}: its own ID is not a remaining neighbour
+        records = [(2, 2, [4]), (3, 2, [3]), (1, 1, [1])]
+        with pytest.raises(DecodeError, match=r"vertex 1 decoded neighbours \[1\] outside"):
+            prune_decode(3, 1, records)
+
     def test_negative_power_sum_detected(self):
         # vertex 2 claims edge to 1, but vertex 1's sums don't include 2
         records = [(1, 1, [2]), (2, 1, [1]), (3, 2, [1])]  # vertex 3 inconsistent

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GraphError, RecognitionFailure
+from repro.errors import DecodeError, GraphError, RecognitionFailure
 from repro.graphs import LabeledGraph, degeneracy
 from repro.graphs.generators import (
     complete_bipartite,
@@ -80,6 +80,41 @@ class TestGeneralizedReconstruction:
         w_id = 5  # id_width(20)
         # ID + deg + two power-sum blocks: (2 + 2*(2+3)) * w
         assert msg.bits == 2 * powersum_message_bits(20, 2) - 2 * w_id
+
+
+class TestCorruptMessages:
+    @staticmethod
+    def c4_with_isolated_vertex_messages(p):
+        """Messages of the 4-cycle 2-3-4-5 plus vertex 1, n = 5."""
+        g = LabeledGraph(5, [(2, 3), (3, 4), (4, 5), (5, 2)])
+        return [p.local(5, v, g.neighbors(v)) for v in g.vertices()]
+
+    def test_self_neighbour_rejected(self):
+        from repro.bits import BitWriter
+        from repro.model import Message
+
+        p = GeneralizedDegeneracyProtocol(1)
+        messages = self.c4_with_isolated_vertex_messages(p)
+        # vertex 1 claims degree 1 with b_1 = 1: its only neighbour is itself
+        w = BitWriter()
+        w.write_many([(1, 3), (1, 3), (1, 6), (0, 6)])
+        messages[0] = Message.from_writer(w)
+        with pytest.raises(DecodeError, match="vertex 1 decoded neighbours outside"):
+            p.global_(5, messages)
+
+    def test_reader_bug_is_not_a_decode_error(self, monkeypatch):
+        """Only bitstream errors become DecodeError; a reader bug propagates."""
+        from repro.bits.reader import BitReader
+
+        p = GeneralizedDegeneracyProtocol(1)
+        messages = self.c4_with_isolated_vertex_messages(p)
+
+        def broken(self, width):
+            raise TypeError("reader bug")
+
+        monkeypatch.setattr(BitReader, "read_bits", broken)
+        with pytest.raises(TypeError, match="reader bug"):
+            p.global_(5, messages)
 
 
 @settings(max_examples=30, deadline=None)

@@ -144,6 +144,19 @@ class TestMessageCodec:
         with pytest.raises(DecodeError):
             decode_powersum_message(10, 2, Message(0, 3))
 
+    def test_reader_bug_is_not_a_decode_error(self, monkeypatch):
+        """Only bitstream errors become DecodeError; a reader bug propagates."""
+        from repro.bits.reader import BitReader
+
+        msg = encode_powersum_message(10, 2, 1, frozenset({2, 3}))
+
+        def broken(self, width):
+            raise TypeError("reader bug")
+
+        monkeypatch.setattr(BitReader, "read_bits", broken)
+        with pytest.raises(TypeError, match="reader bug"):
+            decode_powersum_message(10, 2, msg)
+
     def test_bad_vertex_id_raises(self):
         msg = encode_powersum_message(10, 1, 1, frozenset())
         # patch the ID field (first 4 bits) to 11 > n=10... encode directly
