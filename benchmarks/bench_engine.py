@@ -8,8 +8,9 @@ speedup over :class:`~repro.engine.executor.SerialExecutor`.
 
 Two checks ride along:
 
-* **parity** — the serial engine path produces output and bit counts
-  identical to a plain ``Referee.run`` (the engine adds no semantics);
+* **parity** — every backend yields the serial run's output digests
+  (record-level parity with a plain ``Referee.run`` is a tier-1 test in
+  ``tests/engine/test_scenario.py``);
 * **speedup** — on a machine with >= 4 cores the process pool must beat
   serial by >= 2x.  On fewer cores there is no parallel hardware to
   demonstrate with, so the assertion is skipped (the table is still
@@ -29,9 +30,6 @@ from repro.engine import (
     ThreadPoolExecutor,
     builtin_campaign,
 )
-from repro.graphs.generators import random_k_degenerate
-from repro.model import Referee
-from repro.protocols import DegeneracyReconstructionProtocol
 
 CORES = os.cpu_count() or 1
 
@@ -44,19 +42,6 @@ def _timed_campaign(executor):
     assert len(result.records) == 32
     assert all(r.status == "ok" and r.exact for r in result.records)
     return elapsed, result
-
-
-def test_serial_engine_matches_referee():
-    """A serial engine run is Referee.run, bit for bit (acceptance check)."""
-    g = random_k_degenerate(512, 2, seed=0)
-    protocol = DegeneracyReconstructionProtocol(2)
-    base = Referee().run(protocol, g)
-    with SerialExecutor() as ex:
-        engined = Referee(executor=ex).run(protocol, g)
-    assert engined.output == base.output == g
-    assert engined.per_vertex_bits == base.per_vertex_bits
-    assert engined.max_message_bits == base.max_message_bits
-    assert engined.total_message_bits == base.total_message_bits
 
 
 def test_engine_speedup(write_result):

@@ -1,14 +1,13 @@
-"""repro.engine — batched parallel execution and scenario campaigns.
+"""repro.engine — parallel execution and scenario campaigns.
 
-The referee model is embarrassingly parallel twice over: within one round
-every ``Γ^l_n(i, N(i))`` call is independent, and across a study every
-``(graph, protocol, seed)`` run is independent.  This package exploits
-both:
+Across a study every ``(graph, protocol, seed)`` run is independent, so
+campaigns fan whole runs out across cores; one round inside a run stays
+the plain loop of :meth:`~repro.model.referee.Referee.run`.  This package
+provides:
 
 * :mod:`~repro.engine.executor` — the :class:`Executor` interface with
-  serial, thread-pool, and process-pool backends; plugs into
-  :class:`~repro.model.referee.Referee` (``executor=``) to batch local
-  calls, and into campaigns to fan out whole runs across cores;
+  serial, thread-pool, and process-pool backends that campaigns use to
+  fan out whole runs;
 * :mod:`~repro.engine.faults` — dropped / duplicated / bit-flipped
   messages on the node→referee link, so protocol robustness is a
   measurable scenario rather than an assumption;

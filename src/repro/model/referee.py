@@ -23,7 +23,6 @@ from repro.model.protocol import OneRoundProtocol
 from repro.obs.trace import current_tracer
 
 if TYPE_CHECKING:  # deferred: repro.engine imports this module
-    from repro.engine.executor import Executor
     from repro.engine.faults import FaultCounters, FaultInjector, FaultSpec
 
 __all__ = ["Referee", "RunReport", "monotonic_clock"]
@@ -92,11 +91,6 @@ class Referee:
         indexes messages by ID, so this is a no-op by construction — the
         flag exists so tests can assert the simulator doesn't smuggle
         ordering information.
-    executor:
-        Optional :class:`~repro.engine.executor.Executor` that batches the
-        per-node ``local`` calls.  The default (``None``) keeps the
-        original in-process loop, bit-for-bit; any backend yields the same
-        report because messages are re-indexed by ID.
     faults:
         Optional :class:`~repro.engine.faults.FaultSpec` (or a prebuilt
         injector) modelling a lossy link between the local and global
@@ -113,14 +107,12 @@ class Referee:
         budget_bits: int | None = None,
         shuffle_delivery: bool = False,
         shuffle_seed: int | None = None,
-        executor: "Executor | None" = None,
         faults: "FaultSpec | FaultInjector | None" = None,
         fault_seed: int = 0,
     ) -> None:
         self.budget_bits = budget_bits
         self.shuffle_delivery = shuffle_delivery
         self.shuffle_seed = shuffle_seed
-        self.executor = executor
         self.faults = faults
         self.fault_seed = fault_seed
 
@@ -148,15 +140,10 @@ class Referee:
         """Execute one full round of ``protocol`` on ``g``."""
         t0 = monotonic_clock()
         tagged: list[tuple[int, Message]] = []
-        if self.executor is None:
-            for i in g.vertices():
-                msg = protocol.local(g.n, i, g.neighbors(i))
-                self._check_budget(protocol, i, msg)
-                tagged.append((i, msg))
-        else:
-            tagged = self.executor.map_local(protocol, g)
-            for i, msg in tagged:
-                self._check_budget(protocol, i, msg)
+        for i in g.vertices():
+            msg = protocol.local(g.n, i, g.neighbors(i))
+            self._check_budget(protocol, i, msg)
+            tagged.append((i, msg))
         t1 = monotonic_clock()
 
         fault_counters = None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, GraphError
+from repro.errors import BitstreamError, DecodeError, GraphError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import ReconstructionProtocol
@@ -68,9 +68,7 @@ class BoundedDegreeProtocol(ReconstructionProtocol):
                     )
                 nbrs = frozenset(r.read_bits(w) for _ in range(d))
                 r.expect_exhausted()
-            except DecodeError:
-                raise
-            except Exception as exc:
+            except BitstreamError as exc:
                 raise DecodeError(f"malformed bounded-degree message: {exc}") from exc
             if not 1 <= i <= n or i in seen:
                 raise DecodeError(f"bad or duplicate vertex ID {i}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, RecognitionFailure
+from repro.errors import BitstreamError, DecodeError, RecognitionFailure
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import DecisionProtocol, ReconstructionProtocol
@@ -56,7 +56,7 @@ class ForestReconstructionProtocol(ReconstructionProtocol):
                 d = r.read_bits(w)
                 s = r.read_bits(2 * w)
                 r.expect_exhausted()
-            except Exception as exc:
+            except BitstreamError as exc:
                 raise DecodeError(f"malformed forest message: {exc}") from exc
             if not 1 <= v <= n or v in deg:
                 raise DecodeError(f"bad or duplicate vertex ID {v}")

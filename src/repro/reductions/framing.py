@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.bits.codes import EliasDeltaCode
 from repro.bits.writer import BitWriter
-from repro.errors import DecodeError
+from repro.errors import BitstreamError, DecodeError
 from repro.model.message import Message
 
 __all__ = ["pack_messages", "unpack_messages"]
@@ -39,8 +39,6 @@ def unpack_messages(msg: Message, count: int) -> list[Message]:
             nbits = _delta.decode(r) - 1
             parts.append(Message(r.read_bits(nbits), nbits))
         r.expect_exhausted()
-    except DecodeError:
-        raise
-    except Exception as exc:
+    except BitstreamError as exc:
         raise DecodeError(f"malformed packed message: {exc}") from exc
     return parts

@@ -1,4 +1,4 @@
-"""Executor backends: ordered maps, batched local phases, referee parity."""
+"""Executor backends: ordered maps, exception propagation, the factory."""
 
 import pytest
 
@@ -7,15 +7,10 @@ from repro.engine.executor import (
     ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
-    _chunk_ids,
     default_jobs,
     make_executor,
 )
-from repro.errors import FrugalityViolation, ProtocolError
-from repro.graphs.generators import random_forest, random_k_degenerate
-from repro.graphs.labeled import LabeledGraph
-from repro.model import Referee
-from repro.protocols import DegeneracyReconstructionProtocol, ForestReconstructionProtocol
+from repro.errors import ProtocolError
 
 
 def _square(x):
@@ -53,50 +48,35 @@ def _raise_on_three(x):
     return x
 
 
-class TestMapLocal:
-    def test_matches_serial_loop(self, executor):
-        g = random_k_degenerate(40, 2, seed=5)
-        protocol = DegeneracyReconstructionProtocol(2)
-        expected = [(i, protocol.local(g.n, i, g.neighbors(i))) for i in g.vertices()]
-        assert executor.map_local(protocol, g) == expected
+class TestImap:
+    """``imap`` is the one primitive; ``map`` and ``imap_observed`` derive from it."""
 
-    def test_empty_graph(self, executor):
-        protocol = ForestReconstructionProtocol()
-        assert executor.map_local(protocol, LabeledGraph(0)) == []
+    def test_map_accepts_one_shot_iterable(self, executor):
+        assert executor.map(_square, (x for x in range(10))) == [x * x for x in range(10)]
 
-    def test_chunking_covers_all_ids(self):
-        for n, chunks in [(1, 1), (7, 3), (10, 4), (10, 40), (100, 7)]:
-            parts = _chunk_ids(list(range(1, n + 1)), chunks)
-            assert [i for part in parts for i in part] == list(range(1, n + 1))
-            assert all(part for part in parts)
+    def test_imap_streams_in_order(self, executor):
+        stream = executor.imap(_square, range(12))
+        assert next(stream) == 0
+        assert list(stream) == [x * x for x in range(1, 12)]
 
+    def test_imap_observed_tags_every_result(self, executor):
+        observed = list(executor.imap_observed(_square, range(8)))
+        assert [o.result for o in observed] == [x * x for x in range(8)]
+        for result, worker, seconds in observed:
+            pid, _, thread = worker.partition(":")
+            assert pid.isdigit() and thread
+            assert seconds >= 0.0
 
-class TestRefereeParity:
-    """Acceptance: an engine-backed round equals Referee.run bit-for-bit."""
+    def test_serial_imap_is_lazy(self):
+        seen = []
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda c: c.kind)
-    def test_report_identical_to_plain_referee(self, backend):
-        g = random_forest(60, 4, seed=9)
-        protocol = ForestReconstructionProtocol()
-        base = Referee(shuffle_delivery=True, shuffle_seed=3).run(protocol, g)
-        ex = SerialExecutor() if backend is SerialExecutor else backend(2)
-        with ex:
-            report = Referee(shuffle_delivery=True, shuffle_seed=3, executor=ex).run(protocol, g)
-        assert report.output == base.output == g
-        assert report.per_vertex_bits == base.per_vertex_bits
-        assert report.max_message_bits == base.max_message_bits
-        assert report.total_message_bits == base.total_message_bits
+        def record(x):
+            seen.append(x)
+            return x
 
-    def test_budget_violation_same_vertex(self):
-        g = random_forest(30, 3, seed=2)
-        protocol = ForestReconstructionProtocol()
-        with pytest.raises(FrugalityViolation) as plain:
-            Referee(budget_bits=1).run(protocol, g)
-        with SerialExecutor() as ex:
-            with pytest.raises(FrugalityViolation) as engined:
-                Referee(budget_bits=1, executor=ex).run(protocol, g)
-        assert plain.value.vertex == engined.value.vertex
-        assert plain.value.bits == engined.value.bits
+        stream = SerialExecutor().imap(record, [1, 2, 3])
+        assert seen == []
+        assert next(stream) == 1 and seen == [1]
 
 
 class TestFactory:

@@ -13,6 +13,7 @@ from repro.engine.scenario import (
 )
 from repro.errors import ProtocolError
 from repro.graphs.labeled import LabeledGraph
+from repro.model import Referee
 
 
 def _scenario(**overrides):
@@ -142,6 +143,25 @@ class TestExecuteRun:
         assert record.status in ("error", "ok")  # decoder may fail or mis-reconstruct
         if record.status == "ok":
             assert record.exact is False
+
+    def test_record_matches_plain_referee(self):
+        # The campaign path adds no semantics: a record is Referee.run with
+        # the spec's options, down to a fault-corrupted output.
+        spec = next(_scenario(
+            family="random_tree", protocol="full_adjacency", sizes=(32,), seeds=(3,),
+            shuffle_delivery=True, faults=FaultSpec(duplicate=0.3, flip=0.1, seed=2),
+        ).expand())
+        record = execute_run(spec)
+        report = Referee(
+            shuffle_delivery=True, shuffle_seed=spec.seed,
+            faults=spec.faults, fault_seed=spec.seed,
+        ).run(spec.build_protocol(), spec.build_graph())
+        assert record.status == "ok" and record.exact is False
+        assert record.output_digest == output_digest(report.output)[1]
+        assert record.max_message_bits == report.max_message_bits
+        assert record.total_message_bits == report.total_message_bits
+        assert record.faults == report.fault_counters
+        assert record.faults.duplicated > 0 and record.faults.flipped > 0
 
     def test_record_json_roundtrip(self):
         record = execute_run(next(_scenario().expand()))

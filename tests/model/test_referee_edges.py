@@ -20,17 +20,23 @@ class TestEmptyGraph:
         assert report.mean_message_bits == 0.0
 
     def test_zero_vertices_with_all_referee_options(self):
-        from repro.engine import FaultSpec, SerialExecutor
+        from repro.engine import FaultSpec
 
         referee = Referee(
             budget_bits=0,
             shuffle_delivery=True,
-            executor=SerialExecutor(),
             faults=FaultSpec(drop=0.5, seed=1),
         )
         report = referee.run(EmptyProtocol(), LabeledGraph(0))
         assert report.n == 0
         assert report.output is None
+
+    def test_no_executor_option(self):
+        # One round is one plain loop of local calls; runs fan out, rounds don't.
+        from repro.engine import SerialExecutor
+
+        with pytest.raises(TypeError):
+            Referee(executor=SerialExecutor())
 
 
 class TestExactBudget:

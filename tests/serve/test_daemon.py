@@ -68,6 +68,15 @@ def _start_daemon(root, *, executor="serial", workers=1, jobs=None, env=None):
     return proc, ServeClient(match.group(1))
 
 
+def _stop(proc, sig=signal.SIGTERM, timeout=30):
+    """Signal the daemon, reap it, close its stdout pipe; return the exit code."""
+    proc.send_signal(sig)
+    try:
+        return proc.wait(timeout=timeout)
+    finally:
+        proc.stdout.close()
+
+
 def _durable_records(results_dir, name, shards):
     """Complete (newline-terminated) record lines across all shard streams."""
     total = 0
@@ -95,8 +104,7 @@ def test_kill_dash_nine_then_restart_recomputes_nothing(tmp_path):
         assert view["progress"]["records"] >= 3, "job never started streaming"
         assert view["state"] == "running"
     finally:
-        proc.kill()  # SIGKILL: no cleanup, no goodbye
-        proc.wait(timeout=30)
+        _stop(proc, signal.SIGKILL)  # no cleanup, no goodbye
 
     results_dir = root / "jobs" / job.id / "results"
     durable = _durable_records(results_dir, "big", 2)
@@ -112,8 +120,7 @@ def test_kill_dash_nine_then_restart_recomputes_nothing(tmp_path):
         assert view["resumed"] == durable
         served = _strip(pathlib.Path(view["jsonl"]).read_text())
     finally:
-        proc2.terminate()
-        proc2.wait(timeout=30)
+        _stop(proc2)
 
     direct_dir = tmp_path / "direct"
     campaign = Campaign.from_dict(_spec(n_records), results_dir=direct_dir,
@@ -154,8 +161,7 @@ def test_sigterm_leaves_no_orphans_and_a_clean_store(tmp_path):
         assert client.job(job.id)["state"] == "running"
         assert len(_procs_with_marker(marker.encode())) >= 1  # daemon's tree
     finally:
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=60)
+        code = _stop(proc, timeout=60)
     assert code == 0  # graceful: drained, requeued, stopped
 
     # no process anywhere still carries the daemon's environment — the
@@ -176,5 +182,4 @@ def test_sigterm_leaves_no_orphans_and_a_clean_store(tmp_path):
         assert view["state"] == "done"
         assert view["records"] == 240
     finally:
-        proc2.terminate()
-        proc2.wait(timeout=30)
+        _stop(proc2)

@@ -9,6 +9,7 @@ through the service produces records identical (modulo the
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -50,12 +51,12 @@ def test_sharded_job_matches_direct_run_byte_for_byte(client, tmp_path):
     view = job.wait(timeout=60)
     assert view["state"] == "done"
     assert view["jsonl"] and view["error"] is None
-    served = _strip(open(view["jsonl"]).read())
+    served = _strip(pathlib.Path(view["jsonl"]).read_text())
 
     direct_dir = tmp_path / "direct"
     campaign = builtin_campaign("smoke", results_dir=direct_dir, use_cache=False)
     result = campaign.run(SerialExecutor(), progress=False)
-    direct = _strip(open(result.jsonl_path).read())
+    direct = _strip(pathlib.Path(result.jsonl_path).read_text())
 
     assert served == direct  # same records, same order, same digests
     assert view["records"] == len(direct)

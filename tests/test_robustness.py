@@ -21,6 +21,7 @@ from repro.protocols import (
     ForestReconstructionProtocol,
     GeneralizedDegeneracyProtocol,
 )
+from repro.reductions.framing import pack_messages, unpack_messages
 from repro.sketching import AGMConnectivityProtocol
 
 
@@ -109,3 +110,53 @@ class TestTruncationAndPadding:
         protocol = BoundedDegreeProtocol(2)
         with pytest.raises(DecodeError):
             protocol.global_(2, [Message.empty(), Message.empty()])
+
+
+def _truncate(msg: Message, k: int = 3) -> Message:
+    return Message(msg.acc >> k, msg.bits - k)
+
+
+def _forest_decode(truncate: bool):
+    g = random_forest(10, 2, seed=3)
+    protocol = ForestReconstructionProtocol()
+    msgs = protocol.message_vector(g)
+    if truncate:
+        msgs[0] = _truncate(msgs[0])
+    return protocol.global_(g.n, msgs)
+
+
+def _bounded_degree_decode(truncate: bool):
+    g = erdos_renyi(10, 0.3, seed=3)
+    protocol = BoundedDegreeProtocol(10)
+    msgs = protocol.message_vector(g)
+    if truncate:
+        msgs[0] = _truncate(msgs[0])
+    return protocol.global_(g.n, msgs)
+
+
+def _framing_decode(truncate: bool):
+    packed = pack_messages([Message(5, 3), Message(1, 1), Message(9, 4)])
+    if truncate:
+        packed = _truncate(packed)
+    return unpack_messages(packed, 3)
+
+
+@pytest.mark.parametrize(
+    "decode", [_forest_decode, _bounded_degree_decode, _framing_decode],
+    ids=["forest", "bounded_degree", "framing"],
+)
+class TestOnlyBitstreamErrorsBecomeDecodeErrors:
+    def test_truncated_message_is_a_decode_error(self, decode):
+        decode(truncate=False)  # the untouched messages decode
+        with pytest.raises(DecodeError):
+            decode(truncate=True)
+
+    def test_reader_bug_propagates(self, decode, monkeypatch):
+        from repro.bits.reader import BitReader
+
+        def broken(self, width):
+            raise TypeError("reader bug")
+
+        monkeypatch.setattr(BitReader, "read_bits", broken)
+        with pytest.raises(TypeError, match="reader bug"):
+            decode(truncate=False)
