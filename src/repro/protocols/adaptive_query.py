@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import DecodeError
+from repro.errors import BitstreamError, DecodeError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.multiround import MultiRoundProtocol
@@ -76,7 +76,7 @@ class AdaptiveQueryReconstruction(MultiRoundProtocol):
                     degrees[v - 1] = reader.read_bits(w)
                 nth = reader.read_bits(w)
                 reader.expect_exhausted()
-            except Exception as exc:
+            except BitstreamError as exc:
                 raise DecodeError(f"malformed adaptive-query message: {exc}") from exc
             if nth:
                 if not 1 <= nth <= n or nth == v:

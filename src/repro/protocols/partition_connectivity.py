@@ -35,6 +35,7 @@ from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
 from repro.errors import DecodeError, GraphError
 from repro.graphs.labeled import LabeledGraph
+from repro.graphs.unionfind import UnionFind
 
 __all__ = ["PartitionConnectivityProtocol", "PartitionConnectivityReport", "parts_of"]
 
@@ -74,26 +75,6 @@ class PartitionConnectivityReport:
         return self.max_bits_per_node / (self.k_parts * log2_ceil(self.n))
 
 
-class _UnionFind:
-    def __init__(self, items: list[int]) -> None:
-        self.parent = {x: x for x in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 class PartitionConnectivityProtocol:
     """One coalition-round connectivity via per-part spanning forests."""
 
@@ -110,7 +91,7 @@ class PartitionConnectivityProtocol:
     def part_forest(self, g: LabeledGraph, part: range) -> list[tuple[int, int]]:
         """Spanning forest of ``H_part`` (edges incident to the part)."""
         members = set(part)
-        uf = _UnionFind(list(g.vertices()))
+        uf = UnionFind(g.n)
         forest = []
         for u in part:
             for v in sorted(g.neighbors(u)):
@@ -160,7 +141,7 @@ class PartitionConnectivityProtocol:
             return PartitionConnectivityReport(True, 0, self.k_parts, 0, 0, 0)
         parts = parts_of(n, self.k_parts)
         per_node_bits: list[int] = []
-        uf = _UnionFind(list(g.vertices()))
+        uf = UnionFind(g.n)
         forest_edges = 0
         # each member sends (chunk_len, chunk); chunk_len is implicit per part
         # since all chunks are equal — the first member's message carries the

@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
+from repro.errors import DecodeError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import OneRoundProtocol, ReconstructionProtocol
@@ -78,7 +79,8 @@ class FullAdjacencyProtocol(ReconstructionProtocol):
     The referee reconstructs the graph exactly, taking the union of claimed
     edges (each edge is reported by both endpoints; the union keeps the
     protocol total on arbitrary — even inconsistent — message vectors,
-    which the reductions rely on).
+    which the reductions rely on).  A message that is not exactly ``n``
+    bits long is a :class:`~repro.errors.DecodeError`.
     """
 
     name = "full-adjacency"
@@ -94,7 +96,11 @@ class FullAdjacencyProtocol(ReconstructionProtocol):
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
         g = LabeledGraph(n)
         for i, msg in enumerate(messages, start=1):
-            mask = msg.reader().read_bits(n)
+            if msg.bits != n:
+                raise DecodeError(
+                    f"malformed full-adjacency message: node {i} sent {msg.bits} bits, expected {n}"
+                )
+            mask = msg.acc
             for v in range(1, n + 1):
                 if mask >> (v - 1) & 1 and v != i:
                     g.add_edge(i, v)

@@ -21,19 +21,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, SketchFailure
+from repro.graphs.unionfind import UnionFind
 from repro.model.message import Message
 from repro.model.multiround import MultiRoundProtocol
-from repro.sketching.connectivity import (
-    AGMConnectivityProtocol,
-    _UnionFind,
-    _unzigzag,
-    _zigzag,
-    edge_pair,
-    incidence_updates,
-)
-from repro.sketching.l0sampler import L0Sampler
+from repro.sketching.agm import Bank, bank_offsets, boruvka_round, encode, incidence_updates
+from repro.sketching.connectivity import AGMConnectivityProtocol
 
 __all__ = ["MultiRoundSketchConnectivity"]
 
@@ -59,17 +51,10 @@ class MultiRoundSketchConnectivity(MultiRoundProtocol):
     ) -> Message:
         if n < 2:
             return Message.empty()
-        params = self._inner.params_for(n, round_idx)
-        sampler = L0Sampler(params)
-        sampler.update_many(incidence_updates(n, i, neighborhood))
-        w0, w1 = self._inner._widths(n)
-        writer = BitWriter()
-        writer.write_many(
-            field
-            for c0, c1, c2 in sampler.counters()
-            for field in ((_zigzag(c0), w0), (_zigzag(c1), w1), (c2, 61))
-        )
-        return Message.from_writer(writer)
+        return encode([(self._bank(n, round_idx), incidence_updates(n, i, neighborhood))])
+
+    def _bank(self, n: int, round_idx: int) -> Bank:
+        return Bank(n, (self._inner.params_for(n, round_idx),))
 
     # ------------------------------------------------------------------ #
     # referee side: one merge phase per round, empty feedback
@@ -77,37 +62,12 @@ class MultiRoundSketchConnectivity(MultiRoundProtocol):
 
     def referee_step(self, n: int, round_idx: int, messages: list[Message]) -> tuple[str, Any]:
         if round_idx == 0:
-            self._state = {"uf": _UnionFind(n), "components": max(n, 1)}
-        uf: _UnionFind = self._state["uf"]
+            self._state = {"uf": UnionFind(n), "components": max(n, 1)}
         if n >= 2 and self._state["components"] > 1:
-            params = self._inner.params_for(n, round_idx)
-            w0, w1 = self._inner._widths(n)
-            agg: dict[int, L0Sampler] = {}
-            for v, msg in enumerate(messages, start=1):
-                reader = msg.reader()
-                counters = []
-                try:
-                    for _ in range(params.levels):
-                        c0 = _unzigzag(reader.read_bits(w0))
-                        c1 = _unzigzag(reader.read_bits(w1))
-                        c2 = reader.read_bits(61)
-                        counters.append((c0, c1, c2))
-                    reader.expect_exhausted()
-                except Exception as exc:
-                    raise DecodeError(f"malformed round-{round_idx} sketch: {exc}") from exc
-                sampler = L0Sampler.from_counters(params, counters)
-                root = uf.find(v)
-                agg[root] = agg[root].merged(sampler) if root in agg else sampler
-            for root, sampler in agg.items():
-                try:
-                    hit = sampler.sample()
-                except SketchFailure:
-                    continue
-                if hit is None:
-                    continue
-                u, v = edge_pair(n, hit[0])
-                if uf.union(u, v):
-                    self._state["components"] -= 1
+            bank = self._bank(n, round_idx)
+            bank_offsets(messages, [bank])
+            edges, _ = boruvka_round(self._state["uf"], bank, 0, [(msg, 0) for msg in messages])
+            self._state["components"] -= len(edges)
         if round_idx == self.rounds(n) - 1 or self._state["components"] == 1:
             return "output", self._state["components"] == 1
         return "continue", [Message.empty() for _ in range(n)]

@@ -11,18 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import registry
 from repro.errors import DecodeError, ReproError
 from repro.graphs import LabeledGraph
-from repro.graphs.generators import erdos_renyi, random_forest, random_k_degenerate
+from repro.graphs.generators import erdos_renyi, path_graph, random_forest, random_k_degenerate
 from repro.model import Message
+from repro.model.multiround import MultiRoundProtocol
 from repro.protocols import (
     BoundedDegreeProtocol,
     DegeneracyReconstructionProtocol,
     ForestReconstructionProtocol,
     GeneralizedDegeneracyProtocol,
 )
+from repro.protocols.adaptive_query import AdaptiveQueryReconstruction
 from repro.reductions.framing import pack_messages, unpack_messages
-from repro.sketching import AGMConnectivityProtocol
+from repro.sketching import (
+    AGMConnectivityProtocol,
+    MultiRoundSketchConnectivity,
+    SketchBipartitenessProtocol,
+)
 
 
 def flip_bit(msg: Message, pos: int) -> Message:
@@ -141,9 +148,36 @@ def _framing_decode(truncate: bool):
     return unpack_messages(packed, 3)
 
 
+def _decode(protocol, g, corrupt=None, victim: int = 0):
+    """Decode ``g``'s messages with ``msgs[victim]`` corrupted.
+
+    A multi-round protocol decodes its round 0 through its referee step.
+    """
+    if isinstance(protocol, MultiRoundProtocol):
+        msgs = [protocol.node_step(g.n, i, g.neighbors(i), 0, Message.empty())
+                for i in g.vertices()]
+        decode = lambda m: protocol.referee_step(g.n, 0, m)  # noqa: E731
+    else:
+        msgs = protocol.message_vector(g)
+        decode = lambda m: protocol.global_(g.n, m)  # noqa: E731
+    if corrupt is not None:
+        msgs[victim] = corrupt(msgs[victim])
+    return decode(msgs)
+
+
+def _decoder(protocol):
+    return lambda truncate: _decode(
+        protocol, erdos_renyi(10, 0.3, seed=3), _truncate if truncate else None
+    )
+
+
 @pytest.mark.parametrize(
-    "decode", [_forest_decode, _bounded_degree_decode, _framing_decode],
-    ids=["forest", "bounded_degree", "framing"],
+    "decode",
+    [_forest_decode, _bounded_degree_decode, _framing_decode,
+     _decoder(AdaptiveQueryReconstruction()), _decoder(AGMConnectivityProtocol(seed=3)),
+     _decoder(SketchBipartitenessProtocol(seed=3)), _decoder(MultiRoundSketchConnectivity(seed=3))],
+    ids=["forest", "bounded_degree", "framing", "adaptive_query", "agm_connectivity",
+         "sketch_bipartiteness", "multiround_sketch"],
 )
 class TestOnlyBitstreamErrorsBecomeDecodeErrors:
     def test_truncated_message_is_a_decode_error(self, decode):
@@ -160,3 +194,55 @@ class TestOnlyBitstreamErrorsBecomeDecodeErrors:
         monkeypatch.setattr(BitReader, "read_bits", broken)
         with pytest.raises(TypeError, match="reader bug"):
             decode(truncate=False)
+
+
+# --------------------------------------------------------------------------- #
+# totality over every registered protocol (plus the streamed sketch protocol)
+# --------------------------------------------------------------------------- #
+
+_MULTIROUND = "multiround_sketch"
+_TOTALITY_PROTOCOLS = sorted(registry.catalog()["protocol"]) + [_MULTIROUND]
+
+
+def _decode_corrupted(name: str, corrupt=None, victim: int = 0):
+    """Decode a path graph's messages with one of them corrupted.
+
+    A path is in every registered protocol's default graph class: a forest
+    of degeneracy 1 and maximum degree 2.
+    """
+    g = path_graph(8)
+    protocol = (MultiRoundSketchConnectivity(seed=1) if name == _MULTIROUND
+                else registry.PROTOCOL.build(name, g.n))
+    return _decode(protocol, g, corrupt, victim)
+
+
+def test_totality_roster_covers_the_catalog():
+    assert len(_TOTALITY_PROTOCOLS) == 8
+
+
+@pytest.mark.parametrize("name", _TOTALITY_PROTOCOLS)
+class TestEveryProtocolIsTotal:
+    def test_well_formed_messages_decode(self, name):
+        _decode_corrupted(name)
+
+    @pytest.mark.parametrize("victim", [0, 7])
+    def test_truncated_message_is_a_decode_error(self, name, victim):
+        with pytest.raises(DecodeError):
+            _decode_corrupted(name, _truncate, victim)
+
+    @pytest.mark.parametrize("victim", [0, 7])
+    def test_padded_message_is_a_decode_error(self, name, victim):
+        with pytest.raises(DecodeError):
+            _decode_corrupted(name, lambda m: Message(m.acc << 2, m.bits + 2), victim)
+
+    @pytest.mark.parametrize("victim", [0, 7])
+    def test_empty_message_is_a_decode_error(self, name, victim):
+        with pytest.raises(DecodeError):
+            _decode_corrupted(name, lambda m: Message.empty(), victim)
+
+    @pytest.mark.parametrize("pos", [0, 1, 5, 13, 61, 200, 1000, 4095])
+    def test_bit_flip_decodes_or_is_a_decode_error(self, name, pos):
+        try:
+            _decode_corrupted(name, lambda m: flip_bit(m, pos), victim=3)
+        except DecodeError:
+            pass
