@@ -2,9 +2,9 @@
 
 Each ``exp_*`` function returns ``(headers, rows)`` where rows are lists of
 display-ready values; :func:`~repro.analysis.tables.format_table` renders
-them in the aligned plain-text form the benchmarks write to
-``benchmarks/results/`` and the CLI prints.  EXPERIMENTS.md quotes these
-tables as the paper-vs-measured record.
+them in the aligned plain-text form ``python -m repro experiment <ID>``
+prints.  EXPERIMENTS.md quotes these tables as the paper-vs-measured
+record.
 """
 
 import importlib

@@ -39,9 +39,9 @@ returns 130 after releasing its workers (partial results stay durable —
 re-run with ``--resume``). Argparse errors are converted to return codes
 — :func:`main` never lets ``SystemExit`` escape.
 
-Experiment tables are also written by ``pytest benchmarks/`` into
-``benchmarks/results/``; campaigns stream JSONL records into ``results/``
-(see DESIGN.md §3 for the record schema, §4 for the results layer).
+Experiment tables go to stdout (redirect to keep one); campaigns stream
+JSONL records into ``results/`` (see DESIGN.md §3 for the record schema,
+§4 for the results layer).
 """
 
 from __future__ import annotations

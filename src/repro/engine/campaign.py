@@ -30,7 +30,7 @@ Campaign specs are plain JSON (see :func:`load_campaign`)::
 
 Builtin campaigns (kind ``campaign`` in :mod:`repro.registry`) cover the smoke test, the
 reconstruction and connectivity sweeps, the fault-robustness study, and the
-fixed benchmark load used by ``benchmarks/bench_engine.py``.
+fixed ``bench`` load that the process-pool speedup test times.
 """
 
 from __future__ import annotations
@@ -742,7 +742,7 @@ def _builtin_faults() -> list[Scenario]:
 
 @registry.register("bench", kind="campaign")
 def _builtin_bench() -> list[Scenario]:
-    """The fixed load bench_engine.py times: 32 reconstructions at n=512."""
+    """The fixed load the process-pool speedup test times: 32 reconstructions at n=512."""
     return [
         Scenario(name="bench-deg", family="random_k_degenerate", sizes=(512,),
                  protocol="degeneracy", seeds=tuple(range(32)),

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import registry
-from repro.errors import DecodeError, FrugalityViolation, ProtocolError, ReproError
+from repro.errors import FrugalityViolation, ProtocolError, ReproError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.protocol import OneRoundProtocol
 from repro.model.referee import Referee, RunReport, monotonic_clock
@@ -101,6 +101,11 @@ class Scenario:
         object.__setattr__(self, "protocol_params", _as_params(self.protocol_params))
         registry.GRAPH_FAMILY.validate_params(self.family, dict(self.family_params))
         registry.PROTOCOL.validate_params(self.protocol, dict(self.protocol_params))
+        if self.budget_bits is not None and type(self.budget_bits) is not int:
+            raise ProtocolError(
+                f"scenario {self.name!r}: budget_bits must be an integer, "
+                f"got {self.budget_bits!r}"
+            )
         if not self.sizes:
             raise ProtocolError(f"scenario {self.name!r}: sizes must be non-empty")
         if not self.seeds:
@@ -345,10 +350,19 @@ def execute_run(spec: RunSpec) -> RunRecord:
     try:
         g = spec.build_graph()
         protocol = spec.build_protocol()
-        # Stamped before the round so violation/error records keep the
-        # setup cost they actually paid (DESIGN.md §8 span taxonomy).
-        record.timing["setup_seconds"] = monotonic_clock() - t0
-        record.graph_n, record.graph_m = g.n, g.m
+    except (ReproError, TypeError) as exc:
+        # Unsatisfiable specs (a hypercube size that is not a power of two,
+        # a wrong-typed builder param read from JSON) become recorded
+        # statuses — one bad grid point must not kill a campaign.
+        record.status = "error"
+        record.error = f"{type(exc).__name__}: {exc}"
+        record.timing["wall_seconds"] = monotonic_clock() - t0
+        return record
+    # Stamped before the round so violation/error records keep the
+    # setup cost they actually paid (DESIGN.md §8 span taxonomy).
+    record.timing["setup_seconds"] = monotonic_clock() - t0
+    record.graph_n, record.graph_m = g.n, g.m
+    try:
         referee = Referee(
             budget_bits=spec.budget_bits,
             shuffle_delivery=spec.shuffle_delivery,
@@ -360,10 +374,10 @@ def execute_run(spec: RunSpec) -> RunRecord:
     except FrugalityViolation as exc:
         record.status = "violation"
         record.error = str(exc)
-    except (DecodeError, ReproError, TypeError) as exc:
-        # Library failures *and* unsatisfiable specs (e.g. a hypercube
-        # size that is not a power of two, bad builder params) become
-        # recorded statuses — one bad grid point must not kill a campaign.
+    except ReproError as exc:
+        # Library failures (a decode error under fault injection) are part
+        # of the measurement.  A TypeError from inside the round is a
+        # protocol bug, not a measurement, and propagates.
         record.status = "error"
         record.error = f"{type(exc).__name__}: {exc}"
     else:

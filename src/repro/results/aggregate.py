@@ -25,7 +25,7 @@ order, and the sketch's exact→spill transition depends only on the value
 multiset.  That is what lets the incremental :class:`Aggregator` — fed
 shard streams as they land, in any shard factorization — produce output
 bit-for-bit equal to a batch :func:`aggregate` over the merged file
-(pinned by the fuzz suite in ``tests/store``).
+(pinned by the fuzz suite in ``tests/results/test_fuzz_incremental.py``).
 
 Everything here is deterministic given the records: means are rounded to a
 fixed precision, groups are emitted in sorted key order, and timing columns

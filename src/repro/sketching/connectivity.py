@@ -21,9 +21,12 @@ settled on after the paper appeared.  The protocol is an honest
 bit-accounted messages.
 
 One-sided error: a component whose sampler fails is left unmerged, so the
-protocol may call a connected graph disconnected (with small probability),
-never the reverse once the fingerprint holds (boundary edges reported are
-genuine whp).
+protocol may call a connected graph disconnected, never the reverse once
+the fingerprint holds (boundary edges reported are genuine whp).  The
+documented failure probability is **at most 5%** per run: a false
+"disconnected" on a connected input happens for at most one public seed
+in twenty.  ``tests/sketching/test_connectivity.py`` gates this with an
+exact one-sided 99% Clopper–Pearson upper bound over many seeds.
 """
 
 from __future__ import annotations

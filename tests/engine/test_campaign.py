@@ -16,6 +16,7 @@ from repro.engine import (
 )
 from repro import registry
 from repro.errors import ProtocolError
+from repro.protocols import ForestReconstructionProtocol
 
 
 def _scenarios():
@@ -138,6 +139,15 @@ class TestDeterminism:
                               use_cache=False).run(ex)
         assert _strip_nondeterministic(serial.jsonl_path.read_text()) == \
                _strip_nondeterministic(pooled.jsonl_path.read_text())
+
+    def test_protocol_type_error_escapes_the_campaign(self, monkeypatch):
+        def broken_global(self, n, messages):
+            raise TypeError("protocol bug")
+
+        monkeypatch.setattr(ForestReconstructionProtocol, "global_", broken_global)
+        campaign = Campaign(_scenarios(), results_dir=None, use_cache=False)
+        with pytest.raises(TypeError, match="protocol bug"):
+            campaign.run()
 
     def test_cached_payload_matches_fresh(self, tmp_path):
         campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path)

@@ -1,7 +1,11 @@
-"""Executor backends: ordered maps, exception propagation, the factory."""
+"""Executor backends: ordered maps, exception propagation, the factory,
+and the process pool's speedup on the builtin ``bench`` campaign."""
+
+import time
 
 import pytest
 
+from repro.engine import builtin_campaign
 from repro.engine.executor import (
     EXECUTOR_KINDS,
     ProcessPoolExecutor,
@@ -103,3 +107,33 @@ class TestFactory:
         ex.close()
         assert ex.map(_square, [3]) == [9]  # lazily rebuilds the pool
         ex.close()
+
+
+def _timed_bench_campaign(executor):
+    campaign = builtin_campaign("bench", results_dir=None, use_cache=False)
+    t0 = time.perf_counter()
+    result = campaign.run(executor)
+    elapsed = time.perf_counter() - t0
+    assert len(result.records) == 32
+    assert all(r.status == "ok" and r.exact for r in result.records)
+    return elapsed, [r.output_digest for r in result.records]
+
+
+def test_process_pool_at_least_twice_serial():
+    """EXP-ENGINE: with >= 4 visible cores the process pool runs the 32
+    independent n=512 reconstructions of the ``bench`` campaign >= 2x
+    faster than serial.  Fewer cores give no parallel hardware to show
+    it on, so the test skips before running anything."""
+    cores = default_jobs()
+    if cores < 4:
+        pytest.skip(f"only {cores} core(s) visible: no parallel hardware "
+                    "to show the >= 2x process-pool speedup on")
+    serial_s, serial_digests = _timed_bench_campaign(SerialExecutor())
+    with ProcessPoolExecutor() as ex:
+        ex.map(_square, range(ex.jobs * 2))  # spawn the workers off the clock
+        pool_s, pool_digests = _timed_bench_campaign(ex)
+    assert pool_digests == serial_digests
+    assert serial_s / pool_s >= 2.0, (
+        f"expected >= 2x process-pool speedup on {cores} cores, "
+        f"got {serial_s / pool_s:.2f}x"
+    )

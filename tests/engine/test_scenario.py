@@ -14,6 +14,7 @@ from repro.engine.scenario import (
 from repro.errors import ProtocolError
 from repro.graphs.labeled import LabeledGraph
 from repro.model import Referee
+from repro.protocols import ForestReconstructionProtocol
 
 
 def _scenario(**overrides):
@@ -32,6 +33,10 @@ class TestScenario:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ProtocolError, match="unknown protocol"):
             _scenario(protocol="telepathy")
+
+    def test_budget_bits_must_be_an_integer(self):
+        with pytest.raises(ProtocolError, match="budget_bits"):
+            _scenario(budget_bits="100")
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ProtocolError, match="sizes"):
@@ -136,6 +141,23 @@ class TestExecuteRun:
         record = execute_run(next(_scenario(budget_bits=1).expand()))
         assert record.status == "violation"
         assert "budget" in record.error
+
+    def test_wrong_typed_family_param_recorded_not_raised(self):
+        # A JSON spec can carry a string where the builder wants an int.
+        spec = next(_scenario(family_params={"n_trees": "3"}).expand())
+        record = execute_run(spec)
+        assert record.status == "error"
+        assert record.error.startswith("TypeError:")
+
+    def test_type_error_inside_the_round_propagates(self, monkeypatch):
+        # Only setup failures are measurements; a TypeError raised by the
+        # protocol itself is a bug and must surface.
+        def broken_global(self, n, messages):
+            raise TypeError("protocol bug")
+
+        monkeypatch.setattr(ForestReconstructionProtocol, "global_", broken_global)
+        with pytest.raises(TypeError, match="protocol bug"):
+            execute_run(next(_scenario().expand()))
 
     def test_fault_induced_decode_error_recorded(self):
         spec = next(_scenario(sizes=(16,), faults=FaultSpec(drop=1.0, seed=1)).expand())

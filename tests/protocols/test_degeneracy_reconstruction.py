@@ -48,6 +48,10 @@ class TestReconstructionExactness:
         (lambda: petersen(), 3),
         (lambda: hypercube(4), 4),
         (lambda: fat_tree(4), 4),
+        # EXP-T5 scale: the largest instances the experiment table times
+        (lambda: random_k_degenerate(256, 3, seed=11), 3),
+        (lambda: random_k_degenerate(512, 2, seed=14), 2),
+        (lambda: apollonian(200, seed=13), 3),
     ])
     def test_reconstructs_exactly(self, gen, k):
         g = gen()
@@ -70,8 +74,12 @@ class TestReconstructionExactness:
         g2 = LabeledGraph(2, [(1, 2)])
         assert DegeneracyReconstructionProtocol(1).reconstruct(g2) == g2
 
-    def test_table_decoder_matches_newton(self):
-        g = erdos_renyi(10, 0.3, seed=7)
+    @pytest.mark.parametrize("gen", [
+        lambda: erdos_renyi(10, 0.3, seed=7),
+        lambda: random_k_degenerate(64, 2, seed=12),
+    ])
+    def test_table_decoder_matches_newton(self, gen):
+        g = gen()
         k = max(1, degeneracy(g))
         newton = DegeneracyReconstructionProtocol(k, decoder="newton")
         table = DegeneracyReconstructionProtocol(k, decoder="table")

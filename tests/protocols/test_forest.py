@@ -24,6 +24,7 @@ class TestForestReconstruction:
         lambda: LabeledGraph(5),  # all isolated
         lambda: LabeledGraph(1),
         lambda: LabeledGraph(2, [(1, 2)]),
+        lambda: random_forest(4096, 100, seed=1),  # EXP-FOREST scale
     ])
     def test_exact(self, gen):
         g = gen()

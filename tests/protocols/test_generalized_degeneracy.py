@@ -45,9 +45,10 @@ class TestGeneralizedReconstruction:
         g = random_forest(15, 3, seed=1)
         assert GeneralizedDegeneracyProtocol(1).reconstruct(g) == g
 
-    def test_dense_complements(self):
+    @pytest.mark.parametrize("n,seed", [(12, 5), (48, 3)])
+    def test_dense_complements(self, n, seed):
         """The family plain degeneracy cannot touch: complements of forests."""
-        g = random_tree(12, seed=5).complement()
+        g = random_tree(n, seed=seed).complement()
         assert degeneracy(g) >= 8  # far above k...
         assert GeneralizedDegeneracyProtocol(1).reconstruct(g) == g
 

@@ -125,13 +125,15 @@ class TestMessageCodec:
         assert rec.power_sums == compute_power_sums(nbhd, k)
         assert rec.k == k
 
-    @pytest.mark.parametrize("n,k", [(16, 1), (64, 2), (256, 3), (1024, 5)])
+    @pytest.mark.parametrize("n,k", [(16, 1), (64, 2), (256, 3), (1024, 3), (1024, 5),
+                                     (4096, 3)])
     def test_message_size_formula_exact(self, n, k):
-        """Lemma 2 made exact: the serialized size matches the closed form."""
-        # worst-case neighbourhood: the k largest IDs
-        nbhd = frozenset(range(n - k + 1, n + 1))
-        msg = encode_powersum_message(n, k, 1, nbhd)
-        assert msg.bits == powersum_message_bits(n, k)
+        """Lemma 2 made exact: the serialized size matches the closed form,
+        whatever the neighbourhood — k largest IDs, or every other vertex
+        (a star centre, whose power sums are the largest possible)."""
+        for nbhd in (frozenset(range(n - k + 1, n + 1)), frozenset(range(2, n + 1))):
+            msg = encode_powersum_message(n, k, 1, nbhd)
+            assert msg.bits == powersum_message_bits(n, k)
 
     def test_message_size_is_o_k2_log_n(self):
         """Lemma 2's shape: bits / (k² log n) bounded by a small constant."""

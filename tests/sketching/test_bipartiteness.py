@@ -47,6 +47,7 @@ class TestSketchBipartiteness:
         lambda: path_graph(10),
         lambda: random_tree(12, seed=2),
         lambda: random_bipartite(5, 5, 0.5, seed=3),
+        lambda: cycle_graph(24),
     ])
     def test_accepts_bipartite(self, gen):
         g = gen()

@@ -242,7 +242,22 @@ class TestEveryProtocolIsTotal:
 
     @pytest.mark.parametrize("pos", [0, 1, 5, 13, 61, 200, 1000, 4095])
     def test_bit_flip_decodes_or_is_a_decode_error(self, name, pos):
+        """Fixed anchors for the fuzz below: the first bits, where headers
+        and length fields sit, and the last position it draws."""
         try:
             _decode_corrupted(name, lambda m: flip_bit(m, pos), victim=3)
         except DecodeError:
             pass
+
+
+@settings(derandomize=True, max_examples=300)
+@given(name=st.sampled_from(_TOTALITY_PROTOCOLS), victim=st.integers(0, 7),
+       pos=st.integers(0, 4095))
+def test_random_bit_flip_decodes_or_is_a_decode_error(name, victim, pos):
+    """Any single flipped bit in any node's message of any roster protocol
+    decodes or raises DecodeError, nothing else.  Derandomized, so every
+    machine draws the same examples."""
+    try:
+        _decode_corrupted(name, lambda m: flip_bit(m, pos), victim)
+    except DecodeError:
+        pass
