@@ -20,7 +20,7 @@ or from the CLI::
     python -m repro bench --gate benchmarks/baselines/bench.json  # exit 1 on regression
 
 Reports carry wall-time statistics (:data:`~repro.model.referee.monotonic_clock`,
-summarized by the results layer's :class:`~repro.results.aggregate.Stats`),
+summarized by the results layer's :class:`~repro.results.aggregate.RunningStats`),
 deterministic work counts / bit counts / result digests, peak RSS, and
 optimized-vs-naive speedup ratios.  :func:`check_suite` gates a report
 against a frozen baseline with the same

@@ -19,7 +19,7 @@ schema (``BENCH_VERSION`` pins it)::
 
 Wall time comes from :data:`repro.model.referee.monotonic_clock` (the one
 clock the whole system uses), spread statistics reuse
-:class:`repro.results.aggregate.Stats`, and memory is the process peak RSS.
+:class:`repro.results.aggregate.RunningStats`, and memory is the process peak RSS.
 ``ops`` / ``bits`` / ``digest`` are *deterministic* — pure functions of the
 benchmark inputs — which is what lets a frozen bench baseline gate CI on
 any machine: :func:`check_suite` reuses the results layer's
@@ -51,7 +51,7 @@ from typing import Any
 from repro import registry
 from repro.errors import BenchError
 from repro.model.referee import monotonic_clock
-from repro.results.aggregate import Stats, _PRECISION
+from repro.results.aggregate import _PRECISION, RunningStats
 from repro.results.baseline import BaselineCheck, CheckFailure
 
 __all__ = [
@@ -146,11 +146,14 @@ def run_case(case: BenchCase, *, repeats: int = 3) -> dict[str, Any]:
         raise BenchError("a benchmark op must return a mapping with an 'ops' count")
     ops = int(payload["ops"])
     best = min(times)
+    wall = RunningStats(floats=True)
+    for t in times:
+        wall.feed(round(t, _PRECISION))
     return {
         "ops": ops,
         "bits": int(payload.get("bits", 0)),
         "digest": str(payload.get("digest", "")),
-        "wall_seconds": Stats.of([round(t, _PRECISION) for t in times]).to_dict(),
+        "wall_seconds": wall.stats(),
         "ops_per_second": round(ops / best, 2) if best > 0 else None,
         "peak_rss_kb": peak_rss_kb(),
         "meta": dict(case.meta),

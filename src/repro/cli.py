@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--executor", choices=("serial", "thread", "process"),
                         default="serial", help="execution backend (default: serial)")
     p_camp.add_argument("--results-dir", default="results", metavar="DIR",
-                        help="where JSONL records and the cache live (default: results/)")
+                        help="where the JSONL record streams live; they double "
+                        "as the run cache (default: results/)")
     p_camp.add_argument("--no-cache", action="store_true",
                         help="recompute every run, ignoring cached results")
     p_camp.add_argument("--shards", type=int, default=None, metavar="N",

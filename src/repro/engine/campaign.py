@@ -1,4 +1,4 @@
-"""Campaigns: expand scenario grids, fan out runs, cache and persist results.
+"""Campaigns: expand scenario grids, fan out runs, persist and replay results.
 
 A :class:`Campaign` is a named list of :class:`~repro.engine.scenario.Scenario`
 blocks.  :meth:`Campaign.run`:
@@ -6,9 +6,12 @@ blocks.  :meth:`Campaign.run`:
 1. expands every scenario into :class:`~repro.engine.scenario.RunSpec`
    values and deduplicates them by content hash (grids often overlap —
    identical work is done once);
-2. replays cache hits from ``<results_dir>/cache/<hash>.json`` (the hash
-   covers the spec and :data:`~repro.engine.scenario.SPEC_VERSION`, so a
-   semantics bump invalidates stale entries);
+2. replays cache hits from the record streams already in ``results_dir``
+   (:func:`~repro.engine.shard.durable_records`: the streams *are* the
+   cache).  Hits match by content hash, which covers the spec and
+   :data:`~repro.engine.scenario.SPEC_VERSION`; streams whose manifest
+   names another ``SPEC_VERSION`` are never read.  Old ``cache/``
+   directories from earlier versions are ignored, not read or deleted;
 3. fans the misses out through any :class:`~repro.engine.executor.Executor`;
 4. streams every record, in deterministic spec order, to
    ``<results_dir>/<name>.jsonl`` — one JSON object per line with
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 import pathlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -59,6 +63,7 @@ from repro.engine.shard import (
     ShardManifest,
     atomic_write_json,
     atomic_write_jsonl,
+    durable_records,
     load_partial_records,
     merge_shards,
     shard_done_path,
@@ -135,21 +140,22 @@ class CampaignResult:
 
 
 class Campaign:
-    """A named grid of scenarios plus the run/cache/persist machinery.
+    """A named grid of scenarios plus the run/replay/persist machinery.
 
     Parameters
     ----------
     scenarios:
         The scenario blocks; expanded in order.
     name:
-        Campaign name; also the JSONL file stem.
+        Campaign name; also the stem of every file the run writes, so it
+        must be a plain file name (no path separators, not ``.``/``..``).
     results_dir:
-        Where the JSONL and the cache live; created on demand.  ``None``
+        Where the JSONL record streams live; created on demand.  ``None``
         disables persistence entirely (records are only returned).
     use_cache:
-        When set (and ``results_dir`` is given), finished runs are stored
-        under ``cache/`` and replayed on the next expansion of an
-        identical spec.
+        When set (and ``results_dir`` is given), every spec whose record
+        is already durable in a record stream under ``results_dir`` (any
+        campaign's, this one's included) is replayed instead of run.
     """
 
     def __init__(
@@ -163,12 +169,17 @@ class Campaign:
         self.scenarios = list(scenarios)
         if not self.scenarios:
             raise ProtocolError("a campaign needs at least one scenario")
+        if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", os.sep)):
+            raise ProtocolError(
+                f"campaign name {name!r} must be a plain file name: non-empty, "
+                "not '.' or '..', and without path separators"
+            )
         self.name = name
         self.results_dir = pathlib.Path(results_dir) if results_dir is not None else None
         self.use_cache = use_cache and self.results_dir is not None
 
     # ------------------------------------------------------------------ #
-    # expansion and caching
+    # expansion
     # ------------------------------------------------------------------ #
 
     def specs(self) -> list[RunSpec]:
@@ -182,35 +193,6 @@ class Campaign:
                     seen.add(h)
                     out.append(spec)
         return out
-
-    def _cache_path(self, spec: RunSpec) -> pathlib.Path:
-        assert self.results_dir is not None
-        return self.results_dir / "cache" / f"{spec.content_hash()}.json"
-
-    def _cache_load(self, spec: RunSpec) -> RunRecord | None:
-        if not self.use_cache:
-            return None
-        path = self._cache_path(spec)
-        if not path.exists():
-            return None
-        try:
-            record = RunRecord.from_json_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, TypeError, ProtocolError):
-            return None  # corrupt or stale entry: recompute
-        # The hash covers only the physical run; restamp the requesting
-        # spec so the emitted record carries this campaign's provenance.
-        record.spec = spec
-        record.cached = True
-        return record
-
-    def _cache_store(self, record: RunRecord) -> None:
-        if not self.use_cache:
-            return
-        path = self._cache_path(record.spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        stored = record.to_json_dict()
-        stored["cached"] = False  # replays mark themselves at load time
-        path.write_text(json.dumps(stored, sort_keys=True))
 
     # ------------------------------------------------------------------ #
     # running
@@ -292,6 +274,7 @@ class Campaign:
         executor: Executor,
         stream_path: pathlib.Path | None,
         *,
+        cache: Mapping[str, RunRecord],
         resume: bool = False,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         metrics: MetricsRegistry | None = None,
@@ -301,7 +284,9 @@ class Campaign:
 
         Records are streamed to ``stream_path`` through
         :class:`~repro.engine.shard.JsonlStreamWriter` (flush + fsync per
-        line, so a crash tears at most the final line).  With ``resume``,
+        line, so a crash tears at most the final line).  Pending specs
+        found in ``cache`` (a :func:`~repro.engine.shard.durable_records`
+        index) are replayed instead of executed.  With ``resume``,
         every durable record of an interrupted stream whose spec is still
         in the grid is replayed instead of re-executed — matched by
         content hash, so completed work survives scenario reordering and
@@ -348,7 +333,16 @@ class Campaign:
             metrics.inc("runs_resumed", len(durable))
 
         pending = [s for s, h in zip(specs, order) if h not in durable]
-        slots: list[RunRecord | None] = [self._cache_load(s) for s in pending]
+        slots: list[RunRecord | None] = []
+        for spec in pending:
+            hit = cache.get(spec.content_hash())
+            if hit is not None:
+                # The hash covers only the physical run; restamp the
+                # requesting spec so the emitted record carries this
+                # campaign's provenance.
+                hit.spec = spec
+                hit.cached = True
+            slots.append(hit)
         misses = [s for s, r in zip(pending, slots) if r is None]
         miss_iter = executor.imap_observed(execute_run, misses)
 
@@ -391,7 +385,6 @@ class Campaign:
                         # type); annotate it with run context instead.
                         exc.add_note(f"while running {where}")
                         raise
-                    self._cache_store(record)
                 durable[spec.content_hash()] = record
                 if writer is not None:
                     writer.write(record.to_json_dict())
@@ -460,10 +453,12 @@ class Campaign:
             but needs no ``results_dir`` (events stay in-process).
 
         Every persisted run (sharded or not) writes
-        ``<results_dir>/<name>.manifest.json`` atomically (with a final
-        metrics snapshot embedded), plus ``<name>[.shard-…].metrics.json``
-        — metrics are collected unconditionally; only *event streaming*
-        is opt-in.
+        ``<results_dir>/<name>.manifest.json`` atomically, plus
+        ``<name>[.shard-…].metrics.json`` — metrics are collected
+        unconditionally; only *event streaming* is opt-in.  With
+        ``use_cache``, the cache index is read from the record streams
+        before anything is written, so a re-run replays its own previous
+        stream before truncating it.
         """
         t0 = monotonic_clock()
         executor = executor or SerialExecutor()
@@ -489,6 +484,11 @@ class Campaign:
                 "lives there); pass results_dir= or drop trace=True"
             )
         specs = self.specs()
+        cache: dict[str, RunRecord] = {}
+        if self.use_cache:
+            cache = durable_records(
+                self.results_dir, {s.content_hash() for s in specs}
+            )
 
         reporter: ProgressReporter | None
         if progress is None or progress is False:
@@ -544,7 +544,7 @@ class Campaign:
                     tracer.mark("campaign-start", campaign=self.name,
                                 runs=len(specs), shards=None, resume=resume)
                     records, hits, misses, resumed = self._run_stream(
-                        specs, executor, stream, resume=resume,
+                        specs, executor, stream, cache=cache, resume=resume,
                         tracer=tracer, metrics=metrics,
                     )
                     jsonl_path = stream
@@ -575,12 +575,13 @@ class Campaign:
                             tracer.mark("shard-start", shard=i, shards=shards,
                                         runs=len(per_shard[i]))
                             recs, h, m, r = self._run_stream(
-                                per_shard[i], executor, stream, resume=resume,
-                                tracer=tracer, metrics=metrics, shard_index=i,
+                                per_shard[i], executor, stream, cache=cache,
+                                resume=resume, tracer=tracer, metrics=metrics,
+                                shard_index=i,
                             )
                         write_done_marker(
                             self.results_dir, self.name, i, shards,
-                            records=len(recs), metrics=metrics.to_dict(),
+                            records=len(recs),
                         )
                         records += recs
                         hits, misses, resumed = hits + h, misses + m, resumed + r
@@ -625,8 +626,7 @@ class Campaign:
                 atomic_write_json(
                     m_path, {"campaign": self.name, "metrics": snapshot}
                 )
-                # Refresh the completion snapshot, metrics embedded.
-                manifest.write(self.results_dir, metrics=snapshot)
+                manifest.write(self.results_dir)  # refresh the completion snapshot
 
             return CampaignResult(
                 name=self.name,

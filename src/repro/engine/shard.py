@@ -81,6 +81,7 @@ __all__ = [
     "atomic_write_jsonl",
     "scan_partial_lines",
     "load_partial_records",
+    "durable_records",
     "write_done_marker",
     "read_done_marker",
     "merge_shards",
@@ -247,19 +248,10 @@ class ShardManifest:
             for i in range(self.shards)
         ]
 
-    def to_dict(
-        self,
-        *,
-        completed: Sequence[bool] | None = None,
-        metrics: Mapping[str, Any] | None = None,
-    ) -> dict:
-        """JSON object form (inverse of :meth:`from_dict`).
-
-        ``metrics`` optionally embeds a
-        :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` snapshot —
-        advisory, like ``completed`` (:meth:`from_dict` ignores both).
-        """
-        out = {
+    def to_dict(self, *, completed: Sequence[bool] | None = None) -> dict:
+        """JSON object form (inverse of :meth:`from_dict`, which ignores the
+        advisory ``completed`` snapshot)."""
+        return {
             "manifest_version": self.manifest_version,
             "spec_version": self.spec_version,
             "campaign": self.campaign,
@@ -268,9 +260,6 @@ class ShardManifest:
             "completed": list(completed) if completed is not None
             else [False] * self.shards,
         }
-        if metrics is not None:
-            out["metrics"] = dict(metrics)
-        return out
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any], *, where: str = "manifest") -> "ShardManifest":
@@ -279,32 +268,27 @@ class ShardManifest:
                     "spec_hashes"):
             if key not in d:
                 raise ShardError(f"{where}: missing key {key!r}")
-        if d["manifest_version"] > MANIFEST_VERSION:
-            raise ShardError(
-                f"{where}: manifest_version {d['manifest_version']} is newer "
-                f"than this engine (understands <= {MANIFEST_VERSION})"
+        try:
+            manifest = cls(
+                campaign=str(d["campaign"]),
+                shards=int(d["shards"]),
+                spec_hashes=[str(h) for h in d["spec_hashes"]],
+                spec_version=int(d["spec_version"]),
+                manifest_version=int(d["manifest_version"]),
             )
-        return cls(
-            campaign=str(d["campaign"]),
-            shards=int(d["shards"]),
-            spec_hashes=[str(h) for h in d["spec_hashes"]],
-            spec_version=int(d["spec_version"]),
-            manifest_version=int(d["manifest_version"]),
-        )
+        except (TypeError, ValueError) as exc:
+            raise ShardError(f"{where}: malformed manifest field: {exc}") from None
+        if manifest.manifest_version > MANIFEST_VERSION:
+            raise ShardError(
+                f"{where}: manifest_version {manifest.manifest_version} is "
+                f"newer than this engine (understands <= {MANIFEST_VERSION})"
+            )
+        return manifest
 
-    def write(
-        self,
-        results_dir: str | pathlib.Path,
-        *,
-        metrics: Mapping[str, Any] | None = None,
-    ) -> pathlib.Path:
-        """Atomically publish the manifest (with a completion snapshot and,
-        optionally, an advisory metrics snapshot)."""
+    def write(self, results_dir: str | pathlib.Path) -> pathlib.Path:
+        """Atomically publish the manifest with a completion snapshot."""
         path = manifest_path(results_dir, self.campaign)
-        _atomic_write_json(
-            path,
-            self.to_dict(completed=self.completion(results_dir), metrics=metrics),
-        )
+        _atomic_write_json(path, self.to_dict(completed=self.completion(results_dir)))
         return path
 
     @classmethod
@@ -479,6 +463,49 @@ def load_partial_records(
     )
 
 
+def durable_records(
+    results_dir: str | pathlib.Path, wanted: set[str]
+) -> dict[str, RunRecord]:
+    """The run cache: every durable record under ``results_dir`` for ``wanted``.
+
+    The record streams already are an append-only, fsync-per-line,
+    single-writer log of every finished run, so they double as the cache
+    (DESIGN.md §7).  Each ``<name>.manifest.json`` names one campaign's
+    streams: ``<name>.jsonl`` and ``<name>.shard-<i>-of-<n>.jsonl``.  A
+    manifest that does not load, names another campaign than its file,
+    or was written at another :data:`SPEC_VERSION` is skipped, and so is
+    a stream corrupt mid-stream; their specs simply recompute.  A torn
+    tail drops only that record.  Only hashes in ``wanted`` (the grid
+    being run) are kept, so memory is bounded by the grid, not by
+    everything in a shared results directory.
+    """
+    results_dir = pathlib.Path(results_dir)
+    found: dict[str, RunRecord] = {}
+    suffix = ".manifest.json"
+    for path in sorted(results_dir.glob(f"*{suffix}")):
+        name = path.name[: -len(suffix)]
+        try:
+            manifest = ShardManifest.load(results_dir, name)
+        except ShardError:
+            continue
+        if manifest.campaign != name or manifest.spec_version != SPEC_VERSION:
+            continue
+        streams = [results_dir / f"{name}.jsonl"] + [
+            shard_stream_path(results_dir, name, i, manifest.shards)
+            for i in range(manifest.shards)
+        ]
+        for stream in streams:
+            try:
+                records, _torn, _good = load_partial_records(stream)
+            except ShardError:
+                continue
+            for record in records:
+                h = record.spec.content_hash()
+                if h in wanted:
+                    found[h] = record
+    return found
+
+
 # --------------------------------------------------------------------- #
 # completion marks
 # --------------------------------------------------------------------- #
@@ -491,26 +518,16 @@ def write_done_marker(
     shards: int,
     *,
     records: int,
-    metrics: Mapping[str, Any] | None = None,
 ) -> pathlib.Path:
-    """Atomically publish one shard's completion mark (record count inside).
-
-    ``metrics`` optionally embeds the worker's
-    :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` snapshot at
-    completion time — advisory observability data (like the manifest's
-    ``completed`` key), never consulted by :func:`merge_shards`.
-    """
+    """Atomically publish one shard's completion mark (record count inside)."""
     path = shard_done_path(results_dir, name, index, shards)
-    payload: dict[str, Any] = {
+    _atomic_write_json(path, {
         "campaign": name,
         "shard": index,
         "shards": shards,
         "records": records,
         "spec_version": SPEC_VERSION,
-    }
-    if metrics is not None:
-        payload["metrics"] = dict(metrics)
-    _atomic_write_json(path, payload)
+    })
     return path
 
 

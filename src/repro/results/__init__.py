@@ -41,7 +41,7 @@ from repro.results.aggregate import (
     DEFAULT_AXES,
     Aggregator,
     QuantileSketch,
-    Stats,
+    RunningStats,
     aggregate,
     aggregate_table,
     normalized_bits,
@@ -71,9 +71,9 @@ __all__ = [
     "index_by_spec_hash",
     "within_tolerance",
     "DEFAULT_AXES",
-    "Stats",
     "Aggregator",
     "QuantileSketch",
+    "RunningStats",
     "percentile",
     "normalized_bits",
     "aggregate",

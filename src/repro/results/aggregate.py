@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 from repro.errors import SchemaError
 
@@ -44,7 +43,6 @@ __all__ = [
     "DEFAULT_AXES",
     "SKETCH_EXACT_LIMIT",
     "SKETCH_SUBBUCKETS",
-    "Stats",
     "QuantileSketch",
     "RunningStats",
     "Aggregator",
@@ -83,39 +81,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-@dataclass(frozen=True)
-class Stats:
-    """min / mean / max / p95 summary of one numeric column."""
-
-    count: int
-    min: float
-    mean: float
-    max: float
-    p95: float
-
-    @classmethod
-    def of(cls, values: Sequence[float]) -> "Stats":
-        """Summarize a non-empty sequence."""
-        if not values:
-            raise SchemaError("Stats.of() needs at least one value")
-        return cls(
-            count=len(values),
-            min=min(values),
-            mean=round(sum(values) / len(values), _PRECISION),
-            max=max(values),
-            p95=percentile(values, 95.0),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min": self.min,
-            "mean": self.mean,
-            "max": self.max,
-            "p95": self.p95,
-        }
 
 
 class QuantileSketch:
@@ -263,25 +228,27 @@ class RunningStats:
         self._partials: list[float] = []
         self.sketch = QuantileSketch()
 
+    def _add_exact(self, x: float) -> None:
+        # Shewchuk's error-free transformation: fold `x` into the
+        # non-overlapping partials so their sum stays exact.
+        partials = self._partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+
     def feed(self, value) -> None:
         """Absorb one observation."""
         if self._floats:
             value = float(value)
-            # Shewchuk's error-free transformation: fold `value` into the
-            # non-overlapping partials so their sum stays exact.
-            partials = self._partials
-            i = 0
-            x = value
-            for y in partials:
-                if abs(x) < abs(y):
-                    x, y = y, x
-                hi = x + y
-                lo = y - (hi - x)
-                if lo:
-                    partials[i] = lo
-                    i += 1
-                x = hi
-            partials[i:] = [x]
+            self._add_exact(value)
         else:
             self._int_total += value
         self.count += 1
@@ -297,19 +264,7 @@ class RunningStats:
             return
         if self._floats:
             for p in other._partials:
-                partials = self._partials
-                i = 0
-                x = p
-                for y in partials:
-                    if abs(x) < abs(y):
-                        x, y = y, x
-                    hi = x + y
-                    lo = y - (hi - x)
-                    if lo:
-                        partials[i] = lo
-                        i += 1
-                    x = hi
-                partials[i:] = [x]
+                self._add_exact(p)
         else:
             self._int_total += other._int_total
         self.count += other.count
@@ -320,7 +275,7 @@ class RunningStats:
         self.sketch.merge(other.sketch)
 
     def stats(self) -> dict:
-        """The :class:`Stats`-shaped summary dict of everything fed."""
+        """``{count, min, mean, max, p95}`` of everything fed."""
         if self.count == 0:
             raise SchemaError("stats of an empty column")
         total = math.fsum(self._partials) if self._floats else self._int_total
@@ -512,10 +467,12 @@ def aggregate(
          "runs": 7, "statuses": {"ok": 7},
          "exact": {"true": 5, "false": 0, "checked": 5, "rate": 1.0},
          "fault_events": {"dropped": 0, "duplicated": 0, "flipped": 0},
-         "max_message_bits": {...Stats...},
-         "total_message_bits": {...Stats...},
-         "bits_per_k2_log_n": {...Stats...} | None,
-         "wall_seconds": {...Stats...}}            # only with include_timing
+         "max_message_bits": {...stats...},
+         "total_message_bits": {...stats...},
+         "bits_per_k2_log_n": {...stats...} | None,
+         "wall_seconds": {...stats...}}            # only with include_timing
+
+    where each ``{...stats...}`` is a :meth:`RunningStats.stats` dict.
 
     ``by`` may name any of the spec axes (plus the synthetic ``faults``
     label); an unknown axis raises :class:`~repro.errors.SchemaError`.

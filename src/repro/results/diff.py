@@ -18,7 +18,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import SchemaError
-from repro.results.aggregate import Stats, _PRECISION
+from repro.results.aggregate import _PRECISION, RunningStats
 from repro.results.records import index_by_spec_hash, within_tolerance
 
 __all__ = ["RunDelta", "DiffReport", "diff_campaigns"]
@@ -57,7 +57,7 @@ class DiffReport:
     bit_deltas: list[RunDelta] = field(default_factory=list)
     bits_tolerance: float = 0.0
     time_tolerance: float | None = None
-    wall_ratio: dict | None = None    # Stats of per-run wall_seconds b/a
+    wall_ratio: dict | None = None    # summary of per-run wall_seconds b/a
     time_ok: bool | None = None       # None when no time tolerance was set
 
     @property
@@ -151,7 +151,10 @@ def diff_campaigns(
             ratios.append(round(wall_b / wall_a, _PRECISION))
 
     if ratios:
-        report.wall_ratio = Stats.of(ratios).to_dict()
+        column = RunningStats(floats=True)
+        for ratio in ratios:
+            column.feed(ratio)
+        report.wall_ratio = column.stats()
         if time_tolerance is not None:
             report.time_ok = report.wall_ratio["mean"] <= time_tolerance
     elif time_tolerance is not None:

@@ -15,6 +15,7 @@ from repro.engine import (
     load_campaign,
 )
 from repro import registry
+from repro.engine.scenario import SPEC_VERSION
 from repro.errors import ProtocolError
 from repro.protocols import ForestReconstructionProtocol
 
@@ -47,6 +48,15 @@ class TestExpansion:
     def test_empty_campaign_rejected(self):
         with pytest.raises(ProtocolError, match="at least one scenario"):
             Campaign([])
+
+    @pytest.mark.parametrize("name", ["a/b", "../../../leak", "..", ".", "",
+                                      "a\\b"])
+    def test_names_that_would_escape_the_results_dir_rejected(self, name):
+        with pytest.raises(ProtocolError, match="plain file name"):
+            Campaign(_scenarios(), name=name)
+        with pytest.raises(ProtocolError, match="plain file name"):
+            Campaign.from_dict({"name": name, "scenarios": [
+                s.to_dict() for s in _scenarios()]}, results_dir=None)
 
     def test_same_physical_run_under_two_names_deduplicates(self, tmp_path):
         twins = [
@@ -102,10 +112,83 @@ class TestRun:
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
         campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path)
         campaign.run()
-        for entry in (tmp_path / "cache").iterdir():
-            entry.write_text("{not json")
+        stream = tmp_path / "c.jsonl"
+        lines = stream.read_text().splitlines(keepends=True)
+        lines[1] = "{not json\n"  # corrupt mid-stream: the stream is skipped
+        stream.write_text("".join(lines))
         again = campaign.run()
-        assert again.cache_misses == 5
+        assert (again.cache_hits, again.cache_misses) == (0, 5)
+
+    def test_torn_tail_recomputes_only_that_record(self, tmp_path):
+        campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path)
+        cold = campaign.run()
+        stream = tmp_path / "c.jsonl"
+        data = stream.read_bytes()
+        stream.write_bytes(data[: data.rindex(b"\n", 0, -1) + 20])  # torn last line
+        again = campaign.run()
+        assert (again.cache_hits, again.cache_misses) == (4, 1)
+        assert not again.records[-1].cached
+        assert [r.output_digest for r in again.records] == \
+               [r.output_digest for r in cold.records]
+
+    def test_persisted_run_writes_only_the_stream_manifest_and_metrics(self, tmp_path):
+        campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path)
+        campaign.run()
+        campaign.run()  # a warm re-run adds nothing either
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "c.jsonl", "c.manifest.json", "c.metrics.json",
+        }
+
+    def test_shard_streams_serve_a_monolithic_campaign_of_another_name(
+            self, tmp_path):
+        sharded = Campaign(_scenarios(), name="s", results_dir=tmp_path,
+                           use_cache=False)
+        sharded.run(shards=3, shard_index=0)
+        sharded.run(shards=3, shard_index=1)
+        sharded.run(shards=3, shard_index=2)
+        assert not (tmp_path / "s.jsonl").exists()  # no merge: streams only
+        mono = Campaign(_scenarios(), name="m", results_dir=tmp_path).run()
+        assert (mono.cache_hits, mono.cache_misses) == (5, 0)
+        assert all(r.cached for r in mono.records)
+
+    def test_manifest_at_another_spec_version_is_ignored(self, tmp_path):
+        campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path)
+        campaign.run()
+        manifest = tmp_path / "c.manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["spec_version"] = SPEC_VERSION - 1
+        manifest.write_text(json.dumps(raw))
+        assert campaign.run().cache_misses == 5
+
+    def test_foreign_or_broken_manifests_are_ignored(self, tmp_path):
+        Campaign(_scenarios(), name="c", results_dir=tmp_path).run()
+        # a copy of c's manifest under another stem names another campaign
+        (tmp_path / "other.manifest.json").write_text(
+            (tmp_path / "c.manifest.json").read_text())
+        (tmp_path / "other.jsonl").write_text(
+            (tmp_path / "c.jsonl").read_text())
+        (tmp_path / "junk.manifest.json").write_text("{not json")
+        (tmp_path / "typed.manifest.json").write_text(json.dumps({
+            "manifest_version": 1, "spec_version": SPEC_VERSION,
+            "campaign": "typed", "shards": "many", "spec_hashes": []}))
+        (tmp_path / "c.jsonl").unlink()
+        again = Campaign(_scenarios(), name="d", results_dir=tmp_path).run()
+        assert (again.cache_hits, again.cache_misses) == (0, 5)
+
+    def test_stale_old_layout_cache_dir_is_ignored(self, tmp_path):
+        campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path,
+                            use_cache=False)
+        cold = campaign.run()
+        old = tmp_path / "cache"
+        old.mkdir()
+        for record in cold.records:
+            (old / f"{record.spec.content_hash()}.json").write_text(
+                json.dumps(record.to_json_dict(), sort_keys=True))
+        (tmp_path / "c.jsonl").unlink()
+        (tmp_path / "c.manifest.json").unlink()
+        again = Campaign(_scenarios(), name="c", results_dir=tmp_path).run()
+        assert (again.cache_hits, again.cache_misses) == (0, 5)
+        assert len(list(old.iterdir())) == 5  # neither read nor deleted
 
     def test_use_cache_false(self, tmp_path):
         campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path, use_cache=False)

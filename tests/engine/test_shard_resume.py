@@ -222,16 +222,20 @@ class TestExecutorBackends:
         """With the cache on, resumed *and* cached work are both replayed."""
         scenarios = _grid(6)
         run_dir = tmp_path / "r"
-        warm = Campaign(scenarios, name="c", results_dir=run_dir).run()
+        warm = Campaign(scenarios, name="a", results_dir=run_dir).run()
         assert warm.cache_misses == 6
-        crash_after(0)  # cache hits never call execute_run
-        # new campaign, same dir: every pending spec is served by the cache
-        stream = run_dir / "c.jsonl"
-        stream.write_bytes(b"")  # lose the stream but keep the cache
+        crash_after(2)
+        with pytest.raises(SimulatedCrash):
+            Campaign(scenarios, name="c", results_dir=run_dir,
+                     use_cache=False).run()
+        crash_after(0)  # nothing may execute
+        # c's own stream holds 2 durable records; a's stream serves the rest
         again = Campaign(scenarios, name="c", results_dir=run_dir).run(resume=True)
-        assert again.resumed == 0
-        assert again.cache_hits == 6
+        assert again.resumed == 2
+        assert again.cache_hits == 4
         assert again.cache_misses == 0
+        assert _strip((run_dir / "c.jsonl").read_text()) == \
+               _strip((run_dir / "a.jsonl").read_text())
 
 
 class TestResumeSurvivesGridChanges:

@@ -138,10 +138,11 @@ class TestMetricsAlwaysOn:
             result.records
         )
 
-    def test_manifest_embeds_the_final_snapshot(self, tmp_path):
+    def test_final_snapshot_lives_in_the_sidecar_only(self, tmp_path):
         result = Campaign(_grid(), name="c", results_dir=tmp_path).run()
         manifest = json.loads((tmp_path / "c.manifest.json").read_text())
-        assert manifest["metrics"] == result.metrics
+        assert "metrics" not in manifest
+        assert load_metrics_file(result.metrics_path)["metrics"] == result.metrics
 
     def test_summary_names_the_sidecar_files(self, tmp_path):
         result = Campaign(_grid(), name="c", results_dir=tmp_path).run(trace=True)
@@ -171,13 +172,15 @@ class TestShardedTrace:
         assert len(_spans(events, "shard")) == 3
         assert len(_spans(events, "run")) == len(result.records)
 
-    def test_done_markers_carry_metrics(self, tmp_path):
+    def test_done_markers_carry_no_metrics(self, tmp_path):
         campaign = Campaign(_grid(6), name="c", results_dir=tmp_path,
                             use_cache=False)
-        campaign.run(shards=2, shard_index=0)
+        result = campaign.run(shards=2, shard_index=0)
         done = json.loads((tmp_path / "c.shard-0-of-2.done").read_text())
-        assert "metrics" in done
-        assert done["metrics"]["counters"]["runs_started"] == done["records"]
+        assert "metrics" not in done
+        sidecar = load_metrics_file(tmp_path / "c.shard-0-of-2.metrics.json")
+        assert sidecar["metrics"]["counters"]["runs_started"] == done["records"] \
+            == len(result.records)
 
 
 class TestTraceErrors:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.results import (
-    Stats,
+    RunningStats,
     aggregate,
     aggregate_table,
     normalized_bits,
@@ -14,11 +14,39 @@ from repro.results import (
 )
 
 
+def _stats(values, *, floats=False):
+    column = RunningStats(floats=floats)
+    for v in values:
+        column.feed(v)
+    return column.stats()
+
+
 class TestStats:
     def test_known_values(self):
-        s = Stats.of([4, 1, 3, 2])
-        assert (s.count, s.min, s.mean, s.max) == (4, 1, 2.5, 4)
-        assert s.p95 == 4
+        s = _stats([4, 1, 3, 2])
+        assert (s["count"], s["min"], s["mean"], s["max"]) == (4, 1, 2.5, 4)
+        assert s["p95"] == 4
+        assert _stats([4, 1, 3, 2], floats=True) == {
+            "count": 4, "min": 1.0, "mean": 2.5, "max": 4.0, "p95": 4.0}
+
+    def test_float_mean_is_exactly_rounded_in_any_order(self):
+        values = [1e16, 1.0, -1e16, 0.1, 0.2]
+        assert _stats(values, floats=True)["mean"] == \
+               _stats(list(reversed(values)), floats=True)["mean"] == \
+               round(math.fsum(values) / len(values), 6)
+
+    def test_merge_equals_feeding_everything(self):
+        left, right = RunningStats(floats=True), RunningStats(floats=True)
+        for v in (1e16, 0.1, 3.0):
+            left.feed(v)
+        for v in (-1e16, 0.2):
+            right.feed(v)
+        left.merge(right)
+        assert left.stats() == _stats([1e16, 0.1, 3.0, -1e16, 0.2], floats=True)
+
+    def test_empty_column_refused(self):
+        with pytest.raises(SchemaError):
+            RunningStats().stats()
 
     def test_p95_nearest_rank(self):
         values = list(range(1, 101))  # 1..100

@@ -132,6 +132,28 @@ def test_error_mapping_over_the_wire(client):
         ServeClient("http://127.0.0.1:9", timeout=2).health()
 
 
+def test_campaign_name_cannot_escape_the_job_dir(server, tmp_path):
+    import http.client
+    import urllib.parse
+
+    spec = {"name": "../x", "scenarios": [
+        {"name": "s", "family": "random_forest", "sizes": [12],
+         "protocol": "forest", "seeds": [0]}]}
+    url = urllib.parse.urlsplit(server.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        conn.request("POST", "/v1/jobs", body=json.dumps({"spec": spec}),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        body = json.loads(resp.read())
+    finally:
+        conn.close()
+    assert resp.status == 400
+    assert "plain file name" in body["error"]
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith("x.")]
+    assert ServeClient(server.url).jobs() == []
+
+
 def test_backpressure_and_cancel(tmp_path):
     # workers=0: nothing drains, so admission and cancel are deterministic
     with ServerThread(tmp_path / "bp", workers=0, executor="serial",
