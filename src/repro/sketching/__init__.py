@@ -13,10 +13,12 @@ package implements that machinery from scratch:
 * :mod:`~repro.sketching.onesparse` — exact recovery of one-sparse signed
   vectors from three counters ``(Σa_e, Σe·a_e, Σa_e z^e)``;
 * :mod:`~repro.sketching.l0sampler` — sample a uniform-ish nonzero
-  coordinate by subsampling at geometric rates;
+  coordinate by subsampling at geometric rates (with the one-sparse
+  sketch, the reference twin of the flat-counter codec in ``agm``);
 * :mod:`~repro.sketching.agm` — the wire format and Borůvka round every
-  sketch protocol shares: fixed-width counter fields, one length check,
-  rounds read only when Borůvka reaches them;
+  sketch protocol shares: flat counter lists instead of sketch objects,
+  fixed-width counter fields, one length check, rounds read only when
+  Borůvka reaches them;
 * :mod:`~repro.sketching.connectivity` — the AGM protocol: each node
   sketches its signed edge-incidence vector; summing a component's sketches
   cancels internal edges, so the referee runs Borůvka entirely on sketches;

@@ -2,10 +2,19 @@
 
 **Wire format.**  A *bank* is ``rounds`` independent L0 samplers of one
 signed edge-incidence vector over the edge slots of a ``size``-vertex
-graph.  A sampler is ``levels`` one-sparse sketches, and a sketch is
-three fixed-width fields: ``zigzag(c0)`` in ``w0`` bits, ``zigzag(c1)``
-in ``w1`` bits and ``c2`` in 61 bits.  A node's message is its banks back
-to back, each bank round after round.
+graph.  A sampler is ``levels`` one-sparse sketches, and a sketch is one
+fixed-width *slot* of three fields: ``zigzag(c0)`` in ``w0`` bits,
+``zigzag(c1)`` in ``w1`` bits and ``c2`` in 61 bits.  A node's message is
+its banks back to back, each bank round after round, each round level
+after level.
+
+**Flat counters.**  No sketch objects are built on either side.  The
+encoder accumulates a round's ``c0/c1/c2`` counters in three flat
+``levels``-long lists, applying each update only to the levels its hash
+survives to, and packs each level as one slot.  Only levels up to the
+deepest one any update reached can be non-zero, so the all-zero tail is
+shifted in in one step.  :class:`~repro.sketching.l0sampler.L0Sampler`
+is the reference twin the parity suite checks both sides against.
 
 **Totality.**  Every field has a fixed width, so a message parses iff it
 is exactly ``Σ rounds·levels·(w0+w1+61)`` bits long over its banks.  That
@@ -15,8 +24,10 @@ decodes, so nothing after the check can fail on malformed input.
 
 **Lazy reads.**  Round ``r`` of a bank sits at a computed bit offset and
 is read only when Borůvka reaches it; rounds it never reaches are never
-parsed.  A protocol with several banks (bipartiteness: G, DC, DC′) just
-points each vertex at its bank's offset.
+parsed.  Within a round, the trailing all-zero slots are counted from the
+block's trailing zero bits and skipped, and each remaining slot is one
+``read_bits`` split by shift and mask.  A protocol with several banks
+(bipartiteness: G, DC, DC′) just points each vertex at its bank's offset.
 """
 
 from __future__ import annotations
@@ -25,12 +36,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.bits.reader import BitReader
-from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, SketchFailure
+from repro.errors import CodecError, DecodeError
 from repro.graphs.unionfind import UnionFind
 from repro.model.message import Message
 from repro.sketching.field import MERSENNE61
-from repro.sketching.l0sampler import L0Sampler, L0SamplerParams
+from repro.sketching.l0sampler import L0SamplerParams
 
 __all__ = ["Bank", "encode", "bank_offsets", "boruvka", "boruvka_round",
            "edge_index", "edge_pair", "incidence_updates"]
@@ -67,7 +77,7 @@ def incidence_updates(
 
 def _zigzag(x: int) -> int:
     """Map signed to unsigned: 0,-1,1,-2,2 -> 0,1,2,3,4."""
-    return (x << 1) ^ (x >> 63) if x >= 0 else ((-x) << 1) - 1
+    return x << 1 if x >= 0 else ((-x) << 1) - 1
 
 
 def _unzigzag(u: int) -> int:
@@ -96,20 +106,56 @@ class Bank:
 
 
 def encode(streams: Iterable[tuple[Bank, list[tuple[int, int]]]]) -> Message:
-    """Sketch each ``(bank, incidence updates)`` pair and pack them all in order."""
-    fields: list[tuple[int, int]] = []
+    """Sketch each ``(bank, incidence updates)`` pair and pack them all in order.
+
+    Counter-identical to feeding the updates to one
+    :class:`~repro.sketching.l0sampler.L0Sampler` per round and packing its
+    ``counters()``; the parity suite pins this.
+    """
+    acc = nbits = 0
     for bank, updates in streams:
         w0, w1 = bank.widths
+        slot = w0 + w1 + 61
         for params in bank.params:
-            sampler = L0Sampler(params)
-            sampler.update_many(updates)
-            for c0, c1, c2 in sampler.counters():
-                fields.append((_zigzag(c0), w0))
-                fields.append((_zigzag(c1), w1))
-                fields.append((c2, 61))
-    writer = BitWriter()
-    writer.write_many(fields)
-    return Message.from_writer(writer)
+            m, levels, alpha, beta, z = params.m, params.levels, params.alpha, params.beta, params.z
+            last = levels - 1
+            # counters by the deepest level an update survives to; level l
+            # sums buckets l..last, since an update reaches every level up to
+            # its deepest (c2 terms are reduced mod p once, at packing)
+            b0 = [0] * levels
+            b1 = [0] * levels
+            b2 = [0] * levels
+            top = -1  # the deepest level any update reached
+            for index, delta in updates:
+                if not 0 <= index < m:
+                    raise ValueError(f"index {index} outside 0..{m - 1}")
+                h = (alpha * index + beta) % MERSENNE61
+                deepest = (h & -h).bit_length() - 1  # trailing zeros of h; -1 iff h == 0
+                if deepest < 0 or deepest > last:
+                    deepest = last
+                if deepest > top:
+                    top = deepest
+                b0[deepest] += delta
+                b1[deepest] += index * delta
+                b2[deepest] += delta % MERSENNE61 * pow(z, index + 1, MERSENNE61)
+            # pack levels top..0 upwards from the all-zero tail
+            block = 0
+            shift = (last - top) * slot
+            c0 = c1 = c2 = 0
+            for level in range(top, -1, -1):
+                c0 += b0[level]
+                c1 += b1[level]
+                c2 += b2[level]
+                u0 = _zigzag(c0)
+                u1 = _zigzag(c1)
+                if u0 >> w0 or u1 >> w1:
+                    value, width = (u0, w0) if u0 >> w0 else (u1, w1)
+                    raise CodecError(f"value {value} does not fit in {width} bits")
+                block |= ((u0 << w1 + 61) | (u1 << 61) | c2 % MERSENNE61) << shift
+                shift += slot
+            acc = (acc << levels * slot) | block
+            nbits += levels * slot
+    return Message(acc, nbits)
 
 
 def bank_offsets(messages: Sequence[Message], banks: Sequence[Bank]) -> list[int]:
@@ -134,38 +180,63 @@ def boruvka_round(
 
     ``sources[v-1]`` is the length-checked message holding vertex ``v``'s
     sketch and the bit offset of its bank.  Each component's round-``r``
-    counters are summed (``c2`` mod p, as :meth:`OneSparseSketch.merged`
-    does), one outgoing edge is sampled per component, and the components
-    are united.  Returns the new forest edges and the sampler failures.
+    counters are summed (``c2`` mod p, as merged one-sparse sketches are),
+    and one outgoing edge is sampled per component by the L0 sampler's
+    rule: the first one-sparse level wins, all-zero levels mean an isolated
+    component, and anything else is a sampler failure.  The components are
+    then united.  Returns the new forest edges and the sampler failures.
     """
     w0, w1 = bank.widths
-    levels = bank.params[r].levels  # the same in every round: all share one universe
-    chunk = levels * (w0 + w1 + 61)
-    agg: dict[int, list[tuple[int, int, int]]] = {}
+    params = bank.params[r]
+    m, levels, z = params.m, params.levels, params.z  # levels: the same in every round
+    slot = w0 + w1 + 61
+    chunk = levels * slot
+    block_mask = (1 << chunk) - 1
+    c1_mask = (1 << w1) - 1
+    c2_mask = (1 << 61) - 1
+    # root -> [vertices, levels read, c0 sums, c1 sums, c2 sums], in first-seen order
+    agg: dict[int, list] = {}
     for v, (msg, offset) in enumerate(sources, start=1):
-        shift = msg.bits - offset - (r + 1) * chunk
-        reader = BitReader((msg.acc >> shift) & ((1 << chunk) - 1), chunk)
-        counters = [
-            (_unzigzag(reader.read_bits(w0)), _unzigzag(reader.read_bits(w1)), reader.read_bits(61))
-            for _ in range(levels)
-        ]
+        block = (msg.acc >> (msg.bits - offset - (r + 1) * chunk)) & block_mask
         root = uf.find(v)
-        summed = agg.get(root)
-        agg[root] = counters if summed is None else [
-            (a0 + b0, a1 + b1, (a2 + b2) % MERSENNE61)
-            for (a0, a1, a2), (b0, b1, b2) in zip(summed, counters)
-        ]
+        sums = agg.get(root)
+        if sums is None:
+            sums = agg[root] = [0, 0, [0] * levels, [0] * levels, [0] * levels]
+        sums[0] += 1
+        if not block:
+            continue
+        filled = levels - ((block & -block).bit_length() - 1) // slot
+        if filled > sums[1]:
+            sums[1] = filled
+        _, _, s0, s1, s2 = sums
+        reader = BitReader(block >> (levels - filled) * slot, filled * slot)
+        for level in range(filled):
+            field = reader.read_bits(slot)
+            s0[level] += _unzigzag(field >> w1 + 61)
+            s1[level] += _unzigzag((field >> 61) & c1_mask)
+            s2[level] += field & c2_mask
     edges: list[tuple[int, int]] = []
     failures = 0
-    for summed in agg.values():
-        try:
-            hit = L0Sampler.from_counters(bank.params[r], summed).sample()
-        except SketchFailure:
-            failures += 1
-            continue
+    for vertices, filled, s0, s1, s2 in agg.values():
+        hit = None
+        all_zero = True
+        for level in range(filled):  # every level past ``filled`` is all-zero
+            c0, c1, c2 = s0[level], s1[level], s2[level]
+            if vertices > 1:
+                c2 %= MERSENNE61  # a lone vertex's c2 is recovered as sent
+            if c0 == 0 and c1 == 0 and c2 == 0:
+                continue
+            if c0 != 0 and c1 % c0 == 0 and 0 <= c1 // c0 < m:
+                index = c1 // c0
+                if c2 == c0 % MERSENNE61 * pow(z, index + 1, MERSENNE61) % MERSENNE61:
+                    hit = index
+                    break
+            all_zero = False
         if hit is None:
-            continue  # genuinely isolated component
-        u, v = edge_pair(bank.size, hit[0])
+            if not all_zero:
+                failures += 1
+            continue  # a failed sampler, or a genuinely isolated component
+        u, v = edge_pair(bank.size, hit)
         if uf.union(u, v):
             edges.append((u, v) if u < v else (v, u))
     return edges, failures

@@ -11,6 +11,11 @@ can retry with an independent sampler.
 
 Like its building block the sampler is linear, and all parameters are
 derived from ``(seed, tags)`` public randomness so distributed parties agree.
+
+The AGM protocols do not build samplers: :mod:`repro.sketching.agm` keeps
+the same counters in flat lists on both sides of the wire.  This class is
+its reference twin, which ``tests/sketching/test_agm_parity.py`` checks
+every message and every recovery against.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ class L0SamplerParams:
     def derive(cls, m: int, seed: int, *tags: int) -> "L0SamplerParams":
         """Derive parameters for instance ``tags`` from the public seed.
 
-        Deterministic in ``(m, seed, tags)``, so results are memoized:
-        protocols that re-derive the same per-round parameters for every
-        node (the referee does, once per node per Borůvka round) hit the
-        cache after the first call.
+        Deterministic in ``(m, seed, tags)``, so results are memoized: the
+        sketch protocols re-derive the same per-round parameters in every
+        node's local call and again in the referee's, and all but the first
+        call hit the cache.
         """
         return _derive_cached(m, seed, tags)
 
