@@ -10,7 +10,7 @@ enumerable via ``repro.registry.catalog()`` / ``python -m repro list
     from repro.bench import run_suite, write_suite
 
     report = run_suite(["l0-update", "l0-update-naive"], repeats=5)
-    print(report["speedups"])            # {"l0-update": 1.9}
+    print(report["speedups"])            # {"l0-update": 2.2}
     write_suite(report, "BENCH_PR4.json")
 
 or from the CLI::
@@ -22,7 +22,8 @@ or from the CLI::
 Reports carry wall-time statistics (:data:`~repro.model.referee.monotonic_clock`,
 summarized by the results layer's :class:`~repro.results.aggregate.RunningStats`),
 deterministic work counts / bit counts / result digests, peak RSS, and
-optimized-vs-naive speedup ratios.  :func:`check_suite` gates a report
+production-vs-reference speedup ratios (``l0-update`` times
+``repro.sketching.agm.encode`` against the plain ``L0Sampler`` twin).  :func:`check_suite` gates a report
 against a frozen baseline with the same
 :class:`~repro.results.baseline.BaselineCheck` verdict CI already consumes.
 """

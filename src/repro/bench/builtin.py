@@ -8,10 +8,10 @@ of ``scale`` and the frozen bench baseline pins them on any machine.
 
 Two kinds of case live here:
 
-* **micro** — the tight loops the hot-path work targets (L0 sampler
-  updates, parameter derivation, bit packing).  Each has a ``-naive``
-  twin running the pre-optimization reference implementation on the same
-  inputs; the harness reports ``speedups[<name>]`` and the bench baseline
+* **micro** — the tight loops the hot-path work targets (L0 sketch
+  updates, bit packing, incremental aggregation).  Each has a ``-naive``
+  twin running the plain reference implementation on the same inputs;
+  the harness reports ``speedups[<name>]`` and the bench baseline
   declares floors for them.  The twins double as parity witnesses: both
   members of a pair must produce the same ``digest``.
 * **campaign** — real end-to-end loads driven through
@@ -28,18 +28,12 @@ from typing import Any
 
 from repro.bench.harness import BenchCase
 from repro.bits.writer import BitWriter
+from repro.model.message import Message
 from repro.registry import register
+from repro.sketching.agm import Bank, derive_bank, encode
 from repro.sketching.connectivity import sketch_spanning_forest
-from repro.sketching.field import (
-    MERSENNE61,
-    derive_params,
-    derive_params_block,
-    fadd,
-    fmul,
-    fpow,
-    splitmix64,
-)
-from repro.sketching.l0sampler import L0Sampler, L0SamplerParams
+from repro.sketching.field import splitmix64
+from repro.sketching.l0sampler import L0Sampler
 
 _SEED = 0xBEC4E12011  # arbitrary fixed public seed for all builtin inputs
 
@@ -55,109 +49,73 @@ def _scaled(base: int, scale: float, *, lo: int) -> int:
 
 
 # --------------------------------------------------------------------- #
-# L0 sampler update loop (the headline microbench)
+# L0 sketch update + pack (the headline microbench)
 # --------------------------------------------------------------------- #
 
 
-def _l0_inputs(scale: float) -> tuple[L0SamplerParams, list[tuple[int, int]]]:
-    """One sampler's params plus a splitmix-derived update stream."""
+def _l0_inputs(scale: float) -> list[tuple[Bank, list[tuple[int, int]]]]:
+    """A splitmix-derived update stream over a one-round bank, in node-sized pieces.
+
+    Each piece holds ``n - 1`` updates, a node's largest degree, so its
+    counters fit the bank's fixed-width fields.
+    """
     n = _scaled(96, scale, lo=16)
-    m = n * (n - 1) // 2
-    params = L0SamplerParams.derive(m, _SEED, 1)
+    bank = derive_bank(n, _SEED, n, 1)
+    m = bank.params[0].m
     count = _scaled(4000, scale, lo=64)
     updates = []
     x = _SEED
     for _ in range(count):
         x = splitmix64(x)
         updates.append((x % m, 1 if x & 1 else -1))
-    return params, updates
+    return [(bank, updates[i:i + n - 1]) for i in range(0, count, n - 1)]
 
 
-def _reference_l0_update(sampler: L0Sampler, index: int, delta: int) -> None:
-    """The pre-optimization update: one field-call chain per surviving level."""
-    deepest = sampler._level_of(index)
-    for lvl in range(deepest + 1):
-        sketch = sampler.sketches[lvl]
-        if not 0 <= index < sketch.m:
-            raise ValueError(f"index {index} outside 0..{sketch.m - 1}")
-        sketch.c0 += delta
-        sketch.c1 += index * delta
-        sketch.c2 = fadd(sketch.c2, fmul(delta % MERSENNE61, fpow(sketch.z, index + 1)))
+def _l0_case(scale: float, encode_streams) -> BenchCase:
+    streams = _l0_inputs(scale)
+    params = streams[0][0].params[0]
+
+    def op():
+        message = encode_streams(streams)
+        return {"ops": sum(len(updates) for _, updates in streams), "bits": message.bits,
+                "digest": _digest([hex(message.acc), message.bits])}
+
+    return BenchCase(op=op, meta={"m": params.m, "levels": params.levels,
+                                  "streams": len(streams)})
+
+
+def _ref_zigzag(x: int) -> int:
+    return 2 * x if x >= 0 else -2 * x - 1
+
+
+def _reference_encode(streams: list[tuple[Bank, list[tuple[int, int]]]]) -> Message:
+    """One plain :class:`L0Sampler` per bank round, packed field by field."""
+    fields = []
+    for bank, updates in streams:
+        w0, w1 = bank.widths
+        for params in bank.params:
+            sampler = L0Sampler(params)
+            for index, delta in updates:
+                sampler.update(index, delta)
+            for c0, c1, c2 in sampler.counters():
+                fields += [(_ref_zigzag(c0), w0), (_ref_zigzag(c1), w1), (c2, 61)]
+    writer = BitWriter()
+    writer.write_many(fields)
+    return Message.from_writer(writer)
 
 
 @register("l0-update", kind="benchmark", capabilities=("micro", "sketching"),
-          summary="L0 sampler update loop (optimized single-pow fan-out).")
+          summary="L0 sketch updates + packing through agm.encode "
+                  "(flat counters, the production path).")
 def _bench_l0_update(scale: float = 1.0) -> BenchCase:
-    params, updates = _l0_inputs(scale)
-
-    def op():
-        sampler = L0Sampler(params)
-        sampler.update_many(updates)
-        return {"ops": len(updates), "digest": _digest(sampler.counters())}
-
-    return BenchCase(op=op, meta={"m": params.m, "levels": params.levels,
-                                  "updates": len(updates)})
+    return _l0_case(scale, encode)
 
 
 @register("l0-update-naive", kind="benchmark", capabilities=("micro", "sketching", "reference"),
-          summary="L0 sampler update loop, pre-optimization reference "
-                  "(per-level field calls).")
+          summary="The same updates through the plain L0Sampler reference, "
+                  "packed field by field.")
 def _bench_l0_update_naive(scale: float = 1.0) -> BenchCase:
-    params, updates = _l0_inputs(scale)
-
-    def op():
-        sampler = L0Sampler(params)
-        for index, delta in updates:
-            _reference_l0_update(sampler, index, delta)
-        return {"ops": len(updates), "digest": _digest(sampler.counters())}
-
-    return BenchCase(op=op, meta={"m": params.m, "levels": params.levels,
-                                  "updates": len(updates)})
-
-
-# --------------------------------------------------------------------- #
-# parameter derivation
-# --------------------------------------------------------------------- #
-
-
-def _derive_tags(scale: float) -> list[tuple[int, int]]:
-    count = _scaled(3000, scale, lo=32)
-    return [(n, r) for n in (64, 256, 1024) for r in range(count // 3)]
-
-
-@register("derive-params", kind="benchmark", capabilities=("micro", "sketching"),
-          summary="Batched (alpha, beta, z) parameter derivation "
-                  "(derive_params_block).")
-def _bench_derive_params(scale: float = 1.0) -> BenchCase:
-    tag_pairs = _derive_tags(scale)
-
-    def op():
-        acc = 0
-        for n, r in tag_pairs:
-            a, b, z = derive_params_block(_SEED, 3, n, r)
-            acc ^= a ^ b ^ z
-        return {"ops": 3 * len(tag_pairs), "digest": _digest(acc)}
-
-    return BenchCase(op=op, meta={"instances": len(tag_pairs)})
-
-
-@register("derive-params-naive", kind="benchmark",
-          capabilities=("micro", "sketching", "reference"),
-          summary="Scalar (alpha, beta, z) parameter derivation, one "
-                  "derive_params call per value.")
-def _bench_derive_params_naive(scale: float = 1.0) -> BenchCase:
-    tag_pairs = _derive_tags(scale)
-
-    def op():
-        acc = 0
-        for n, r in tag_pairs:
-            a = derive_params(_SEED, 1, n, r)
-            b = derive_params(_SEED, 2, n, r)
-            z = derive_params(_SEED, 3, n, r)
-            acc ^= a ^ b ^ z
-        return {"ops": 3 * len(tag_pairs), "digest": _digest(acc)}
-
-    return BenchCase(op=op, meta={"instances": len(tag_pairs)})
+    return _l0_case(scale, _reference_encode)
 
 
 # --------------------------------------------------------------------- #

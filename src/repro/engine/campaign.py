@@ -626,7 +626,6 @@ class Campaign:
                 atomic_write_json(
                     m_path, {"campaign": self.name, "metrics": snapshot}
                 )
-                manifest.write(self.results_dir)  # refresh the completion snapshot
 
             return CampaignResult(
                 name=self.name,

@@ -19,10 +19,9 @@ valid.
 records the campaign name, shard count, the engine
 :data:`~repro.engine.scenario.SPEC_VERSION`, and the full ordered list of
 spec content hashes.  Concurrent shard workers are safe because every
-write is atomic (temp file + ``os.replace``) and every field workers
-disagree on is advisory: the ``completed`` key is a point-in-time
-snapshot of the per-shard done markers (which stay authoritative), while
-the identity fields are identical across workers of the same grid.  On
+write is atomic (temp file + ``os.replace``) and every field is
+identical across workers of the same grid; completion lives only in the
+per-shard done markers.  On
 ``resume`` the manifest is the contract — a stale ``SPEC_VERSION``,
 renamed campaign, or changed shard count is refused with an actionable
 message instead of silently mixing semantics.  An *edited grid* is not an
@@ -174,8 +173,6 @@ def atomic_write_json(path: pathlib.Path, payload: Mapping[str, Any]) -> None:
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2))
 
 
-_atomic_write_json = atomic_write_json
-
 
 def atomic_write_jsonl(
     path: pathlib.Path, records: Iterable[Mapping[str, Any]]
@@ -204,10 +201,9 @@ class ShardManifest:
     Records *what* the campaign is — name, shard count, engine
     :data:`~repro.engine.scenario.SPEC_VERSION`, and the ordered spec
     content hashes — so a resume or a merge can refuse anything that no
-    longer matches.  Completion state lives in the per-shard ``.done``
-    markers (atomic, single-writer); :meth:`completion` reads them, and
-    the copy under the ``"completed"`` key here is a convenience snapshot,
-    refreshed opportunistically, never authoritative.
+    longer matches.  Completion state lives only in the per-shard
+    ``.done`` markers (atomic, single-writer); :meth:`completion` reads
+    them.
     """
 
     campaign: str
@@ -248,17 +244,15 @@ class ShardManifest:
             for i in range(self.shards)
         ]
 
-    def to_dict(self, *, completed: Sequence[bool] | None = None) -> dict:
-        """JSON object form (inverse of :meth:`from_dict`, which ignores the
-        advisory ``completed`` snapshot)."""
+    def to_dict(self) -> dict:
+        """JSON object form (inverse of :meth:`from_dict`, which ignores
+        unknown keys such as an older engine's ``completed`` snapshot)."""
         return {
             "manifest_version": self.manifest_version,
             "spec_version": self.spec_version,
             "campaign": self.campaign,
             "shards": self.shards,
             "spec_hashes": list(self.spec_hashes),
-            "completed": list(completed) if completed is not None
-            else [False] * self.shards,
         }
 
     @classmethod
@@ -286,9 +280,9 @@ class ShardManifest:
         return manifest
 
     def write(self, results_dir: str | pathlib.Path) -> pathlib.Path:
-        """Atomically publish the manifest with a completion snapshot."""
+        """Atomically publish the manifest."""
         path = manifest_path(results_dir, self.campaign)
-        _atomic_write_json(path, self.to_dict(completed=self.completion(results_dir)))
+        atomic_write_json(path, self.to_dict())
         return path
 
     @classmethod
@@ -521,7 +515,7 @@ def write_done_marker(
 ) -> pathlib.Path:
     """Atomically publish one shard's completion mark (record count inside)."""
     path = shard_done_path(results_dir, name, index, shards)
-    _atomic_write_json(path, {
+    atomic_write_json(path, {
         "campaign": name,
         "shard": index,
         "shards": shards,
@@ -649,5 +643,4 @@ def merge_shards(
     atomic_write_jsonl(
         out_path, (by_hash[h].to_json_dict() for h in manifest.spec_hashes)
     )
-    manifest.write(results_dir)  # refresh the completion snapshot
     return out_path, len(manifest.spec_hashes)

@@ -17,14 +17,13 @@ import math
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import combinations
-
-try:  # numpy vectorizes the exhaustive counts; the big-int path is the fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
 from repro.graphs.labeled import LabeledGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "labeled_graph_count",
@@ -140,6 +139,16 @@ def count_graphs_satisfying(
     return sum(1 for g in enumerate_labeled_graphs(n, max_n=max_n) if predicate(g))
 
 
+@lru_cache(maxsize=1)
+def _numpy():
+    """numpy, imported on first use; ``None`` selects the big-int fallback."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+        return None
+    return numpy
+
+
 def _pair_bit_arrays(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     """All graphs on n vertices as rows of edge-indicator bits, vectorized.
 
@@ -147,6 +156,7 @@ def _pair_bit_arrays(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     contains edge ``pairs[e]``.  Memory: ``2^C(n,2) * C(n,2)`` bytes
     (2M x 21 = 44 MB for n = 7).
     """
+    np = _numpy()
     pairs = list(combinations(range(1, n + 1), 2))
     ne = len(pairs)
     masks = np.arange(1 << ne, dtype=np.uint32)
@@ -193,6 +203,7 @@ def count_square_free(n: int) -> int:
         raise GraphError(f"exact square-free count limited to n <= {MAX_ENUM_N}")
     if n < 4:
         return labeled_graph_count(n)
+    np = _numpy()
     if np is None:
         pairs, cols, total = _pair_bit_columns(n)
         eidx = {p: i for i, p in enumerate(pairs)}
@@ -232,6 +243,7 @@ def count_triangle_free(n: int) -> int:
         raise GraphError(f"exact triangle-free count limited to n <= {MAX_ENUM_N}")
     if n < 3:
         return labeled_graph_count(n)
+    np = _numpy()
     if np is None:
         pairs, cols, total = _pair_bit_columns(n)
         eidx = {p: i for i, p in enumerate(pairs)}

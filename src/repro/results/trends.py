@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
@@ -116,14 +115,12 @@ def append_point(
     path: str | pathlib.Path, point: Mapping
 ) -> pathlib.Path:
     """Durably append one validated point (one line, one flush, one fsync)."""
-    path = pathlib.Path(path)
+    from repro.engine.shard import JsonlStreamWriter
+
     point = validate_point(point)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as fh:
-        fh.write(json.dumps(point, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    return path
+    with JsonlStreamWriter(path, append=True) as writer:
+        writer.write(point)
+    return writer.path
 
 
 def load_points(path: str | pathlib.Path) -> list[dict]:

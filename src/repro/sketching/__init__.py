@@ -16,7 +16,8 @@ package implements that machinery from scratch:
   coordinate by subsampling at geometric rates (with the one-sparse
   sketch, the reference twin of the flat-counter codec in ``agm``);
 * :mod:`~repro.sketching.agm` — the wire format and Borůvka round every
-  sketch protocol shares: flat counter lists instead of sketch objects,
+  sketch protocol shares: one cached bank builder for the public
+  parameters, flat counter lists instead of sketch objects,
   fixed-width counter fields, one length check, rounds read only when
   Borůvka reaches them;
 * :mod:`~repro.sketching.connectivity` — the AGM protocol: each node
@@ -34,7 +35,6 @@ beyond its own neighbourhood.
 from repro.sketching.field import (
     MERSENNE61,
     derive_params,
-    derive_params_block,
     fadd,
     fmul,
     fpow,
@@ -54,7 +54,6 @@ __all__ = [
     "BipartitenessReport",
     "MERSENNE61",
     "derive_params",
-    "derive_params_block",
     "fadd",
     "fmul",
     "fpow",

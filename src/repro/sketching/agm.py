@@ -2,11 +2,13 @@
 
 **Wire format.**  A *bank* is ``rounds`` independent L0 samplers of one
 signed edge-incidence vector over the edge slots of a ``size``-vertex
-graph.  A sampler is ``levels`` one-sparse sketches, and a sketch is one
-fixed-width *slot* of three fields: ``zigzag(c0)`` in ``w0`` bits,
-``zigzag(c1)`` in ``w1`` bits and ``c2`` in 61 bits.  A node's message is
-its banks back to back, each bank round after round, each round level
-after level.
+graph.  :func:`derive_bank` derives it from the public seed and caches
+it, since every node's local call and the referee's decode ask for the
+same banks.  A sampler is ``levels`` one-sparse sketches, and a sketch
+is one fixed-width *slot* of three fields: ``zigzag(c0)`` in ``w0``
+bits, ``zigzag(c1)`` in ``w1`` bits and ``c2`` in 61 bits.  A node's
+message is its banks back to back, each bank round after round, each
+round level after level.
 
 **Flat counters.**  No sketch objects are built on either side.  The
 encoder accumulates a round's ``c0/c1/c2`` counters in three flat
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.bits.reader import BitReader
 from repro.errors import CodecError, DecodeError
@@ -42,7 +45,7 @@ from repro.model.message import Message
 from repro.sketching.field import MERSENNE61
 from repro.sketching.l0sampler import L0SamplerParams
 
-__all__ = ["Bank", "encode", "bank_offsets", "boruvka", "boruvka_round",
+__all__ = ["Bank", "derive_bank", "encode", "bank_offsets", "boruvka", "boruvka_round",
            "edge_index", "edge_pair", "incidence_updates"]
 
 
@@ -94,8 +97,11 @@ class Bank:
 
     @property
     def widths(self) -> tuple[int, int]:
-        """Fixed widths of the ``(zigzag c0, zigzag c1)`` fields."""
-        m = max(1, self.size * (self.size - 1) // 2)
+        """Fixed widths of the ``(zigzag c0, zigzag c1)`` fields.
+
+        ``m``, the edge-slot count, is the same in every round.
+        """
+        m = self.params[0].m if self.params else 1
         return (2 * self.size).bit_length(), (2 * self.size * m).bit_length()
 
     @property
@@ -103,6 +109,17 @@ class Bank:
         """The bank's length on the wire."""
         w0, w1 = self.widths
         return sum(params.levels for params in self.params) * (w0 + w1 + 61)
+
+
+@lru_cache(maxsize=1 << 12)
+def derive_bank(size: int, seed: int, n: int, rounds: int, *suffix: int) -> Bank:
+    """``rounds`` samplers over the edge slots of ``1..size``, derived from ``seed``.
+
+    Round ``r``'s parameters are bound to the tags ``(n, r, *suffix)``.
+    """
+    m = max(1, size * (size - 1) // 2)
+    return Bank(size, tuple(L0SamplerParams.derive(m, seed, n, r, *suffix)
+                            for r in range(rounds)))
 
 
 def encode(streams: Iterable[tuple[Bank, list[tuple[int, int]]]]) -> Message:

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from repro.graphs.unionfind import UnionFind
 from repro.model.message import Message
 from repro.model.protocol import DecisionProtocol
-from repro.sketching.agm import Bank, bank_offsets, boruvka, encode, incidence_updates
-from repro.sketching.l0sampler import L0SamplerParams
+from repro.sketching.agm import Bank, bank_offsets, boruvka, derive_bank, encode, incidence_updates
 from repro.registry import register
 
 __all__ = ["SketchBipartitenessProtocol", "BipartitenessReport", "double_cover_components"]
@@ -83,13 +82,8 @@ class SketchBipartitenessProtocol(DecisionProtocol):
 
     def banks(self, n: int) -> tuple[Bank, Bank]:
         """The G bank over ``1..n`` (tag 0) and the DC bank over ``1..2n`` (tag 1)."""
-        rounds = range(self.rounds_for(n))
-
-        def bank(size: int, tag: int) -> Bank:
-            m = max(1, size * (size - 1) // 2)
-            return Bank(size, tuple(L0SamplerParams.derive(m, self.seed, n, r, tag) for r in rounds))
-
-        return bank(n, 0), bank(2 * n, 1)
+        rounds = self.rounds_for(n)
+        return derive_bank(n, self.seed, n, rounds, 0), derive_bank(2 * n, self.seed, n, rounds, 1)
 
     # ------------------------------------------------------------------ #
     # local phase

@@ -40,12 +40,12 @@ from repro.sketching.agm import (
     Bank,
     bank_offsets,
     boruvka,
+    derive_bank,
     edge_index,
     edge_pair,
     encode,
     incidence_updates,
 )
-from repro.sketching.l0sampler import L0SamplerParams
 from repro.registry import register
 
 __all__ = [
@@ -95,13 +95,9 @@ class AGMConnectivityProtocol(DecisionProtocol):
             return self._rounds_override
         return 2 * max(1, (n - 1).bit_length()) + 2
 
-    def params_for(self, n: int, r: int) -> L0SamplerParams:
-        m = max(1, n * (n - 1) // 2)
-        return L0SamplerParams.derive(m, self.seed, n, r)
-
     def bank(self, n: int) -> Bank:
         """The message layout: one sampler per Borůvka round."""
-        return Bank(n, tuple(self.params_for(n, r) for r in range(self.rounds_for(n))))
+        return derive_bank(n, self.seed, n, self.rounds_for(n))
 
     # ------------------------------------------------------------------ #
     # local phase

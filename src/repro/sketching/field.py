@@ -21,7 +21,6 @@ __all__ = [
     "fpow",
     "splitmix64",
     "derive_params",
-    "derive_params_block",
 ]
 
 MERSENNE61 = (1 << 61) - 1
@@ -59,32 +58,11 @@ def derive_params(seed: int, *tags: int) -> int:
     """A 64-bit pseudo-random value bound to ``(seed, *tags)``.
 
     All parties call this with the same arguments (public randomness), e.g.
-    ``derive_params(seed, round, level, which)`` for the level-hash
-    coefficients and fingerprint bases.
+    ``derive_params(seed, which, n, round)`` for an L0 sampler's level-hash
+    coefficients and fingerprint base.
     """
     x = splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
     for t in tags:
         x = splitmix64(x ^ (t & 0xFFFFFFFFFFFFFFFF))
     return x
 
-
-def derive_params_block(seed: int, count: int, *tags: int) -> tuple[int, ...]:
-    """``tuple(derive_params(seed, which, *tags) for which in 1..count)``.
-
-    The batched form used when one instance needs several parameters bound
-    to the same ``(seed, *tags)`` (an L0 sampler derives hash multiplier,
-    offset, and fingerprint base in one call): the seed is mixed once and
-    the per-``which`` chains fan out from it, value-for-value identical to
-    the scalar :func:`derive_params` calls.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    x0 = splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
-    masked = tuple(t & 0xFFFFFFFFFFFFFFFF for t in tags)
-    out = []
-    for which in range(1, count + 1):
-        x = splitmix64(x0 ^ which)
-        for t in masked:
-            x = splitmix64(x ^ t)
-        out.append(x)
-    return tuple(out)

@@ -13,19 +13,19 @@ Like its building block the sampler is linear, and all parameters are
 derived from ``(seed, tags)`` public randomness so distributed parties agree.
 
 The AGM protocols do not build samplers: :mod:`repro.sketching.agm` keeps
-the same counters in flat lists on both sides of the wire.  This class is
-its reference twin, which ``tests/sketching/test_agm_parity.py`` checks
-every message and every recovery against.
+the same counters in flat lists on both sides of the wire, and derives
+and caches whole banks of parameters.  This class and
+:meth:`L0SamplerParams.derive` are its plain, uncached reference twin,
+which ``tests/sketching/test_agm_parity.py`` checks every message and
+every recovery against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.errors import SketchFailure
-from repro.sketching.field import MERSENNE61, derive_params_block
+from repro.sketching.field import MERSENNE61, derive_params
 from repro.sketching.onesparse import OneSparseResult, OneSparseSketch, RecoveryStatus
 
 __all__ = ["L0SamplerParams", "L0Sampler"]
@@ -43,30 +43,14 @@ class L0SamplerParams:
 
     @classmethod
     def derive(cls, m: int, seed: int, *tags: int) -> "L0SamplerParams":
-        """Derive parameters for instance ``tags`` from the public seed.
-
-        Deterministic in ``(m, seed, tags)``, so results are memoized: the
-        sketch protocols re-derive the same per-round parameters in every
-        node's local call and again in the referee's, and all but the first
-        call hit the cache.
-        """
-        return _derive_cached(m, seed, tags)
-
-
-@lru_cache(maxsize=1 << 16)
-def _derive_cached(m: int, seed: int, tags: tuple[int, ...]) -> L0SamplerParams:
-    """The memoized body of :meth:`L0SamplerParams.derive` (pure function)."""
-    levels = max(1, m.bit_length() + 1)
-    # One batched derivation (alpha, beta, z) <-> which = 1, 2, 3 — value-
-    # identical to three scalar derive_params(seed, which, *tags) calls.
-    raw_alpha, raw_beta, raw_z = derive_params_block(seed, 3, *tags)
-    return L0SamplerParams(
-        m=m,
-        levels=levels,
-        alpha=raw_alpha % (MERSENNE61 - 1) + 1,
-        beta=raw_beta % MERSENNE61,
-        z=raw_z % (MERSENNE61 - 1) + 1,
-    )
+        """Derive parameters for instance ``tags`` from the public seed."""
+        return cls(
+            m=m,
+            levels=max(1, m.bit_length() + 1),
+            alpha=derive_params(seed, 1, *tags) % (MERSENNE61 - 1) + 1,
+            beta=derive_params(seed, 2, *tags) % MERSENNE61,
+            z=derive_params(seed, 3, *tags) % (MERSENNE61 - 1) + 1,
+        )
 
 
 class L0Sampler:
@@ -87,28 +71,9 @@ class L0Sampler:
         return min(tz, self.params.levels - 1)
 
     def update(self, index: int, delta: int) -> None:
-        """Add ``delta`` to coordinate ``index`` at every level it survives to.
-
-        Hot path: every level shares the fingerprint base ``z``, so the
-        exponentiation ``z^{index+1}`` is computed once and its term fanned
-        out inline across the surviving levels — counter-identical to
-        calling each sketch's ``update`` (the parity suite pins this).
-        """
-        params = self.params
-        if not 0 <= index < params.m:
-            raise ValueError(f"index {index} outside 0..{params.m - 1}")
-        deepest = self._level_of(index)
-        term = delta % MERSENNE61 * pow(params.z, index + 1, MERSENNE61) % MERSENNE61
-        idelta = index * delta
-        for sketch in self.sketches[:deepest + 1]:
-            sketch.c0 += delta
-            sketch.c1 += idelta
-            sketch.c2 = (sketch.c2 + term) % MERSENNE61
-
-    def update_many(self, updates: "Iterable[tuple[int, int]]") -> None:
-        """Apply ``(index, delta)`` pairs in one pass (batched :meth:`update`)."""
-        for index, delta in updates:
-            self.update(index, delta)
+        """Add ``delta`` to coordinate ``index`` at every level it survives to."""
+        for sketch in self.sketches[:self._level_of(index) + 1]:
+            sketch.update(index, delta)
 
     def merged(self, other: "L0Sampler") -> "L0Sampler":
         """Linear combination (same parameters required)."""

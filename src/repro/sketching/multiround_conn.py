@@ -54,7 +54,7 @@ class MultiRoundSketchConnectivity(MultiRoundProtocol):
         return encode([(self._bank(n, round_idx), incidence_updates(n, i, neighborhood))])
 
     def _bank(self, n: int, round_idx: int) -> Bank:
-        return Bank(n, (self._inner.params_for(n, round_idx),))
+        return Bank(n, (self._inner.bank(n).params[round_idx],))
 
     # ------------------------------------------------------------------ #
     # referee side: one merge phase per round, empty feedback

@@ -60,19 +60,12 @@ class OneSparseSketch:
         self.c2 = 0
 
     def update(self, index: int, delta: int) -> None:
-        """Add ``delta`` to coordinate ``index``.
-
-        Hot path: the field arithmetic is inlined (one ``pow`` plus two
-        modular reductions) but value-for-value identical to
-        ``fadd(c2, fmul(delta mod p, fpow(z, index+1)))`` — the parity
-        suite pins this against the composed form.
-        """
+        """Add ``delta`` to coordinate ``index``."""
         if not 0 <= index < self.m:
             raise ValueError(f"index {index} outside 0..{self.m - 1}")
         self.c0 += delta
         self.c1 += index * delta
-        self.c2 = (self.c2 + delta % MERSENNE61
-                   * pow(self.z, index + 1, MERSENNE61)) % MERSENNE61
+        self.c2 = fadd(self.c2, fmul(delta % MERSENNE61, fpow(self.z, index + 1)))
 
     def merged(self, other: "OneSparseSketch") -> "OneSparseSketch":
         """Linear combination: the sketch of the sum of the two vectors."""

@@ -158,6 +158,30 @@ class TestManifest:
         manifest = ShardManifest.load(tmp_path, "t")
         assert manifest.completion(tmp_path) == [True, False]
 
+    def test_finished_unsharded_run_writes_one_manifest_without_completed(
+            self, tmp_path, monkeypatch):
+        writes = []
+        real_write = ShardManifest.write
+        monkeypatch.setattr(ShardManifest, "write",
+                            lambda self, d: writes.append(d) or real_write(self, d))
+        Campaign(_tiny_scenarios(), name="t", results_dir=tmp_path).run()
+        assert len(writes) == 1
+        assert "completed" not in json.loads(manifest_path(tmp_path, "t").read_text())
+
+    def test_sharded_run_and_merge_leave_no_completed_key(self, tmp_path):
+        for index in range(2):
+            Campaign(_tiny_scenarios(), name="t", results_dir=tmp_path).run(
+                shards=2, shard_index=index)
+        merge_shards(tmp_path, "t")
+        assert "completed" not in json.loads(manifest_path(tmp_path, "t").read_text())
+
+    def test_manifest_with_a_completed_snapshot_loads_unchanged(self, tmp_path):
+        specs = Campaign(_tiny_scenarios(), results_dir=tmp_path).specs()
+        manifest = ShardManifest.from_specs("t", specs, 2)
+        manifest_path(tmp_path, "t").write_text(
+            json.dumps({**manifest.to_dict(), "completed": [True, False]}))
+        assert ShardManifest.load(tmp_path, "t") == manifest
+
 
 class TestPartialLoader:
     def _stream(self, tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the Lemma 1 counting module: closed forms vs exhaustive enumeration."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -132,7 +134,7 @@ class TestPureFallbackParity:
     def test_bit_columns_match_bit_arrays(self):
         from repro.graphs import counting
 
-        if counting.np is None:
+        if counting._numpy() is None:
             pytest.skip("numpy not installed; the fallback IS the active path")
         for n in (3, 4, 5):
             pairs_np, bits = counting._pair_bit_arrays(n)
@@ -145,11 +147,18 @@ class TestPureFallbackParity:
     def test_counts_identical_with_numpy_disabled(self, monkeypatch):
         from repro.graphs import counting
 
-        if counting.np is None:
+        if counting._numpy() is None:
             pytest.skip("numpy not installed; the fallback IS the active path")
         want = [(counting.count_square_free(n), counting.count_triangle_free(n))
                 for n in (4, 5, 6)]
-        monkeypatch.setattr(counting, "np", None)
+        monkeypatch.setattr(counting, "_numpy", lambda: None)
         got = [(counting.count_square_free(n), counting.count_triangle_free(n))
                for n in (4, 5, 6)]
         assert got == want
+
+    def test_import_leaves_numpy_unloaded(self):
+        """numpy is imported on first count, not with the module."""
+        code = "import sys, repro.graphs.counting; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -44,6 +44,14 @@ def test_append_and_load_round_trip(tmp_path):
     assert [p["metrics"]["wall_p95_seconds"] for p in points] == [1.0, 2.0, 3.0]
 
 
+def test_append_writes_canonical_lines_into_a_new_directory(tmp_path):
+    ledger = trends_path(tmp_path / "new")
+    assert append_point(ledger, _point(2.0)) == ledger
+    append_point(ledger, _point(3.0))
+    assert ledger.read_text() == "".join(
+        json.dumps(_point(v), sort_keys=True) + "\n" for v in (2.0, 3.0))
+
+
 def test_load_missing_ledger_is_empty(tmp_path):
     assert load_points(trends_path(tmp_path)) == []
 

@@ -41,7 +41,8 @@ def reference_encode(streams):
         w0, w1 = bank.widths
         for params in bank.params:
             sampler = L0Sampler(params)
-            sampler.update_many(updates)
+            for index, delta in updates:
+                sampler.update(index, delta)
             for c0, c1, c2 in sampler.counters():
                 fields += [(_ref_zigzag(c0), w0), (_ref_zigzag(c1), w1), (c2, 61)]
     writer = BitWriter()
@@ -213,7 +214,8 @@ class TestEncodeParity:
 
 def _sampler_counters(params, updates):
     sampler = L0Sampler(params)
-    sampler.update_many(updates)
+    for index, delta in updates:
+        sampler.update(index, delta)
     return sampler.counters()
 
 

@@ -1,8 +1,8 @@
 """Seeded fuzz of the GF(2^61 - 1) field axioms and parameter derivation.
 
-The field layer is the innermost loop of every sketch, and the hot-path
-work inlines its arithmetic in several places (one-sparse updates, L0
-fan-out) — these properties are what make those rewrites safe: any
+The field layer is the innermost loop of every sketch, and the AGM codec
+(``repro.sketching.agm``) inlines its arithmetic — these properties are
+what make that rewrite safe: any
 algebraic drift in ``fadd``/``fmul``/``fpow`` breaks an axiom here long
 before it corrupts a campaign digest.
 
@@ -17,7 +17,6 @@ import pytest
 from repro.sketching.field import (
     MERSENNE61,
     derive_params,
-    derive_params_block,
     fadd,
     fmul,
     fpow,
@@ -105,16 +104,3 @@ class TestDerivation:
         assert derive_params(seed, 1, 2) != derive_params(seed, 2, 1)
         seen = {derive_params(seed, t) for t in range(256)}
         assert len(seen) == 256
-
-    def test_derive_params_block_matches_scalar_calls(self, rng):
-        for _ in range(TRIALS // 2):
-            seed = rng.getrandbits(64)
-            tags = tuple(rng.getrandbits(64) for _ in range(rng.randrange(4)))
-            count = rng.randrange(0, 6)
-            assert derive_params_block(seed, count, *tags) == tuple(
-                derive_params(seed, which, *tags) for which in range(1, count + 1)
-            )
-
-    def test_derive_params_block_rejects_negative_count(self):
-        with pytest.raises(ValueError, match="count"):
-            derive_params_block(1, -2)

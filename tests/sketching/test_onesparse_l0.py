@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SketchFailure
 from repro.sketching import L0Sampler, L0SamplerParams, OneSparseSketch
+from repro.sketching.agm import derive_bank
 from repro.sketching.field import MERSENNE61, derive_params, fadd, fmul, fpow, splitmix64
 from repro.sketching.onesparse import RecoveryStatus
 
@@ -177,46 +178,40 @@ class TestL0Sampler:
             L0Sampler.from_counters(params, [(0, 0, 0)])
 
 
-class TestDeriveMemoization:
-    """The derive cache is bounded and invisible: same (m, seed, tags) in,
-    same params out, whatever the cache has seen, cleared, or evicted."""
+class TestBankCache:
+    """The bank cache is bounded and invisible: same arguments in, same
+    bank out, whatever the cache has seen, cleared, or evicted."""
 
     def test_cache_is_bounded(self):
-        from repro.sketching.l0sampler import _derive_cached
-
-        info = _derive_cached.cache_info()
-        assert info.maxsize == 1 << 16  # bounded — never grows without limit
+        assert derive_bank.cache_info().maxsize == 1 << 12
 
     def test_digest_contract_across_cache_clear(self):
-        from repro.sketching.l0sampler import _derive_cached
-
-        before = [L0SamplerParams.derive(m, 0xBEC4E12011, t)
-                  for m in (16, 300, 4096) for t in (0, 1, 7)]
-        _derive_cached.cache_clear()
-        after = [L0SamplerParams.derive(m, 0xBEC4E12011, t)
-                 for m in (16, 300, 4096) for t in (0, 1, 7)]
-        assert before == after  # recomputed values identical to cached ones
+        keys = [(size, 0xBEC4E12011, size, 3, *suffix)
+                for size in (2, 16, 300) for suffix in ((), (0,), (1,))]
+        before = [derive_bank(*k) for k in keys]
+        derive_bank.cache_clear()
+        assert before == [derive_bank(*k) for k in keys]
 
     def test_eviction_cannot_change_values(self):
         """Fill a tiny clone of the cache far past its bound: late lookups
-        of evicted keys still return value-identical params."""
+        of evicted keys still return value-identical banks."""
         from functools import lru_cache
 
-        from repro.sketching.l0sampler import _derive_cached
-
-        tiny = lru_cache(maxsize=8)(_derive_cached.__wrapped__)
-        keys = [(16 + i, 42, (i,)) for i in range(64)]
+        tiny = lru_cache(maxsize=8)(derive_bank.__wrapped__)
+        keys = [(16 + i, 42, i, 2) for i in range(64)]
         first = [tiny(*k) for k in keys]
         # every early key has been evicted by now (maxsize 8 << 64 keys)
         assert tiny.cache_info().currsize == 8
-        second = [tiny(*k) for k in keys]
-        assert first == second
-        assert first == [_derive_cached.__wrapped__(*k) for k in keys]
+        assert first == [tiny(*k) for k in keys]
+        assert first == [derive_bank.__wrapped__(*k) for k in keys]
 
-    def test_cache_returns_same_object_uncached_equal_value(self):
-        a = L0SamplerParams.derive(128, 9, 5)
-        b = L0SamplerParams.derive(128, 9, 5)
-        assert a is b  # memoized hit
-        from repro.sketching.l0sampler import _derive_cached
+    def test_repeat_call_returns_the_same_object(self):
+        a = derive_bank(128, 9, 128, 4, 1)
+        assert derive_bank(128, 9, 128, 4, 1) is a  # memoized hit
+        assert a == derive_bank.__wrapped__(128, 9, 128, 4, 1)  # equal by value
 
-        assert a == _derive_cached.__wrapped__(128, 9, (5,))  # equal by value
+    def test_rounds_match_the_reference_derivation(self):
+        """Round ``r`` is the plain derivation with tags ``(n, r, *suffix)``."""
+        bank = derive_bank(20, 7, 10, 3, 1)
+        m = 20 * 19 // 2
+        assert bank.params == tuple(L0SamplerParams.derive(m, 7, 10, r, 1) for r in range(3))
