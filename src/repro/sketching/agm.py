@@ -30,12 +30,24 @@ parsed.  Within a round, the trailing all-zero slots are counted from the
 block's trailing zero bits and skipped, and each remaining slot is one
 ``read_bits`` split by shift and mask.  A protocol with several banks
 (bipartiteness: G, DC, DC′) just points each vertex at its bank's offset.
+
+**Fixed-base powers.**  Every fingerprint term is ``z^e mod p`` for one
+round's fixed base ``z`` and an exponent ``e = index + 1`` in ``1..m``.
+Each bank therefore holds one power table per round, ``(k, lo, hi)``
+with ``k = ⌈bitlen(m)/2⌉``, ``lo[j] = z^j`` for ``j < 2^k`` and
+``hi[j] = z^(j·2^k)`` for ``j ≤ m >> k``, so that
+``z^e = lo[e & (2^k−1)] · hi[e >> k] mod p`` costs two reads and one
+multiply (Brickell–Gordon–McCurley–Wilson, "Fast exponentiation with
+precomputation", EUROCRYPT '92).  The tables are built by repeated
+multiplication when the bank is made, about ``2^k + m/2^k ≈ 2√m``
+entries a round, and :func:`derive_bank` caches them with the bank.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.bits.reader import BitReader
@@ -58,14 +70,15 @@ def edge_index(n: int, u: int, v: int) -> int:
 
 
 def edge_pair(n: int, index: int) -> tuple[int, int]:
-    """Inverse of :func:`edge_index`."""
+    """Inverse of :func:`edge_index`, in closed form."""
     if index < 0 or index >= n * (n - 1) // 2:
         raise ValueError(f"edge index {index} out of range for n={n}")
-    u = 1
-    while (u - 1) * n - u * (u - 1) // 2 + (n - u) <= index:
-        u += 1
-    v = index - ((u - 1) * n - u * (u - 1) // 2) + u + 1
-    return u, v
+    # count slots from the last edge back: rows n-1, n-2, .. hold 1, 2, .. of
+    # them, so row u is the one where the t(t+1)/2 triangle passes the count
+    back = n * (n - 1) // 2 - 1 - index
+    t = (math.isqrt(8 * back + 1) - 1) // 2  # largest t with t(t+1)/2 <= back
+    u = n - 1 - t
+    return u, index - ((u - 1) * n - u * (u - 1) // 2) + u + 1
 
 
 def incidence_updates(
@@ -88,12 +101,39 @@ def _unzigzag(u: int) -> int:
     return (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
 
 
+Powers = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
+def _power_table(z: int, m: int) -> Powers:
+    """``(k, lo, hi)`` such that ``z^e ≡ lo[e & (2^k−1)] · hi[e >> k]`` for ``e ≤ m``."""
+    k = (m.bit_length() + 1) // 2
+    lo = [1] * (1 << k)
+    for j in range(1, 1 << k):
+        lo[j] = lo[j - 1] * z % MERSENNE61
+    step = lo[-1] * z % MERSENNE61  # z^(2^k)
+    hi = [1] * ((m >> k) + 1)
+    for j in range(1, len(hi)):
+        hi[j] = hi[j - 1] * step % MERSENNE61
+    return k, tuple(lo), tuple(hi)
+
+
 @dataclass(frozen=True)
 class Bank:
-    """One sampler per Borůvka round over the edge slots of ``1..size``."""
+    """One sampler per Borůvka round over the edge slots of ``1..size``.
+
+    ``powers[r]`` is round ``r``'s fingerprint power table.  It is derived
+    from ``params`` when not given, and it takes no part in equality,
+    hashing or ``repr``.
+    """
 
     size: int
     params: tuple[L0SamplerParams, ...]
+    powers: tuple[Powers, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.powers:
+            object.__setattr__(
+                self, "powers", tuple(_power_table(p.z, p.m) for p in self.params))
 
     @property
     def widths(self) -> tuple[int, int]:
@@ -133,12 +173,14 @@ def encode(streams: Iterable[tuple[Bank, list[tuple[int, int]]]]) -> Message:
     for bank, updates in streams:
         w0, w1 = bank.widths
         slot = w0 + w1 + 61
-        for params in bank.params:
-            m, levels, alpha, beta, z = params.m, params.levels, params.alpha, params.beta, params.z
+        for params, (k, lo, hi) in zip(bank.params, bank.powers):
+            m, levels, alpha, beta = params.m, params.levels, params.alpha, params.beta
+            mask = (1 << k) - 1
             last = levels - 1
             # counters by the deepest level an update survives to; level l
             # sums buckets l..last, since an update reaches every level up to
-            # its deepest (c2 terms are reduced mod p once, at packing)
+            # its deepest (c2 terms z^(index+1)·delta are reduced mod p once,
+            # at packing)
             b0 = [0] * levels
             b1 = [0] * levels
             b2 = [0] * levels
@@ -154,7 +196,8 @@ def encode(streams: Iterable[tuple[Bank, list[tuple[int, int]]]]) -> Message:
                     top = deepest
                 b0[deepest] += delta
                 b1[deepest] += index * delta
-                b2[deepest] += delta % MERSENNE61 * pow(z, index + 1, MERSENNE61)
+                e = index + 1
+                b2[deepest] += delta * lo[e & mask] * hi[e >> k]
             # pack levels top..0 upwards from the all-zero tail
             block = 0
             shift = (last - top) * slot
@@ -205,7 +248,9 @@ def boruvka_round(
     """
     w0, w1 = bank.widths
     params = bank.params[r]
-    m, levels, z = params.m, params.levels, params.z  # levels: the same in every round
+    m, levels = params.m, params.levels  # levels: the same in every round
+    k, lo, hi = bank.powers[r]
+    mask = (1 << k) - 1
     slot = w0 + w1 + 61
     chunk = levels * slot
     block_mask = (1 << chunk) - 1
@@ -245,7 +290,8 @@ def boruvka_round(
                 continue
             if c0 != 0 and c1 % c0 == 0 and 0 <= c1 // c0 < m:
                 index = c1 // c0
-                if c2 == c0 % MERSENNE61 * pow(z, index + 1, MERSENNE61) % MERSENNE61:
+                e = index + 1
+                if c2 == c0 * lo[e & mask] * hi[e >> k] % MERSENNE61:
                     hit = index
                     break
             all_zero = False

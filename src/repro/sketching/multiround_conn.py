@@ -15,6 +15,12 @@ is an exercise left in EXPERIMENTS.md.)
 The referee needs no feedback channel (nodes' sketches don't depend on the
 merge state), so every referee→node message is empty — this is genuinely a
 "simultaneous messages × R rounds" protocol.
+
+It shares the one-round protocol's banks and Borůvka rounds, and so its
+error: one-sided (a split input is never called connected), with a
+documented failure probability of **at most 5%** per run on a connected
+input.  ``tests/sketching/test_connectivity.py`` gates this with an exact
+one-sided 99% Clopper–Pearson upper bound over 160 public seeds.
 """
 
 from __future__ import annotations
@@ -54,7 +60,9 @@ class MultiRoundSketchConnectivity(MultiRoundProtocol):
         return encode([(self._bank(n, round_idx), incidence_updates(n, i, neighborhood))])
 
     def _bank(self, n: int, round_idx: int) -> Bank:
-        return Bank(n, (self._inner.bank(n).params[round_idx],))
+        # a one-round view of the cached bank, sharing its power table
+        bank = self._inner.bank(n)
+        return Bank(n, (bank.params[round_idx],), (bank.powers[round_idx],))
 
     # ------------------------------------------------------------------ #
     # referee side: one merge phase per round, empty feedback

@@ -1,7 +1,5 @@
 """Tests for AGM sketch connectivity (one-round and multi-round)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,34 +21,16 @@ from repro.sketching import (
 )
 from repro.sketching.connectivity import edge_index, edge_pair
 
-
-def _clopper_pearson_upper(failures, trials, *, confidence):
-    """Exact one-sided upper confidence bound on a binomial failure rate.
-
-    The bound is the rate ``p`` at which seeing at most ``failures`` in
-    ``trials`` has probability ``1 - confidence``; the binomial CDF falls
-    as ``p`` grows, so bisection finds it.
-    """
-    def cdf(p):
-        return sum(math.comb(trials, i) * p**i * (1 - p) ** (trials - i)
-                   for i in range(failures + 1))
-
-    lo, hi = failures / trials, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if cdf(mid) > 1 - confidence:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+from stat_gates import SEEDS, clopper_pearson_upper, within_documented_rate
 
 
 def test_clopper_pearson_upper_matches_closed_form():
     # With zero failures the bound solves (1 - p)^n = alpha exactly.
-    assert _clopper_pearson_upper(0, 200, confidence=0.99) == \
+    assert clopper_pearson_upper(0, 200, confidence=0.99) == \
         pytest.approx(1 - 0.01 ** (1 / 200), rel=1e-9)
-    assert _clopper_pearson_upper(0, 160, confidence=0.99) < 0.05
-    assert _clopper_pearson_upper(20, 160, confidence=0.99) > 0.05
+    assert clopper_pearson_upper(0, 160, confidence=0.99) < 0.05
+    assert clopper_pearson_upper(20, 160, confidence=0.99) > 0.05
+    assert within_documented_rate(0) and not within_documented_rate(20)
 
 
 class TestEdgeIndexing:
@@ -71,6 +51,21 @@ class TestEdgeIndexing:
             edge_index(5, 0, 2)
         with pytest.raises(ValueError):
             edge_pair(5, 10)
+        with pytest.raises(ValueError):
+            edge_pair(5, -1)
+        with pytest.raises(ValueError):
+            edge_pair(1, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 1024, 1 << 16])
+    def test_roundtrip_row_boundaries(self, n):
+        """The closed-form inverse at the first and last slot of every row."""
+        for u in range(1, n):
+            for v in (u + 1, n):
+                assert edge_pair(n, edge_index(n, u, v)) == (u, v)
+        assert edge_index(n, 1, 2) == 0
+        assert edge_index(n, n - 1, n) == n * (n - 1) // 2 - 1
+        with pytest.raises(ValueError):
+            edge_pair(n, n * (n - 1) // 2)
 
 
 class TestOneRoundConnectivity:
@@ -123,9 +118,8 @@ class TestOneRoundConnectivity:
         over 160 public seeds must not exceed 5%."""
         g = erdos_renyi(24, 0.2, seed=9)
         assert is_connected(g)
-        seeds = 160
-        failures = sum(not AGMConnectivityProtocol(seed=s).decide(g) for s in range(seeds))
-        assert _clopper_pearson_upper(failures, seeds, confidence=0.99) <= 0.05
+        failures = sum(not AGMConnectivityProtocol(seed=s).decide(g) for s in range(SEEDS))
+        assert within_documented_rate(failures)
 
     def test_bits_are_polylog(self):
         """O(log³ n) bits per node: ratio to log³ stays bounded as n grows."""
@@ -175,6 +169,18 @@ class TestMultiRoundConnectivity:
         g = disjoint_union(path_graph(5), path_graph(5))
         report = MultiRoundReferee().run(MultiRoundSketchConnectivity(seed=0), g)
         assert report.output is False
+
+    def test_success_rate_across_seeds(self):
+        """The documented failure probability, gated statistically: the
+        exact 99% upper confidence bound on the false-"disconnected" rate
+        over 160 public seeds must not exceed 5%."""
+        g = erdos_renyi(24, 0.2, seed=9)
+        assert is_connected(g)
+        failures = sum(
+            MultiRoundReferee().run(MultiRoundSketchConnectivity(seed=s), g).output is not True
+            for s in range(SEEDS)
+        )
+        assert within_documented_rate(failures)
 
     def test_tiny_graphs(self):
         report = MultiRoundReferee().run(MultiRoundSketchConnectivity(), LabeledGraph(1))
