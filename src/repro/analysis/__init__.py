@@ -15,8 +15,8 @@ from repro.analysis.tables import format_table
 
 def __getattr__(name: str) -> Any:
     # The exp_* functions resolve lazily: repro.analysis.experiments pulls
-    # in every protocol family (and numpy via graphs.counting), which the
-    # CLI must not pay for on verbs that never run an experiment.
+    # in every protocol family, which the CLI must not pay for on verbs
+    # that never run an experiment.
     if name in __all__:
         value = getattr(importlib.import_module("repro.analysis.experiments"), name)
         globals()[name] = value

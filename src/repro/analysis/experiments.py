@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from repro.graphs import LabeledGraph, degeneracy, diameter, has_square, has_triangle, is_connected
 from repro.registry import register
 from repro.graphs.counting import (
+    MAX_ENUM_N,
     bipartite_fixed_parts_count,
     count_square_free,
     frugal_capacity_bits,
@@ -105,10 +106,11 @@ __all__ = [
 def exp_lemma1_counting(ns: Sequence[int] = (4, 5, 6, 16, 64, 256, 1024, 4096)) -> Result:
     """Lemma 1: log2 family sizes vs the frugal capacity k·n·log2 n (k = 4).
 
-    Exact square-free counts are used where enumeration is feasible (n <= 6),
-    the Zarankiewicz/polarity lower bound beyond; exact forest counts up to
-    n = 512, the Cayley upper bound ``F(n) <= (n+1)^{n-1}`` beyond (an upper
-    bound keeps the "fits" verdict sound).
+    Exact square-free counts are used where enumeration is feasible
+    (n <= ``MAX_ENUM_N`` = 7), the Zarankiewicz/polarity lower bound beyond;
+    exact forest counts up to n = 512, the Cayley upper bound
+    ``F(n) <= (n+1)^{n-1}`` beyond (an upper bound keeps the "fits" verdict
+    sound).
     """
     k_const = 4.0
     headers = [
@@ -120,7 +122,7 @@ def exp_lemma1_counting(ns: Sequence[int] = (4, 5, 6, 16, 64, 256, 1024, 4096)) 
         cap = frugal_capacity_bits(n, k_const)
         log_all = math.log2(labeled_graph_count(n))
         log_bip = math.log2(bipartite_fixed_parts_count(n))
-        log_sf = math.log2(count_square_free(n)) if n <= 6 else zarankiewicz_lower_bound(n)
+        log_sf = math.log2(count_square_free(n)) if n <= MAX_ENUM_N else zarankiewicz_lower_bound(n)
         if n <= 512:
             log_forest = math.log2(labeled_forest_count(n))
         else:

@@ -7,8 +7,8 @@ Theorem 2), bipartite graphs with fixed parts (``2^{(n/2)^2}``, Theorem 3),
 and square-free graphs (``2^{Θ(n^{3/2})}`` by Kleitman–Winston, Theorem 1).
 
 This module provides exact counts (closed forms where they exist, exhaustive
-enumeration otherwise — vectorized with numpy up to n = 7), and the capacity
-bound they are compared against.
+enumeration otherwise — vectorized over big-int edge columns up to n = 7), and
+the capacity bound they are compared against.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ import math
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
 from repro.graphs.labeled import LabeledGraph
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "labeled_graph_count",
@@ -46,6 +42,8 @@ MAX_ENUM_N = 7
 
 def labeled_graph_count(n: int) -> int:
     """Number of labelled graphs on ``n`` vertices: ``2^C(n,2)``."""
+    if n < 0:
+        raise GraphError(f"n must be >= 0, got {n}")
     return 1 << math.comb(n, 2)
 
 
@@ -116,151 +114,105 @@ def bipartite_fixed_parts_count(n: int) -> int:
     This is Theorem 3's family (the paper takes n even; we allow odd n with
     the floor/ceil split).
     """
+    if n < 0:
+        raise GraphError(f"n must be >= 0, got {n}")
     a = n // 2
     return 1 << (a * (n - a))
 
 
-def enumerate_labeled_graphs(n: int, *, max_n: int = MAX_ENUM_N) -> Iterator[LabeledGraph]:
+def enumerate_labeled_graphs(n: int) -> Iterator[LabeledGraph]:
     """Yield every labelled graph on ``n`` vertices (``2^C(n,2)`` of them).
 
-    Guarded by ``max_n`` so a typo cannot start a year-long loop.
+    Guarded by ``MAX_ENUM_N`` so a typo cannot start a year-long loop.
     """
-    if n > max_n:
-        raise GraphError(f"refusing to enumerate 2^{math.comb(n, 2)} graphs (n={n} > max_n={max_n})")
+    if n > MAX_ENUM_N:
+        raise GraphError(
+            f"refusing to enumerate 2^{math.comb(n, 2)} graphs (n={n} > MAX_ENUM_N={MAX_ENUM_N})"
+        )
     pairs = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
         yield LabeledGraph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
-def count_graphs_satisfying(
-    n: int, predicate: Callable[[LabeledGraph], bool], *, max_n: int = MAX_ENUM_N
-) -> int:
+def count_graphs_satisfying(n: int, predicate: Callable[[LabeledGraph], bool]) -> int:
     """Exhaustively count labelled graphs on ``n`` vertices satisfying ``predicate``."""
-    return sum(1 for g in enumerate_labeled_graphs(n, max_n=max_n) if predicate(g))
-
-
-@lru_cache(maxsize=1)
-def _numpy():
-    """numpy, imported on first use; ``None`` selects the big-int fallback."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        return None
-    return numpy
-
-
-def _pair_bit_arrays(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """All graphs on n vertices as rows of edge-indicator bits, vectorized.
-
-    Returns ``(pairs, bits)`` where ``bits[g, e]`` is 1 iff graph ``g``
-    contains edge ``pairs[e]``.  Memory: ``2^C(n,2) * C(n,2)`` bytes
-    (2M x 21 = 44 MB for n = 7).
-    """
-    np = _numpy()
-    pairs = list(combinations(range(1, n + 1), 2))
-    ne = len(pairs)
-    masks = np.arange(1 << ne, dtype=np.uint32)
-    bits = np.empty((1 << ne, ne), dtype=np.uint8)
-    for e in range(ne):
-        bits[:, e] = (masks >> e) & 1
-    return pairs, bits
+    return sum(1 for g in enumerate_labeled_graphs(n) if predicate(g))
 
 
 def _pair_bit_columns(n: int) -> tuple[list[tuple[int, int]], list[int], int]:
-    """The pure twin of :func:`_pair_bit_arrays`: edge columns as big ints.
+    """All graphs on ``n`` vertices as edge columns, one big int per edge.
 
-    ``cols[e]`` has bit ``g`` set iff graph ``g`` contains edge
-    ``pairs[e]`` — i.e. the ``2^C(n,2)``-bit integer whose bits are the
-    ``e``-th column of the numpy matrix.  Bitwise ops on these integers
-    act on all graphs at once, so the fallback stays exhaustive *and*
-    vectorized (in C, via CPython's big-int arithmetic) without numpy.
+    Graph ``g`` (``0 <= g < 2^C(n,2)``) has edge ``pairs[e]`` iff bit ``e``
+    of ``g`` is set, and ``cols[e]`` has bit ``g`` set iff it does.  Bitwise
+    ops on these integers act on all graphs at once, so the count stays
+    exhaustive *and* vectorized (in C, via CPython's big-int arithmetic).
+
+    Bit ``e`` of ``g`` is clear for ``2^e`` consecutive ``g`` and then set
+    for ``2^e``, so column ``e`` repeats with period ``2^(e+1)`` bits.  Read
+    little-endian, that is the byte ``0xAA``/``0xCC``/``0xF0`` repeated for
+    ``e < 3``, and ``2^(e-3)`` zero bytes then ``2^(e-3)`` ``0xFF`` bytes for
+    ``e >= 3``; ``int.from_bytes`` builds each column from that pattern.
     """
     pairs = list(combinations(range(1, n + 1), 2))
-    ne = len(pairs)
-    total = 1 << ne
-    full = (1 << total) - 1
+    total = 1 << len(pairs)
+    nbytes = total // 8  # callers have n >= 3, so every period fits whole
     cols = []
-    for e in range(ne):
-        # Column e is periodic with period 2^(e+1) graphs: the upper half
-        # of each period has the edge.  One period, replicated.
-        half = 1 << e
-        unit = ((1 << half) - 1) << half
-        rep = full // ((1 << (half * 2)) - 1)  # 1 every 2^(e+1) bits
-        cols.append(unit * rep)
+    for e in range(len(pairs)):
+        if e < 3:
+            period = (b"\xaa", b"\xcc", b"\xf0")[e]
+        else:
+            half = 1 << (e - 3)
+            period = b"\x00" * half + b"\xff" * half
+        cols.append(int.from_bytes(period * (nbytes // len(period)), "little"))
     return pairs, cols, total
 
 
 def count_square_free(n: int) -> int:
     """Exact number of labelled C4-free graphs on ``n <= MAX_ENUM_N`` vertices.
 
-    Vectorized: a C4 exists iff some vertex pair has >= 2 common neighbours;
-    for every pair (u, v) we sum, over w, the AND of edge bits (u,w), (v,w).
-    Uses numpy when available; otherwise the big-int columns with a
-    two-bit bitsliced saturating counter (value-identical, pinned by
-    ``tests/graphs/test_counting.py``).
+    A C4 exists iff some vertex pair has >= 2 common neighbours.  For every
+    pair (u, v) we add up, over w, the AND of the edge columns (u,w) and
+    (v,w) in a two-bit bitsliced counter that saturates at 2; its high
+    bit marks the graphs where (u, v) closes a square.
     """
+    if n < 0:
+        raise GraphError(f"n must be >= 0, got {n}")
     if n > MAX_ENUM_N:
         raise GraphError(f"exact square-free count limited to n <= {MAX_ENUM_N}")
     if n < 4:
         return labeled_graph_count(n)
-    np = _numpy()
-    if np is None:
-        pairs, cols, total = _pair_bit_columns(n)
-        eidx = {p: i for i, p in enumerate(pairs)}
-
-        def col(u: int, v: int) -> int:
-            return cols[eidx[(u, v) if u < v else (v, u)]]
-
-        has_square = 0
-        for u, v in pairs:
-            ones = twos = 0  # per-graph common-neighbour count, saturating at 2
-            for w in range(1, n + 1):
-                if w != u and w != v:
-                    x = col(u, w) & col(v, w)
-                    twos |= ones & x
-                    ones ^= x
-            has_square |= twos
-        return total - has_square.bit_count()
-    pairs, bits = _pair_bit_arrays(n)
+    pairs, cols, total = _pair_bit_columns(n)
     eidx = {p: i for i, p in enumerate(pairs)}
 
-    def e(u: int, v: int) -> int:
-        return eidx[(u, v) if u < v else (v, u)]
+    def col(u: int, v: int) -> int:
+        return cols[eidx[(u, v) if u < v else (v, u)]]
 
-    has_square = np.zeros(bits.shape[0], dtype=bool)
+    has_square = 0
     for u, v in pairs:
-        common = np.zeros(bits.shape[0], dtype=np.uint8)
+        ones = twos = 0  # per-graph common-neighbour count, saturating at 2
         for w in range(1, n + 1):
             if w != u and w != v:
-                common += bits[:, e(u, w)] & bits[:, e(v, w)]
-        has_square |= common >= 2
-    return int((~has_square).sum())
+                x = col(u, w) & col(v, w)
+                twos |= ones & x
+                ones ^= x
+        has_square |= twos
+    return total - has_square.bit_count()
 
 
 def count_triangle_free(n: int) -> int:
     """Exact number of labelled triangle-free graphs on ``n <= MAX_ENUM_N`` vertices."""
+    if n < 0:
+        raise GraphError(f"n must be >= 0, got {n}")
     if n > MAX_ENUM_N:
         raise GraphError(f"exact triangle-free count limited to n <= {MAX_ENUM_N}")
     if n < 3:
         return labeled_graph_count(n)
-    np = _numpy()
-    if np is None:
-        pairs, cols, total = _pair_bit_columns(n)
-        eidx = {p: i for i, p in enumerate(pairs)}
-        has_triangle = 0
-        for a, b, c in combinations(range(1, n + 1), 3):
-            has_triangle |= (
-                cols[eidx[(a, b)]] & cols[eidx[(b, c)]] & cols[eidx[(a, c)]]
-            )
-        return total - has_triangle.bit_count()
-    pairs, bits = _pair_bit_arrays(n)
+    pairs, cols, total = _pair_bit_columns(n)
     eidx = {p: i for i, p in enumerate(pairs)}
-    has_triangle = np.zeros(bits.shape[0], dtype=bool)
+    has_triangle = 0
     for a, b, c in combinations(range(1, n + 1), 3):
-        has_triangle |= (
-            (bits[:, eidx[(a, b)]] & bits[:, eidx[(b, c)]] & bits[:, eidx[(a, c)]]) == 1
-        )
-    return int((~has_triangle).sum())
+        has_triangle |= cols[eidx[(a, b)]] & cols[eidx[(b, c)]] & cols[eidx[(a, c)]]
+    return total - has_triangle.bit_count()
 
 
 def frugal_capacity_bits(n: int, k_const: float) -> float:
@@ -286,4 +238,6 @@ def zarankiewicz_lower_bound(n: int) -> float:
     ``(1/2)(n^{3/2} - n)`` floor — enough to dominate ``k n log n``
     (Kleitman–Winston's ``2^{Θ(n^{3/2})}``, the paper's citation [9]).
     """
+    if n < 0:
+        raise GraphError(f"n must be >= 0, got {n}")
     return max(0.0, 0.5 * (n**1.5 - n))

@@ -231,16 +231,6 @@ class LabeledGraph:
         g.add_edges_from(self.edges())
         return g
 
-    def adjacency_matrix(self):
-        """Dense 0/1 numpy adjacency matrix, shape ``(n, n)``, row/col ``i`` = vertex ``i+1``."""
-        import numpy as np
-
-        a = np.zeros((self._n, self._n), dtype=np.uint8)
-        for u, v in self.edges():
-            a[u - 1, v - 1] = 1
-            a[v - 1, u - 1] = 1
-        return a
-
     # ------------------------------------------------------------------ #
     # dunder plumbing
     # ------------------------------------------------------------------ #

@@ -49,13 +49,24 @@ class TestClosedForms:
         assert bipartite_fixed_parts_count(6) == 2**9
         assert bipartite_fixed_parts_count(5) == 2**6  # odd split 2/3
 
-    def test_negative_n_rejected(self):
+    @pytest.mark.parametrize("count", [
+        labeled_graph_count,
+        connected_graph_count,
+        labeled_tree_count,
+        labeled_forest_count,
+        bipartite_fixed_parts_count,
+        pytest.param(lambda n: list(enumerate_labeled_graphs(n)), id="enumerate_labeled_graphs"),
+        pytest.param(
+            lambda n: count_graphs_satisfying(n, is_connected), id="count_graphs_satisfying"
+        ),
+        count_square_free,
+        count_triangle_free,
+        pytest.param(lambda n: frugal_capacity_bits(n, 1.0), id="frugal_capacity_bits"),
+        zarankiewicz_lower_bound,
+    ])
+    def test_negative_n_rejected(self, count):
         with pytest.raises(GraphError):
-            connected_graph_count(-1)
-        with pytest.raises(GraphError):
-            labeled_tree_count(-1)
-        with pytest.raises(GraphError):
-            labeled_forest_count(-1)
+            count(-1)
 
 
 class TestEnumeration:
@@ -128,37 +139,36 @@ class TestCapacityBound:
         assert zarankiewicz_lower_bound(1) == 0.0
 
 
-class TestPureFallbackParity:
-    """The big-int fallback counts exactly what the numpy path counts."""
+SQUARE_FREE_PINS = [1, 1, 2, 8, 54, 548, 7984, 163440]  # n = 7 is OEIS A006786
+TRIANGLE_FREE_PINS = [1, 1, 2, 7, 41, 388, 5789, 133501]  # n = 7 is OEIS A006785
 
-    def test_bit_columns_match_bit_arrays(self):
-        from repro.graphs import counting
 
-        if counting._numpy() is None:
-            pytest.skip("numpy not installed; the fallback IS the active path")
-        for n in (3, 4, 5):
-            pairs_np, bits = counting._pair_bit_arrays(n)
-            pairs_py, cols, total = counting._pair_bit_columns(n)
-            assert pairs_np == pairs_py and total == bits.shape[0]
-            for e, col in enumerate(cols):
-                want = sum(int(b) << g for g, b in enumerate(bits[:, e]))
-                assert col == want, (n, e)
+class TestExhaustivePins:
+    """Exact counts for every n the exhaustive counter accepts."""
 
-    def test_counts_identical_with_numpy_disabled(self, monkeypatch):
-        from repro.graphs import counting
+    def test_square_free_pins(self):
+        assert [count_square_free(n) for n in range(MAX_ENUM_N + 1)] == SQUARE_FREE_PINS
 
-        if counting._numpy() is None:
-            pytest.skip("numpy not installed; the fallback IS the active path")
-        want = [(counting.count_square_free(n), counting.count_triangle_free(n))
-                for n in (4, 5, 6)]
-        monkeypatch.setattr(counting, "_numpy", lambda: None)
-        got = [(counting.count_square_free(n), counting.count_triangle_free(n))
-               for n in (4, 5, 6)]
-        assert got == want
+    def test_triangle_free_pins(self):
+        assert [count_triangle_free(n) for n in range(MAX_ENUM_N + 1)] == TRIANGLE_FREE_PINS
 
-    def test_import_leaves_numpy_unloaded(self):
-        """numpy is imported on first count, not with the module."""
-        code = "import sys, repro.graphs.counting; print('numpy' in sys.modules)"
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bit_columns_are_edge_indicators(self, n):
+        """Bit g of column e is bit e of graph index g."""
+        from repro.graphs.counting import _pair_bit_columns
+
+        pairs, cols, total = _pair_bit_columns(n)
+        assert len(cols) == len(pairs) == math.comb(n, 2) and total == 1 << len(pairs)
+        for e, col in enumerate(cols):
+            assert col == sum(1 << g for g in range(total) if g >> e & 1), (n, e)
+
+    def test_counts_without_numpy(self):
+        """The counter is stdlib-only: it runs where ``import numpy`` fails."""
+        code = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from repro.graphs.counting import count_square_free, count_triangle_free\n"
+            "print(count_square_free(7), count_triangle_free(7))"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == [str(SQUARE_FREE_PINS[7]), str(TRIANGLE_FREE_PINS[7])]

@@ -137,14 +137,6 @@ class TestConversions:
         g = LabeledGraph.from_networkx(nxg)
         assert g.edge_set() == frozenset({(1, 2)})
 
-    def test_adjacency_matrix(self):
-        pytest.importorskip("numpy", exc_type=ImportError)  # the one LabeledGraph view that needs it
-        g = LabeledGraph(3, [(1, 3)])
-        a = g.adjacency_matrix()
-        assert a.shape == (3, 3)
-        assert a[0, 2] == 1 and a[2, 0] == 1
-        assert a.sum() == 2
-
 
 class TestEquality:
     def test_eq_and_hash(self):
