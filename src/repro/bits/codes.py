@@ -41,12 +41,6 @@ class IntegerCode(ABC):
     def decode(self, reader: BitReader) -> int:
         """Consume one code word from ``reader`` and return its value."""
 
-    def encode_to_bits(self, value: int) -> tuple[int, int]:
-        """Convenience: encode ``value`` alone, returning ``(acc, nbits)``."""
-        w = BitWriter()
-        self.encode(w, value)
-        return w.to_int()
-
 
 class FixedWidthCode(IntegerCode):
     """Non-negative integers in exactly ``width`` bits.

@@ -91,7 +91,7 @@ class CampaignResult:
     cache_misses: int
     executor_kind: str
     wall_seconds: float
-    #: Shard geometry when the run was sharded (``None`` = monolithic).
+    #: Shard geometry when the run was sharded (``None`` = unsharded).
     shards: int | None = None
     #: The one shard this result covers (``None`` = all of them).
     shard_index: int | None = None
@@ -422,12 +422,14 @@ class Campaign:
         shards:
             Split the deduplicated grid into this many shards by spec
             content hash (:func:`~repro.engine.shard.shard_of`).  ``None``
-            keeps the monolithic single-file layout.
+            runs the campaign as shard 0 of 1, whose stream is the
+            canonical ``<name>.jsonl``.
         shard_index:
             Run only this shard, streaming to
-            ``<name>.shard-<i>-of-<n>.jsonl`` plus an atomic completion
-            mark.  ``None`` with ``shards`` set runs every shard in this
-            process and merges them into the canonical ``<name>.jsonl``.
+            ``<name>.shard-<i>-of-<n>.jsonl`` (``<name>.jsonl`` for one
+            shard) plus an atomic completion mark.  ``None`` runs every
+            shard in this process and, for two or more, merges them into
+            the canonical ``<name>.jsonl``.
         resume:
             Replay the durable records of an interrupted stream and
             execute only what is missing.  Requires the checkpoint
@@ -453,7 +455,8 @@ class Campaign:
             but needs no ``results_dir`` (events stay in-process).
 
         Every persisted run (sharded or not) writes
-        ``<results_dir>/<name>.manifest.json`` atomically, plus
+        ``<results_dir>/<name>.manifest.json`` atomically, a completion
+        mark per shard it finishes (``<name>.done`` for one shard), plus
         ``<name>[.shard-…].metrics.json`` — metrics are collected
         unconditionally; only *event streaming* is opt-in.  With
         ``use_cache``, the cache index is read from the record streams
@@ -523,82 +526,66 @@ class Campaign:
             )
 
         try:
+            # An unsharded campaign is shard 0 of 1: its stream is the
+            # canonical <name>.jsonl, completed by the same mark.
+            n = shards or 1
             manifest = None
             if self.results_dir is not None:
                 self.results_dir.mkdir(parents=True, exist_ok=True)
-                n_shards = 1 if shards is None else shards
                 if resume:
                     ShardManifest.load(self.results_dir, self.name).validate_for(
-                        self.name, n_shards
+                        self.name, n
                     )
-                manifest = ShardManifest.from_specs(self.name, specs, n_shards)
+                manifest = ShardManifest.from_specs(self.name, specs, n)
                 manifest.write(self.results_dir)
 
             with tracer.span("campaign", campaign=self.name,
                              executor=executor.kind):
-                if shards is None:
-                    stream = (
-                        self.results_dir / f"{self.name}.jsonl"
-                        if self.results_dir is not None else None
-                    )
-                    tracer.mark("campaign-start", campaign=self.name,
-                                runs=len(specs), shards=None, resume=resume)
-                    records, hits, misses, resumed = self._run_stream(
-                        specs, executor, stream, cache=cache, resume=resume,
-                        tracer=tracer, metrics=metrics,
-                    )
-                    jsonl_path = stream
-                else:
-                    per_shard = shard_specs(specs, shards)
-                    indices = (
-                        [shard_index] if shard_index is not None
-                        else list(range(shards))
-                    )
-                    tracer.mark(
-                        "campaign-start", campaign=self.name,
-                        runs=sum(len(per_shard[i]) for i in indices),
-                        shards=shards, resume=resume,
-                    )
-                    records = []
-                    hits = misses = resumed = 0
-                    stream = None
-                    for i in indices:
+                per_shard = shard_specs(specs, n)
+                indices = (
+                    [shard_index] if shard_index is not None else list(range(n))
+                )
+                tracer.mark(
+                    "campaign-start", campaign=self.name,
+                    runs=sum(len(per_shard[i]) for i in indices),
+                    shards=shards, resume=resume,
+                )
+                records = []
+                hits = misses = resumed = 0
+                stream = None
+                for i in indices:
+                    if self.results_dir is not None:
                         stream = shard_stream_path(
-                            self.results_dir, self.name, i, shards
+                            self.results_dir, self.name, i, n
                         )
                         # A stale mark must not claim completion while the
                         # shard reruns.
                         shard_done_path(
-                            self.results_dir, self.name, i, shards
+                            self.results_dir, self.name, i, n
                         ).unlink(missing_ok=True)
-                        with tracer.span("shard", shard=i, shards=shards):
-                            tracer.mark("shard-start", shard=i, shards=shards,
-                                        runs=len(per_shard[i]))
-                            recs, h, m, r = self._run_stream(
-                                per_shard[i], executor, stream, cache=cache,
-                                resume=resume, tracer=tracer, metrics=metrics,
-                                shard_index=i,
-                            )
+                    with tracer.span("shard", shard=i, shards=n):
+                        tracer.mark("shard-start", shard=i, shards=n,
+                                    runs=len(per_shard[i]))
+                        recs, h, m, r = self._run_stream(
+                            per_shard[i], executor, stream, cache=cache,
+                            resume=resume, tracer=tracer, metrics=metrics,
+                            shard_index=None if shards is None else i,
+                        )
+                    if stream is not None:
                         write_done_marker(
-                            self.results_dir, self.name, i, shards,
+                            self.results_dir, self.name, i, n,
                             records=len(recs),
                         )
-                        records += recs
-                        hits, misses, resumed = hits + h, misses + m, resumed + r
+                    records += recs
+                    hits, misses, resumed = hits + h, misses + m, resumed + r
 
-                    if shard_index is None:
-                        # All shards ran here: publish the canonical merged
-                        # file and hand records back in deduplicated grid
-                        # order.
-                        jsonl_path, _count = merge_shards(
-                            self.results_dir, self.name
-                        )
-                        by_hash = {
-                            rec.spec.content_hash(): rec for rec in records
-                        }
-                        records = [by_hash[h] for h in manifest.spec_hashes]
-                    else:
-                        jsonl_path = stream
+                jsonl_path = stream
+                if n > 1 and shard_index is None:
+                    # All shards ran here: publish the canonical merged
+                    # file and hand records back in deduplicated grid order.
+                    jsonl_path, _count = merge_shards(self.results_dir, self.name)
+                    by_hash = {rec.spec.content_hash(): rec for rec in records}
+                    records = [by_hash[h] for h in manifest.spec_hashes]
                 tracer.mark("campaign-end", campaign=self.name)
 
             # The pinned definition of cache_hit_ratio (see

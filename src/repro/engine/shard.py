@@ -35,11 +35,14 @@ at most the final line; :func:`load_partial_records` detects a torn tail,
 drops it, and reports it so ``resume`` re-runs exactly that spec.  When a
 shard finishes, :func:`write_done_marker` atomically publishes
 ``<name>.shard-<i>-of-<n>.done`` with the record count — the completion
-mark :func:`merge_shards` trusts.
+mark :func:`merge_shards` trusts.  An unsharded campaign is shard 0 of 1,
+and a one-shard stem is plain ``<name>``: its stream is the canonical
+``<name>.jsonl`` and its mark ``<name>.done``.
 
 **Merge** — :func:`merge_shards` verifies every shard's done marker and
 record set against the manifest, then reassembles the canonical
-``<name>.jsonl`` in manifest (= deterministic spec) order.  The merged
+``<name>.jsonl`` in manifest (= deterministic spec) order (for one shard,
+a verified canonical rewrite of the stream in place).  The merged
 bytes equal a single-process run's output modulo the ``timing`` and
 ``cached`` sidecars, which is the invariant the crash/resume test battery
 pins.
@@ -131,18 +134,25 @@ def manifest_path(results_dir: str | pathlib.Path, name: str) -> pathlib.Path:
     return pathlib.Path(results_dir) / f"{name}.manifest.json"
 
 
+def _shard_stem(name: str, index: int, shards: int) -> str:
+    """One shard's file stem: ``<name>`` for the only shard of one, else
+    ``<name>.shard-<i>-of-<n>`` — an unsharded campaign is shard 0 of 1."""
+    return name if shards == 1 else f"{name}.shard-{index}-of-{shards}"
+
+
 def shard_stream_path(
     results_dir: str | pathlib.Path, name: str, index: int, shards: int
 ) -> pathlib.Path:
-    """``<results_dir>/<name>.shard-<i>-of-<n>.jsonl``."""
-    return pathlib.Path(results_dir) / f"{name}.shard-{index}-of-{shards}.jsonl"
+    """``<results_dir>/<name>.shard-<i>-of-<n>.jsonl`` (``<name>.jsonl``
+    for one shard)."""
+    return pathlib.Path(results_dir) / f"{_shard_stem(name, index, shards)}.jsonl"
 
 
 def shard_done_path(
     results_dir: str | pathlib.Path, name: str, index: int, shards: int
 ) -> pathlib.Path:
     """The atomic completion mark next to one shard's stream."""
-    return pathlib.Path(results_dir) / f"{name}.shard-{index}-of-{shards}.done"
+    return pathlib.Path(results_dir) / f"{_shard_stem(name, index, shards)}.done"
 
 
 def _atomic_write_text(path: pathlib.Path, text: str) -> None:
@@ -484,10 +494,11 @@ def durable_records(
             continue
         if manifest.campaign != name or manifest.spec_version != SPEC_VERSION:
             continue
-        streams = [results_dir / f"{name}.jsonl"] + [
+        # For one shard, its stream *is* <name>.jsonl: read each file once.
+        streams = dict.fromkeys([results_dir / f"{name}.jsonl"] + [
             shard_stream_path(results_dir, name, i, manifest.shards)
             for i in range(manifest.shards)
-        ]
+        ])
         for stream in streams:
             try:
                 records, _torn, _good = load_partial_records(stream)
@@ -560,13 +571,6 @@ def merge_shards(
     a single-process run uses — so the merged file is byte-stable modulo
     the ``timing``/``cached`` sidecars.
 
-    A monolithic (``shards=1``, no shard index) campaign has no
-    shard-layout stream or marker — its canonical ``<name>.jsonl`` *is*
-    the stream.  Merging one verifies grid coverage and rewrites the file
-    canonically, so ``repro merge`` succeeds uniformly on anything a
-    manifest describes (an incomplete monolithic stream is
-    :class:`~repro.errors.ShardIncomplete`, fixed by ``--resume``).
-
     Returns ``(path, records)``.
     """
     results_dir = pathlib.Path(results_dir)
@@ -578,46 +582,29 @@ def merge_shards(
             f"{SPEC_VERSION}; re-run the campaign to refresh its shards"
         )
 
+    fix = "resume it (campaign ... --resume) before merging"
     out_path = results_dir / f"{name}.jsonl"
     by_hash: dict[str, RunRecord] = {}
     for index in range(manifest.shards):
         marker = read_done_marker(results_dir, name, index, manifest.shards)
         stream = shard_stream_path(results_dir, name, index, manifest.shards)
-        if (marker is None and manifest.shards == 1 and not stream.exists()
-                and out_path.exists()):
-            # Monolithic layout: the canonical file *is* the one shard's
-            # stream, and "complete" means it cleanly covers the grid —
-            # there is no separate marker to demand.  Merging it is a
-            # verify + canonical no-op, so `repro merge` works uniformly.
-            records, torn, _good = load_partial_records(out_path)
-            if torn or {r.spec.content_hash() for r in records} != set(
-                    manifest.spec_hashes):
-                raise ShardIncomplete(
-                    f"campaign {name!r} has an incomplete monolithic stream "
-                    f"({len(records)}/{len(manifest.spec_hashes)} records"
-                    f"{', torn tail' if torn else ''}); resume it "
-                    "(campaign ... --resume) before merging"
-                )
-            for record in records:
-                by_hash[record.spec.content_hash()] = record
-            continue
         if marker is None:
             raise ShardIncomplete(
                 f"shard {index}/{manifest.shards} of {name!r} has no "
-                "completion mark; run it (or resume it) before merging"
+                f"completion mark; {fix}"
             )
         records, torn, _good = load_partial_records(stream)
         if torn:
             raise ShardIncomplete(
                 f"shard {index}/{manifest.shards} of {name!r} has a torn "
                 f"final line in {stream.name} despite a completion mark; "
-                "resume that shard before merging"
+                f"{fix}"
             )
         if marker.get("records") != len(records):
             raise ShardIncomplete(
                 f"shard {index}/{manifest.shards} of {name!r} marks "
                 f"{marker.get('records')} record(s) complete but its stream "
-                f"holds {len(records)}; resume that shard before merging"
+                f"holds {len(records)}; {fix}"
             )
         expected = set(manifest.shard_hashes(index))
         for record in records:
@@ -634,8 +621,7 @@ def merge_shards(
     if missing:
         raise ShardIncomplete(
             f"merge of {name!r}: {len(missing)} spec(s) have no record "
-            f"(first missing: {missing[0]}); resume the owning shard(s) "
-            "before merging"
+            f"(first missing: {missing[0]}); {fix}"
         )
 
     # All-or-nothing: a crash mid-merge must not publish a truncated

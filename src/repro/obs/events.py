@@ -1,8 +1,8 @@
 """The trace event schema: validation, paths, and torn-tail-tolerant I/O.
 
 One campaign run with ``--trace`` streams its telemetry to
-``<results_dir>/<name>.events.jsonl`` (per-shard workers to
-``<name>.shard-<i>-of-<n>.events.jsonl``) through the same
+``<results_dir>/<name>.events.jsonl`` (per-shard workers of two or more
+shards to ``<name>.shard-<i>-of-<n>.events.jsonl``) through the same
 fsync-per-line :class:`~repro.engine.shard.JsonlStreamWriter` the record
 streams use, so a crash tears at most the final event.  This module is
 the read side of that contract, in the mold of
@@ -91,7 +91,7 @@ _ATTR_SCALARS = (str, int, float, bool, type(None))
 
 
 def _stem(name: str, shard_index: int | None, shards: int | None) -> str:
-    if shard_index is None:
+    if shard_index is None or shards == 1:
         return name
     return f"{name}.shard-{shard_index}-of-{shards}"
 

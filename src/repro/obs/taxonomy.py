@@ -32,7 +32,8 @@ def _span_campaign() -> tuple[str, ...]:
 
 
 @register("shard", kind="span", capabilities=("engine",), params={},
-          summary="One shard's stream loop inside a sharded campaign.")
+          summary="One shard's stream loop; an unsharded campaign is "
+                  "shard 0 of 1.")
 def _span_shard() -> tuple[str, ...]:
     return ("shard", "shards")
 

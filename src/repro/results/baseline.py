@@ -49,21 +49,14 @@ _BIT_FIELDS = ("max_message_bits", "total_message_bits")
 
 
 def summarize_campaign(records: Iterable[Mapping], *, name: str = "campaign") -> dict:
-    """The frozen form of a campaign: per-run deterministic fields + rollup."""
+    """The frozen form of a campaign: its per-run deterministic fields."""
     by_hash: dict[str, dict] = {}
-    statuses: dict[str, int] = {}
-    exact = total_bits = 0
-    max_bits = 0
     for key, record in index_by_spec_hash(records, label=f"baseline {name!r}").items():
         spec, result = record["spec"], record["result"]
         entry = {k: spec[k] for k in ("scenario", "family", "n", "seed", "protocol")}
         for name_ in _PINNED_FIELDS + _BIT_FIELDS:
             entry[name_] = result[name_]
         by_hash[key] = entry
-        statuses[result["status"]] = statuses.get(result["status"], 0) + 1
-        exact += result["exact"] is True
-        total_bits += result["total_message_bits"]
-        max_bits = max(max_bits, result["max_message_bits"])
     if not by_hash:
         raise SchemaError(f"cannot freeze baseline {name!r} from zero records")
     return {
@@ -71,12 +64,6 @@ def summarize_campaign(records: Iterable[Mapping], *, name: str = "campaign") ->
         "name": name,
         "spec_version": RECORD_VERSION,
         "runs": len(by_hash),
-        "rollup": {
-            "statuses": dict(sorted(statuses.items())),
-            "exact": exact,
-            "total_message_bits": total_bits,
-            "max_message_bits": max_bits,
-        },
         "by_hash": dict(sorted(by_hash.items())),
     }
 

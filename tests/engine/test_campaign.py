@@ -131,12 +131,13 @@ class TestRun:
         assert [r.output_digest for r in again.records] == \
                [r.output_digest for r in cold.records]
 
-    def test_persisted_run_writes_only_the_stream_manifest_and_metrics(self, tmp_path):
+    def test_persisted_run_writes_only_the_stream_mark_manifest_and_metrics(
+            self, tmp_path):
         campaign = Campaign(_scenarios(), name="c", results_dir=tmp_path)
         campaign.run()
         campaign.run()  # a warm re-run adds nothing either
         assert {p.name for p in tmp_path.iterdir()} == {
-            "c.jsonl", "c.manifest.json", "c.metrics.json",
+            "c.jsonl", "c.done", "c.manifest.json", "c.metrics.json",
         }
 
     def test_shard_streams_serve_a_monolithic_campaign_of_another_name(

@@ -332,6 +332,54 @@ class TestMerge:
         assert [r.spec.content_hash() for r in auto.records] == manifest.spec_hashes
 
 
+def _forest3(tmp_path):
+    """A 3-run forest grid; no cache, so only resume can replay."""
+    return Campaign(
+        [Scenario(name="forest", family="random_forest", sizes=(12, 16, 20),
+                  protocol="forest", seeds=(0,))],
+        name="t", results_dir=tmp_path, use_cache=False,
+    )
+
+
+class TestOneShardLayout:
+    """An unsharded campaign is shard 0 of 1: one stream, one mark."""
+
+    def test_one_shard_paths_are_the_canonical_stem(self, tmp_path):
+        assert shard_stream_path(tmp_path, "t", 0, 1) == tmp_path / "t.jsonl"
+        assert shard_done_path(tmp_path, "t", 0, 1) == tmp_path / "t.done"
+        assert shard_stream_path(tmp_path, "t", 1, 2) == (
+            tmp_path / "t.shard-1-of-2.jsonl"
+        )
+        assert shard_done_path(tmp_path, "t", 1, 2) == (
+            tmp_path / "t.shard-1-of-2.done"
+        )
+
+    @pytest.mark.parametrize("first, second", [
+        ({}, {"shards": 1}),
+        ({"shards": 1, "shard_index": 0}, {}),
+    ], ids=["unsharded-then-one-shard", "one-shard-then-unsharded"])
+    def test_resume_across_layouts_replays_every_record(
+            self, tmp_path, first, second):
+        campaign = _forest3(tmp_path)
+        campaign.run(**first)
+        again = campaign.run(resume=True, **second)
+        assert (again.resumed, again.cache_misses) == (3, 0)
+        assert not list(tmp_path.glob("*.shard-*"))
+
+    def test_results_dir_without_a_mark_is_resumed_then_merged(self, tmp_path):
+        # Earlier engines left an unsharded run without t.done.
+        campaign = _forest3(tmp_path)
+        before = campaign.run().jsonl_path.read_text()
+        (tmp_path / "t.done").unlink()
+        with pytest.raises(ShardIncomplete, match="--resume"):
+            merge_shards(tmp_path, "t")
+        again = campaign.run(resume=True)
+        assert (again.resumed, again.cache_misses) == (3, 0)
+        path, count = merge_shards(tmp_path, "t")
+        assert count == 3
+        assert _strip(path.read_text()) == _strip(before)
+
+
 class TestRunValidation:
     def test_shard_index_requires_shards(self, tmp_path):
         campaign = Campaign(_tiny_scenarios(), results_dir=tmp_path)

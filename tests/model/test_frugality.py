@@ -1,5 +1,7 @@
 """Tests for the frugality auditor."""
 
+import math
+
 import pytest
 
 from repro.errors import FrugalityViolation
@@ -69,4 +71,7 @@ class TestScalingExponent:
     def test_degenerate_inputs(self):
         assert FrugalityAuditor.fit_scaling_exponent({}) == 0.0
         assert FrugalityAuditor.fit_scaling_exponent({8: 5}) == 0.0
-        assert FrugalityAuditor.fit_scaling_exponent({8: 5, 16: 7, 32: 0}) != 0.0 or True
+        # The zero-bit sample is skipped; the fit uses the other two.
+        assert FrugalityAuditor.fit_scaling_exponent({8: 5, 16: 7, 32: 0}) == (
+            pytest.approx(math.log(7 / 5) / math.log(4 / 3))
+        )

@@ -109,6 +109,13 @@ class TestPaths:
     def test_monolithic_paths(self, tmp_path):
         assert events_path(tmp_path, "smoke") == tmp_path / "smoke.events.jsonl"
         assert metrics_path(tmp_path, "smoke") == tmp_path / "smoke.metrics.json"
+        # Shard 0 of 1 is the unsharded campaign: same stem.
+        assert events_path(tmp_path, "smoke", shard_index=0, shards=1) == (
+            events_path(tmp_path, "smoke")
+        )
+        assert metrics_path(tmp_path, "smoke", shard_index=0, shards=1) == (
+            metrics_path(tmp_path, "smoke")
+        )
 
     def test_shard_paths(self, tmp_path):
         assert events_path(tmp_path, "smoke", shard_index=1, shards=3) == (
