@@ -276,7 +276,7 @@ def load_bench_baseline(source: str | pathlib.Path | Mapping) -> dict:
             raise BenchError(f"bench baseline {path} does not exist")
         try:
             baseline = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise BenchError(f"bench baseline {path} is not valid JSON: {exc}") from None
     if not isinstance(baseline, dict):
         raise BenchError("bench baseline must be a JSON object")

@@ -31,13 +31,19 @@ including a trend regression from ``--trends``, ``merge`` found
 incomplete shards — retry after resuming them, ``report`` pointed at a
 missing/empty records file or found a trend regression with ``--trend``,
 ``submit`` refused by a full queue — retry later, ``job`` landed
-failed/cancelled), 2 usage or connection error (unknown subcommand,
-malformed flags, unreadable or schema-invalid input, bad shard geometry,
-``--resume`` without a manifest or against a stale/edited one, no daemon
-listening at ``--url``, an unknown job ID). An interrupted ``campaign``
-returns 130 after releasing its workers (partial results stay durable —
-re-run with ``--resume``). Argparse errors are converted to return codes
-— :func:`main` never lets ``SystemExit`` escape.
+failed/cancelled), 2 usage error, 130 an interrupted ``campaign`` or
+``serve`` (partial campaign results stay durable — re-run with
+``--resume``).
+
+One error policy, in :func:`main` only: argparse errors become return
+codes (``SystemExit`` never escapes); a :class:`~repro.errors.ReproError`
+(a library refusal: schema-invalid input, bad shard geometry, a
+missing/stale manifest, no daemon at ``--url``, an unknown job ID) or an
+:class:`OSError` (an unreadable or unwritable path) prints one
+``error:`` line and returns 2; a :class:`BrokenPipeError` (stdout closed
+by ``| head``) propagates, so ``python -m repro`` exits 0 quietly; any
+other exception is a bug and keeps its traceback.  Each handler in
+:data:`_COMMANDS` returns only the outcomes that differ from that policy.
 
 Experiment tables go to stdout (redirect to keep one); campaigns stream
 JSONL records into ``results/`` (see DESIGN.md §3 for the record schema,
@@ -52,12 +58,9 @@ import sys
 
 from repro import registry
 from repro.analysis import format_table
+from repro.errors import ReproError
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = ("list", "experiment", "campaign", "merge", "report", "diff",
-                "baseline", "bench", "trace", "stats", "serve",
-                "submit", "jobs", "job")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(
-        dest="command", metavar="{" + ",".join(_SUBCOMMANDS) + "}"
+        dest="command", metavar="{" + ",".join(_COMMANDS) + "}"
     )
 
     p_list = sub.add_parser(
@@ -352,16 +355,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.errors import ObsError, ReproError, ShardError
     from repro.engine import load_campaign, make_executor
 
     try:
         campaign = load_campaign(
             args.campaign, results_dir=args.results_dir, use_cache=not args.no_cache
         )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError) as exc:  # malformed JSON / wrong-typed fields
         print(f"error: cannot parse {args.campaign}: {exc}", file=sys.stderr)
         return 2
@@ -369,11 +368,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.executor == "serial" and args.jobs is not None:
         print("note: --jobs has no effect with the serial executor "
               "(use --executor thread|process)", file=sys.stderr)
-    try:
-        executor = make_executor(args.executor, args.jobs)
-    except ReproError as exc:  # e.g. --jobs 0
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    executor = make_executor(args.executor, args.jobs)
     # --progress/--no-progress; the default (None) means "on for a TTY",
     # so interactive runs get the live line and piped runs stay clean.
     progress = args.progress
@@ -389,12 +384,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 trace=args.trace,
                 progress=progress,
             )
-    except (ShardError, ObsError) as exc:
-        # bad shard geometry, missing/stale manifest, edited grid, a trace
-        # without a results_dir — all usage-shaped refusals with the fix
-        # in the message
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         # the with-block already cancelled pending work and reaped the
         # pool; everything durably written so far replays on --resume
@@ -430,7 +419,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError, ShardIncomplete
+    from repro.errors import ShardIncomplete
     from repro.engine import ShardManifest, merge_shards
 
     try:
@@ -447,9 +436,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         except ReproError:
             pass
         return 1
-    except (ReproError, OSError) as exc:  # missing/stale/corrupt manifest
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.json:
         print(json.dumps({"campaign": args.campaign, "records": count,
                           "jsonl": str(path)}, indent=2, sort_keys=True))
@@ -461,7 +447,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.errors import ResultsError
     from repro.results import Aggregator, DEFAULT_AXES, aggregate_table, iter_records
 
     by = tuple(a.strip() for a in args.by.split(",") if a.strip()) if args.by \
@@ -474,25 +459,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: no records at {records_path} — the campaign has not "
               "written (or merged) its results yet", file=sys.stderr)
         return 1
-    try:
-        # Streaming + incremental: only the per-group rollups (and, with
-        # --trend, the campaign-wide bit stats) stay in memory.
-        agg = Aggregator(by=by, include_timing=args.timing)
-        spec_hashes: list[str] = []
-        bits = None
-        if trend:
-            from repro.results import spec_content_hash
-            from repro.results.aggregate import RunningStats
+    # Streaming + incremental: only the per-group rollups (and, with
+    # --trend, the campaign-wide bit stats) stay in memory.
+    agg = Aggregator(by=by, include_timing=args.timing)
+    spec_hashes: list[str] = []
+    bits = None
+    if trend:
+        from repro.results import spec_content_hash
+        from repro.results.aggregate import RunningStats
 
-            bits = RunningStats()
-        for record in iter_records(records_path):
-            agg.feed(record)
-            if trend:
-                spec_hashes.append(spec_content_hash(record["spec"]))
-                bits.feed(record["result"]["max_message_bits"])
-    except (ResultsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        bits = RunningStats()
+    for record in iter_records(records_path):
+        agg.feed(record)
+        if trend:
+            spec_hashes.append(spec_content_hash(record["spec"]))
+            bits.feed(record["result"]["max_message_bits"])
     if agg.records == 0:
         print(f"error: {records_path} holds no records; nothing to report",
               file=sys.stderr)
@@ -502,8 +483,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     trend_view = None
     if trend:
         trend_view = _report_trend(args, records_path, spec_hashes, bits)
-        if trend_view is None:
-            return 2  # the helper already printed the error
 
     total_runs = sum(g["runs"] for g in groups)
     if args.json:
@@ -532,11 +511,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _report_trend(args, records_path, spec_hashes, bits):
-    """Append this report's trend point and check the series; the dict
-    view on success, ``None`` after printing an error (exit 2)."""
+    """Append this report's trend point and check the series; return the
+    dict view."""
     import pathlib
 
-    from repro.errors import StoreError
     from repro.results.trends import (
         DEFAULT_WINDOW, append_point, campaign_point, load_points, regressed,
         series, trends_path,
@@ -546,13 +524,9 @@ def _report_trend(args, records_path, spec_hashes, bits):
         else trends_path(records_path.parent)
     point = campaign_point(name=records_path.stem, spec_hashes=spec_hashes,
                            bits=bits)
-    try:
-        prior = series(load_points(ledger), kind="campaign", key=point["key"],
-                       name=point["name"], metric="max_message_bits_p95")
-        append_point(ledger, point)
-    except (StoreError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    prior = series(load_points(ledger), kind="campaign", key=point["key"],
+                   name=point["name"], metric="max_message_bits_p95")
+    append_point(ledger, point)
     values = prior + [point["metrics"]["max_message_bits_p95"]]
     return {
         "ledger": str(ledger),
@@ -565,19 +539,14 @@ def _report_trend(args, records_path, spec_hashes, bits):
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.errors import ResultsError
     from repro.results import diff_campaigns, load_records
 
-    try:
-        report = diff_campaigns(
-            load_records(args.a),
-            load_records(args.b),
-            bits_tolerance=args.bits_tolerance,
-            time_tolerance=args.time_tolerance,
-        )
-    except (ResultsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = diff_campaigns(
+        load_records(args.a),
+        load_records(args.b),
+        bits_tolerance=args.bits_tolerance,
+        time_tolerance=args.time_tolerance,
+    )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0 if report.ok else 1
@@ -609,23 +578,18 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    from repro.errors import ResultsError
     from repro.results import check, freeze, load_records
 
     if args.action is None:
         print("repro baseline: error: an action is required (freeze or check)",
               file=sys.stderr)
         return 2
-    try:
-        records = load_records(args.records)
-        if args.action == "freeze":
-            path = freeze(records, args.name, baselines_dir=args.dir)
-            print(f"baseline {args.name} ({len(records)} runs) -> {path}")
-            return 0
-        verdict = check(records, args.baseline, bits_tolerance=args.bits_tolerance)
-    except (ResultsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = load_records(args.records)
+    if args.action == "freeze":
+        path = freeze(records, args.name, baselines_dir=args.dir)
+        print(f"baseline {args.name} ({len(records)} runs) -> {path}")
+        return 0
+    verdict = check(records, args.baseline, bits_tolerance=args.bits_tolerance)
     if args.json:
         print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
         return 0 if verdict.passed else 1
@@ -647,35 +611,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_suite,
         write_suite,
     )
-    from repro.errors import BenchError, ReproError
 
-    try:
-        report = run_suite(args.benchmarks or None, scale=args.scale,
-                           repeats=args.repeats)
-    except (BenchError, ReproError) as exc:
-        # covers UnknownRegistryEntry too (the did-you-mean is in the message)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    report = run_suite(args.benchmarks or None, scale=args.scale,
+                       repeats=args.repeats)
     output = DEFAULT_OUTPUT if args.output is None else args.output
     written = None
-    try:
-        if str(output) != "-":
-            written = write_suite(report, output)
-        if args.freeze:
-            freeze_suite(report, args.freeze)
-    except (BenchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if str(output) != "-":
+        written = write_suite(report, output)
+    if args.freeze:
+        freeze_suite(report, args.freeze)
 
     verdict = None
     if args.gate is not None:
-        try:
-            verdict = check_suite(report, args.gate,
-                                  time_tolerance=args.time_tolerance)
-        except (BenchError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        verdict = check_suite(report, args.gate,
+                              time_tolerance=args.time_tolerance)
     elif args.time_tolerance is not None:
         print("note: --time-tolerance has no effect without --gate",
               file=sys.stderr)
@@ -683,8 +632,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     trend_failures = []
     if args.trends is not None:
         trend_failures = _bench_trends(args.trends, report)
-        if trend_failures is None:
-            return 2  # the helper already printed the error
         if verdict is not None:
             # Fold trajectory failures into the gate verdict so one
             # structured verdict carries both kinds of regression.
@@ -734,10 +681,8 @@ def _bench_trends(ledger: str, report: dict):
     """Append this run's per-benchmark p95 points and check each series.
 
     Returns the (possibly empty) list of trend
-    :class:`~repro.results.baseline.CheckFailure` entries, or ``None``
-    after printing an error (exit 2).
+    :class:`~repro.results.baseline.CheckFailure` entries.
     """
-    from repro.errors import StoreError
     from repro.results.baseline import CheckFailure
     from repro.results.trends import (
         DEFAULT_WINDOW, append_point, bench_point, bench_trend_key,
@@ -745,53 +690,42 @@ def _bench_trends(ledger: str, report: dict):
     )
 
     failures = []
-    try:
-        key = bench_trend_key(report["suite"], report["scale"])
-        points = load_points(ledger)
-        for name in report["suite"]:
-            p95 = report["results"][name]["wall_seconds"]["p95"]
-            prior = series(points, kind="bench", key=key, name=name,
-                           metric="wall_p95_seconds")
-            append_point(ledger, bench_point(key=key, name=name,
-                                             wall_p95_seconds=p95))
-            values = prior + [p95]
-            if regressed(values):
-                tail = values[-(DEFAULT_WINDOW + 1):]
-                failures.append(CheckFailure(
-                    "trend", name,
-                    f"wall p95 seconds rose {DEFAULT_WINDOW} consecutive "
-                    f"comparable runs: {tail}"))
-    except (StoreError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    key = bench_trend_key(report["suite"], report["scale"])
+    points = load_points(ledger)
+    for name in report["suite"]:
+        p95 = report["results"][name]["wall_seconds"]["p95"]
+        prior = series(points, kind="bench", key=key, name=name,
+                       metric="wall_p95_seconds")
+        append_point(ledger, bench_point(key=key, name=name,
+                                         wall_p95_seconds=p95))
+        values = prior + [p95]
+        if regressed(values):
+            tail = values[-(DEFAULT_WINDOW + 1):]
+            failures.append(CheckFailure(
+                "trend", name,
+                f"wall p95 seconds rose {DEFAULT_WINDOW} consecutive "
+                f"comparable runs: {tail}"))
     return failures
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.errors import ObsError, ShardError
+    from repro.obs.events import load_partial_events
     from repro.obs.report import render_trace_report, trace_report_data
 
-    try:
-        # Crash-tolerant read: a trace whose writer died mid-line is still
-        # analyzable up to the torn tail.
-        from repro.obs.events import load_partial_events
-
-        events, _torn, _good = load_partial_events(args.events)
-        if args.json:
-            print(json.dumps(trace_report_data(events, top=args.top),
-                             indent=2, sort_keys=True))
-            return 0
-        print(render_trace_report(events, top=args.top, source=args.events))
-    except (ObsError, ShardError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Crash-tolerant read: a trace whose writer died mid-line is still
+    # analyzable up to the torn tail.
+    events, _torn, _good = load_partial_events(args.events)
+    if args.json:
+        print(json.dumps(trace_report_data(events, top=args.top),
+                         indent=2, sort_keys=True))
+        return 0
+    print(render_trace_report(events, top=args.top, source=args.events))
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.errors import ObsError
     from repro.obs.events import metrics_path
     from repro.obs.metrics import load_metrics_file, render_prometheus
 
@@ -799,19 +733,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not source.suffix and len(source.parts) == 1:
         # a bare name means <results-dir>/<name>.metrics.json
         source = metrics_path(args.results_dir, args.metrics)
-    try:
-        payload = load_metrics_file(source)
-    except (ObsError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = load_metrics_file(source)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    try:
-        print(render_prometheus(payload["metrics"]), end="")
-    except ObsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(render_prometheus(payload["metrics"]), end="")
     return 0
 
 
@@ -826,21 +752,16 @@ def _serve_url(args: argparse.Namespace) -> str:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ReproError
     from repro.serve.http import DEFAULT_HOST, DEFAULT_PORT, ReproServer
 
     host = DEFAULT_HOST if args.host is None else args.host
     port = DEFAULT_PORT if args.port is None else args.port
-    try:
-        server = ReproServer(
-            args.root, host=host, port=port, workers=args.workers,
-            queue_limit=args.queue_limit, executor=args.executor,
-            jobs=args.jobs, shard_timeout=args.shard_timeout,
-            retries=args.retries,
-        )
-    except (ReproError, OSError) as exc:  # bad pool size, unwritable root
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    server = ReproServer(
+        args.root, host=host, port=port, workers=args.workers,
+        queue_limit=args.queue_limit, executor=args.executor,
+        jobs=args.jobs, shard_timeout=args.shard_timeout,
+        retries=args.retries,
+    )
 
     def banner() -> None:
         # flush: subprocess tests parse this line for the bound port
@@ -862,7 +783,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.errors import QueueFull, ServeError
+    from repro.errors import QueueFull
     from repro.serve.client import ServeClient
 
     # A path-shaped argument is an inline spec; anything else is a
@@ -872,13 +793,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if source.suffix == ".json" or source.exists():
         try:
             spec = json.loads(source.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 JSON
             print(f"error: cannot read spec {args.campaign}: {exc}",
                   file=sys.stderr)
             return 2
         name = None
+    client = ServeClient(_serve_url(args))
     try:
-        client = ServeClient(_serve_url(args))
         job = client.submit(
             name, spec=spec, shards=args.shards, priority=args.priority,
             executor=args.executor, jobs=args.jobs,
@@ -888,9 +809,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"queue full: {exc} (retry in {exc.retry_after:.0f}s)",
               file=sys.stderr)
         return 1
-    except ServeError as exc:  # bad submission or no daemon at --url
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.follow:
         return _follow(client, job.id, as_json=args.json)
     if args.json:
@@ -902,14 +820,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.errors import ServeError
     from repro.serve.client import ServeClient
 
-    try:
-        jobs = ServeClient(_serve_url(args)).jobs()
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    jobs = ServeClient(_serve_url(args)).jobs()
     if args.json:
         print(json.dumps(jobs, indent=2, sort_keys=True))
         return 0
@@ -930,7 +843,6 @@ def _follow(client: Any, job_id: str, *, as_json: bool) -> int:
     """Poll a job to a terminal state, printing progress transitions."""
     import time
 
-    from repro.errors import ServeError
     from repro.serve.store import TERMINAL_STATES
 
     last = None
@@ -963,24 +875,16 @@ def _job_epilogue(view: dict[str, Any], *, as_json: bool) -> int:
 
 
 def _cmd_job(args: argparse.Namespace) -> int:
-    from repro.errors import JobNotFound, ServeError
     from repro.serve.client import ServeClient
     from repro.serve.store import TERMINAL_STATES
 
     client = ServeClient(_serve_url(args))
-    try:
-        if args.cancel:
-            view = client.cancel(args.id)
-        elif args.follow:
-            return _follow(client, args.id, as_json=args.json)
-        else:
-            view = client.job(args.id)
-    except JobNotFound as exc:  # a typo'd ID is usage, like a bad flag
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.cancel:
+        view = client.cancel(args.id)
+    elif args.follow:
+        return _follow(client, args.id, as_json=args.json)
+    else:
+        view = client.job(args.id)
     if args.json:
         print(json.dumps(view, indent=2, sort_keys=True))
         return 0 if view["state"] not in ("failed", "cancelled") else 1
@@ -993,6 +897,24 @@ def _cmd_job(args: argparse.Namespace) -> int:
     if view["state"] in TERMINAL_STATES:
         return _job_epilogue(view, as_json=False)
     return 0
+
+
+_COMMANDS = {
+    "list": _cmd_list,
+    "experiment": _cmd_experiment,
+    "campaign": _cmd_campaign,
+    "merge": _cmd_merge,
+    "report": _cmd_report,
+    "diff": _cmd_diff,
+    "baseline": _cmd_baseline,
+    "bench": _cmd_bench,
+    "trace": _cmd_trace,
+    "stats": _cmd_stats,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+    "jobs": _cmd_jobs,
+    "job": _cmd_job,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1008,33 +930,15 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits on --help (0) and usage errors (2); callers of
         # main() get a return code either way, never an exception.
         return int(exc.code) if exc.code is not None else 0
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "merge":
-        return _cmd_merge(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "jobs":
-        return _cmd_jobs(args)
-    if args.command == "job":
-        return _cmd_job(args)
-    return _cmd_baseline(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        raise  # a closed stdout (`| head`): __main__ exits 0 quietly
+    except (ReproError, OSError) as exc:
+        # A library refusal or an unreadable path is the user's to fix;
+        # any other exception is a bug and keeps its traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

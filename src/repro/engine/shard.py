@@ -306,7 +306,7 @@ class ShardManifest:
             )
         try:
             raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise ShardError(f"{path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ShardError(f"{path} must hold a JSON object")
@@ -545,7 +545,7 @@ def read_done_marker(
         return None
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise ShardError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ShardError(f"{path} must hold a JSON object")

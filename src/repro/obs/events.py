@@ -91,9 +91,13 @@ _ATTR_SCALARS = (str, int, float, bool, type(None))
 
 
 def _stem(name: str, shard_index: int | None, shards: int | None) -> str:
-    if shard_index is None or shards == 1:
+    """The shard rule of :mod:`repro.engine.shard`; no index is the
+    campaign-wide stem (an all-shards-in-process run merges into it)."""
+    if shard_index is None:
         return name
-    return f"{name}.shard-{shard_index}-of-{shards}"
+    from repro.engine.shard import _shard_stem  # lazy: keeps `repro trace` light
+
+    return _shard_stem(name, shard_index, shards)
 
 
 def events_path(

@@ -191,14 +191,14 @@ def load_metrics_file(path: str | pathlib.Path) -> dict[str, Any]:
         )
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise ObsError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict) or "metrics" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("metrics"), dict):
         raise ObsError(f"{path} does not look like a metrics snapshot "
                        "(missing the 'metrics' key)")
     metrics = raw["metrics"]
     for section in ("counters", "gauges", "histograms"):
-        if section not in metrics:
+        if not isinstance(metrics.get(section), dict):
             raise ObsError(
                 f"{path}: metrics snapshot is missing the {section!r} section"
             )

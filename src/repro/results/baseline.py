@@ -93,7 +93,7 @@ def load_baseline(source: str | pathlib.Path | Mapping) -> dict:
             raise BaselineError(f"baseline file {path} does not exist")
         try:
             baseline = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from None
     if not isinstance(baseline, dict):
         raise BaselineError("baseline must be a JSON object")

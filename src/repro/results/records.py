@@ -253,15 +253,17 @@ def iter_records(
     path = pathlib.Path(path)
     if not path.exists():
         raise SchemaError(f"records file {path} does not exist")
-    with path.open() as fh:
+    # Bytes, decoded per line, so a line that is not UTF-8 is located
+    # like any other malformed line.
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             where = f"{path.name}:{lineno}"
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+                raw = json.loads(line.decode())
+            except ValueError as exc:  # bad JSON or bytes that are not UTF-8
                 raise SchemaError(f"{where}: not valid JSON: {exc}") from None
             if migrate:
                 raw = migrate_record(raw, where=where)

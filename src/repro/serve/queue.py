@@ -280,6 +280,7 @@ class Scheduler:
                     note="requeued at daemon shutdown",
                     shards_done=[False] * job["shards"],
                     records=0, resumed=0, cache_hits=0,
+                    _started_clock=None,
                 )
 
     def _close_active_executors(self) -> None:

@@ -106,7 +106,7 @@ class JobStore:
             for state_path in sorted(jobs_root.glob("*/job.json")):
                 try:
                     job = json.loads(state_path.read_text())
-                except (OSError, json.JSONDecodeError):
+                except (OSError, ValueError):  # unreadable, bad JSON, not UTF-8
                     continue
                 if not isinstance(job, dict) or "id" not in job:
                     continue
@@ -116,6 +116,8 @@ class JobStore:
                     job["shards_done"] = [False] * int(job.get("shards", 1))
                     job["records"] = 0
                     job["resumed"] = 0
+                    # a monotonic stamp from a dead process means nothing
+                    job["_started_clock"] = None
                     atomic_write_json(state_path, job)
                 self._jobs[job["id"]] = job
                 self._seq = max(self._seq, int(job.get("seq", 0)))

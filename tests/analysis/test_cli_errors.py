@@ -178,3 +178,105 @@ class TestBaselinePaths:
         assert main(["baseline", "freeze", str(tmp_path / "absent.jsonl"),
                      "--name", "x", "--dir", str(tmp_path)]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
+
+
+class TestOneErrorPolicy:
+    """``main()`` maps a ReproError or an OSError to one ``error:`` line
+    and exit 2, lets a BrokenPipeError through, and leaves every other
+    exception to crash with its traceback."""
+
+    def test_campaign_on_a_directory(self, capsys, tmp_path):
+        assert main(["campaign", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_campaign_results_dir_is_a_file(self, capsys, tmp_path):
+        results = tmp_path / "results"
+        results.write_text("")
+        assert main(["campaign", "smoke", "--results-dir", str(results),
+                     "--no-progress"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["report", "diff", "baseline check"])
+    def test_results_verbs_on_non_utf8_records(self, verb, capsys, tmp_path,
+                                               smoke_jsonl):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(NOT_UTF8)
+        other = {"report": [], "diff": [str(smoke_jsonl)],
+                 "baseline check": [str(tmp_path / "unused.json")]}[verb]
+        assert main(verb.split() + [str(bad)] + other) == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl:1: not valid JSON" in err and "Traceback" not in err
+
+    def test_bench_gate_on_non_utf8_baseline(self, capsys, tmp_path):
+        bad = tmp_path / "bench.json"
+        bad.write_bytes(NOT_UTF8)
+        assert main(["bench", "bits-pack", "--scale", "0.1", "--repeats", "1",
+                     "--output", "-", "--gate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err and "Traceback" not in err
+
+    def test_submit_follow_when_the_daemon_goes_away(self, capsys,
+                                                     monkeypatch):
+        from repro.errors import ServeError
+        from repro.serve.client import RemoteJob, ServeClient
+
+        view = {"id": "j000001", "name": "smoke", "shards": 1,
+                "priority": "normal", "state": "queued"}
+
+        def submit(self, *args, **kwargs):
+            return RemoteJob(self, view)
+
+        def gone(self, job_id):
+            raise ServeError("cannot reach the repro daemon")
+
+        monkeypatch.setattr(ServeClient, "submit", submit)
+        monkeypatch.setattr(ServeClient, "job", gone)
+        assert main(["submit", "smoke", "--follow",
+                     "--url", "http://127.0.0.1:9"]) == 2
+        assert "error: cannot reach" in capsys.readouterr().err
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        import repro.cli
+
+        def bug(args):
+            raise ValueError("a bug, not a refusal")
+
+        monkeypatch.setitem(repro.cli._COMMANDS, "list", bug)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["list"])
+
+    def test_broken_pipe_exits_zero_quietly(self, tmp_path):
+        # `python -m repro trace <events> | head -1`: a report far larger
+        # than a pipe buffer, so the write meets a closed reader.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.obs.trace import EVENT_VERSION
+
+        events = tmp_path / "big.events.jsonl"
+        with events.open("w") as fh:
+            for i in range(5000):
+                fh.write(json.dumps({
+                    "v": EVENT_VERSION, "kind": "span", "name": "run",
+                    "span": i + 1, "parent": None, "t0": 0.0, "dur": 0.25,
+                    "attrs": {"n": 8}}) + "\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", str(events),
+             "--top", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        with proc:
+            assert proc.stdout.readline()  # `head -1`, then hang up
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 0
+        assert err == b""

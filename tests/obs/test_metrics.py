@@ -139,6 +139,17 @@ class TestLoadMetricsFile:
         with pytest.raises(ObsError, match="missing the 'metrics' key"):
             load_metrics_file(path)
 
+    @pytest.mark.parametrize("raw,match", [
+        ({"metrics": 5}, "missing the 'metrics' key"),
+        ({"metrics": {"counters": [], "gauges": {}, "histograms": {}}},
+         "missing the 'counters' section"),
+    ])
+    def test_non_object_sections_are_an_error(self, tmp_path, raw, match):
+        path = tmp_path / "odd.metrics.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ObsError, match=match):
+            load_metrics_file(path)
+
 
 class TestMerge:
     """Snapshot folding — the serve daemon's fleet-level aggregation."""

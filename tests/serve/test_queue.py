@@ -320,3 +320,32 @@ def test_retry_after_ignores_cancelled_while_queued(tmp_path):
     for _ in range(3):  # would have averaged in 0.0s walls before the fix
         sched.cancel(sched.submit({"campaign": "smoke"})["id"])
     assert sched._retry_after() >= 8.0
+
+
+def _requeue_at_shutdown(sched):
+    asyncio.run(sched.stop())
+
+
+def _requeue_at_restart(sched):
+    sched.store.recover()
+
+
+@pytest.mark.parametrize("requeue", [_requeue_at_shutdown, _requeue_at_restart],
+                         ids=["stop", "recover"])
+def test_requeued_job_cancelled_while_queued_has_no_wall_time(tmp_path, requeue):
+    """Both requeue paths drop the start clock: a monotonic stamp from
+    before the requeue (another process, maybe another boot) must not
+    become the wall time of a job cancelled before it ran again."""
+    import time
+
+    sched = _scheduler(tmp_path)
+    sched.metrics.observe("serve_job_wall_seconds", 2.0)
+    job = sched.submit({"campaign": "smoke"})
+    sched.store.update(job["id"], state="running",
+                       _started_clock=time.monotonic() - 4.0)
+    requeue(sched)
+    assert sched.store.get(job["id"])["state"] == "queued"
+    done = sched.cancel(job["id"])
+    assert done["state"] == "cancelled" and done["wall_seconds"] == 0.0
+    h = sched.metrics.to_dict()["histograms"]["serve_job_wall_seconds"]
+    assert h["count"] == 1 and h["total"] == 2.0
