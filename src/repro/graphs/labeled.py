@@ -49,6 +49,20 @@ class LabeledGraph:
         for u, v in edges:
             self.add_edge(u, v)
 
+    @classmethod
+    def _from_adjacency(cls, n: int, adj: list[set[int]], m: int) -> "LabeledGraph":
+        """Adopt prebuilt adjacency sets (index 0 unused) holding ``m`` edges.
+
+        No per-edge checks: the caller vouches that ``adj`` is symmetric,
+        loop-free and within ``1..n`` (decoders that have already checked
+        every endpoint build their output this way).
+        """
+        g = cls.__new__(cls)
+        g._n = n
+        g._adj = adj
+        g._m = m
+        return g
+
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #

@@ -24,6 +24,7 @@ from repro.protocols.powersum import (
     PowerSumRecord,
     encode_powersum_message,
     decode_powersum_message,
+    decode_powersum_messages,
     newton_identities,
     decode_neighborhood_newton,
     PowerSumLookupTable,
@@ -49,6 +50,7 @@ __all__ = [
     "PowerSumRecord",
     "encode_powersum_message",
     "decode_powersum_message",
+    "decode_powersum_messages",
     "newton_identities",
     "decode_neighborhood_newton",
     "PowerSumLookupTable",

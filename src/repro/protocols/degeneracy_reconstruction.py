@@ -15,17 +15,25 @@ elimination order is *discovered* by the referee, never transmitted.
 The recognition variant is the paper's closing remark of Section III: reject
 iff the pruning process ever finds no vertex of degree ≤ k.
 
-Complexity: with a min-degree worklist the loop body is ``O(decode + k·deg)``
-(the check that the decoded neighbours are still unpruned is ``O(k)`` set
-probes, never a copy of the remaining set).  The Newton decoder finds the
-roots in closed form for ``d <= 2`` and by Newton iteration from above
-otherwise, ``O(k² log n)`` big-int operations per neighbour, so the whole
-global phase is about ``O(n·k³ log n)`` — within the paper's ``O(n²)`` for
-fixed k.  A prebuilt :class:`~repro.protocols.powersum.PowerSumLookupTable`
-makes decodes ``O(k)`` dictionary work instead.
+Complexity: the messages are unpacked in one batch
+(:func:`~repro.protocols.powersum.decode_powersum_messages`: one length
+check and ``k + 2`` fixed-offset slices per message).  With a min-degree
+worklist the loop body is then ``O(decode + k·deg)``: the check that the
+decoded neighbours are still unpruned is ``O(k)`` set probes, and each
+edge goes straight into the output's adjacency sets, which become one
+:class:`~repro.graphs.labeled.LabeledGraph` at the end.  Degrees 0, 1 and
+2 decode inline in ``O(1)`` big-int operations (``p_1`` itself, or
+``(p_1 ± r)/2`` with ``r = isqrt(2p_2 - p_1²)``); larger degrees take the
+Newton decoder, ``O(k² log n)`` big-int operations per neighbour, so the
+whole global phase is about ``O(n·k³ log n)`` — within the paper's
+``O(n²)`` for fixed k.  A prebuilt
+:class:`~repro.protocols.powersum.PowerSumLookupTable` makes decodes
+``O(k)`` dictionary work instead.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.errors import DecodeError, GraphError, RecognitionFailure
 from repro.graphs.labeled import LabeledGraph
@@ -34,7 +42,7 @@ from repro.model.protocol import DecisionProtocol, ReconstructionProtocol
 from repro.protocols.powersum import (
     PowerSumLookupTable,
     decode_neighborhood_newton,
-    decode_powersum_message,
+    decode_powersum_messages,
     encode_powersum_message,
 )
 from repro.registry import register
@@ -56,15 +64,20 @@ def prune_decode(
     :class:`RecognitionFailure` when no vertex of degree ≤ k remains while
     vertices are unpruned, and :class:`DecodeError` on inconsistent sums.
     """
-    h = LabeledGraph(n)
     state: dict[int, tuple[int, list[int]]] = {}
     for vertex, degree, sums in records:
         if vertex in state:
             raise DecodeError(f"duplicate message for vertex {vertex}")
+        if not 1 <= vertex <= n:
+            raise DecodeError(f"record for vertex {vertex} outside 1..{n}")
         state[vertex] = (degree, sums)
     if len(state) != n:
         raise DecodeError(f"expected {n} distinct vertex records, got {len(state)}")
 
+    # ``remaining`` ⊆ 1..n and every decoded neighbour is checked against
+    # it, so the edges go straight into adjacency sets: one graph at the end
+    adj: list[set[int]] = [set() for _ in range(n + 1)]
+    m = 0
     # worklist of currently-prunable vertices; membership re-checked on pop
     worklist = [v for v, (d, _) in state.items() if d <= k]
     remaining = set(state)
@@ -83,15 +96,35 @@ def prune_decode(
         degree, sums = state[x]
         if table is not None:
             nbrs = table.lookup_partial(degree, tuple(sums))
+        elif degree == 0:
+            nbrs = ()
+        elif degree == 1:
+            nbrs = (sums[0],)
+        elif degree == 2:
+            # roots (p1 ± r)/2 of x² - p1·x + (p1² - p2)/2; a square disc
+            # has r ≡ p1 (mod 2), anything else takes the reference path.
+            # A frozenset built in ascending order, as the reference
+            # returns it: its iteration order sets the worklist order, and
+            # so the outcome on corrupt input.
+            p1 = sums[0]
+            disc = 2 * sums[1] - p1 * p1
+            r = math.isqrt(disc) if disc > 0 else 0
+            if r and r * r == disc:
+                nbrs = frozenset(((p1 - r) // 2, (p1 + r) // 2))
+            else:
+                nbrs = decode_neighborhood_newton(2, sums, n)
         else:
-            nbrs = decode_neighborhood_newton(degree, tuple(sums), n)
-        if x in nbrs or not nbrs <= remaining:
-            raise DecodeError(
-                f"vertex {x} decoded neighbours {sorted(nbrs)} outside the remaining graph"
-            )
-        remaining.discard(x)
+            nbrs = decode_neighborhood_newton(degree, sums, n)
         for v in nbrs:
-            h.add_edge(x, v)
+            if v == x or v not in remaining:
+                raise DecodeError(
+                    f"vertex {x} decoded neighbours {sorted(nbrs)} outside the remaining graph"
+                )
+        remaining.discard(x)
+        adj[x].update(nbrs)
+        m += len(nbrs)
+        for v in nbrs:
+            adj[v].add(x)
             d_v, s_v = state[v]
             xp = 1
             for p in range(len(s_v)):
@@ -102,7 +135,7 @@ def prune_decode(
             state[v] = (d_v - 1, s_v)
             if d_v - 1 <= k:
                 worklist.append(v)
-    return h
+    return LabeledGraph._from_adjacency(n, adj, m)
 
 
 class DegeneracyReconstructionProtocol(ReconstructionProtocol):
@@ -132,10 +165,7 @@ class DegeneracyReconstructionProtocol(ReconstructionProtocol):
         return encode_powersum_message(n, self.k, i, neighborhood)
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
-        records = []
-        for msg in messages:
-            rec = decode_powersum_message(n, self.k, msg)
-            records.append((rec.vertex, rec.degree, list(rec.power_sums)))
+        records = decode_powersum_messages(n, self.k, messages)
         table = self._table_for(n) if self.decoder == "table" else None
         return prune_decode(n, self.k, records, table=table)
 

@@ -19,7 +19,7 @@ from repro.errors import GraphError, RecognitionFailure
 from repro.model.message import Message
 from repro.model.protocol import OneRoundProtocol
 from repro.protocols.degeneracy_reconstruction import prune_decode
-from repro.protocols.powersum import decode_powersum_message, encode_powersum_message
+from repro.protocols.powersum import decode_powersum_messages, encode_powersum_message
 
 __all__ = ["DegeneracyEstimationProtocol"]
 
@@ -37,12 +37,12 @@ class DegeneracyEstimationProtocol(OneRoundProtocol):
         return encode_powersum_message(n, self.k_max, i, neighborhood)
 
     def global_(self, n: int, messages: list[Message]) -> int:
-        records = [decode_powersum_message(n, self.k_max, m) for m in messages]
-        if n == 0 or all(r.degree == 0 for r in records):
+        records = decode_powersum_messages(n, self.k_max, messages)
+        if n == 0 or all(degree == 0 for _, degree, _ in records):
             return 0
 
         def feasible(k: int) -> bool:
-            trial = [(r.vertex, r.degree, list(r.power_sums)) for r in records]
+            trial = [(vertex, degree, list(sums)) for vertex, degree, sums in records]
             try:
                 prune_decode(n, k, trial)
             except RecognitionFailure:

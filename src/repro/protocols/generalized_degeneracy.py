@@ -115,6 +115,8 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
                 raise DecodeError(f"malformed generalized-degeneracy message: {exc}") from exc
             if not 1 <= v <= n or v in state:
                 raise DecodeError(f"bad or duplicate vertex ID {v}")
+            if d > n - 1:
+                raise DecodeError(f"decoded degree {d} exceeds n-1 = {n - 1}")
             state[v] = (d, b, bc)
         if len(state) != n:
             raise DecodeError(f"expected {n} records, got {len(state)}")

@@ -11,7 +11,12 @@ with ``w = ceil(log2(n+1))``, so the message costs ``O(k² log n)`` bits
 
 **Decoding (Theorem 4 / Corollary 1).**  Wright's theorem: equal power sums
 ``p = 1..k`` force equal multisets, so for ``deg(x) = d <= k`` the first
-``d`` power sums determine ``N`` uniquely.  Two decoders:
+``d`` power sums determine ``N`` uniquely.  The referee first unpacks
+every message with :func:`decode_powersum_messages`: the widths derive from
+``(n, k)`` once per batch, each message gets one exact-length check, and
+the fields are sliced out of its payload at fixed offsets from the low end
+(:func:`decode_powersum_message` is the one-message form).  Two decoders
+then recover neighbourhoods from the sums:
 
 * :func:`decode_neighborhood_newton` — Newton's identities convert power
   sums to elementary symmetric polynomials (exact integer arithmetic), and
@@ -33,10 +38,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.bits.reader import BitReader
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import BitstreamError, DecodeError, GraphError
+from repro.errors import DecodeError, GraphError
 from repro.model.message import Message
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "compute_power_sums",
     "encode_powersum_message",
     "decode_powersum_message",
+    "decode_powersum_messages",
     "powersum_message_bits",
     "newton_identities",
     "integer_roots_of_monic",
@@ -101,22 +106,52 @@ def encode_powersum_message(n: int, k: int, i: int, neighborhood: frozenset[int]
     return Message.from_writer(writer)
 
 
-def decode_powersum_message(n: int, k: int, msg: Message) -> PowerSumRecord:
-    """Parse an Algorithm-3 message back into a record; strict framing."""
+def decode_powersum_messages(
+    n: int, k: int, messages: list[Message]
+) -> list[tuple[int, int, list[int]]]:
+    """Parse a batch of Algorithm-3 messages into ``(vertex, degree, sums)``.
+
+    Strict framing: a message of any length but
+    :func:`powersum_message_bits` raises :class:`DecodeError`, as does a
+    vertex ID outside ``1..n`` or a degree above ``n - 1``.  The power sums
+    come back as fresh lists, which Algorithm 4's pruning loop consumes.
+    """
+    if not messages:
+        return []
+    if n < 1:
+        raise DecodeError(f"{len(messages)} messages for a graph on {n} vertices")
     w = id_width(n)
-    r: BitReader = msg.reader()
-    try:
-        vertex = r.read_bits(w)
-        degree = r.read_bits(w)
-        sums = tuple(r.read_bits((p + 1) * w) for p in range(1, k + 1))
-        r.expect_exhausted()
-    except BitstreamError as exc:  # underflow / leftover bits
-        raise DecodeError(f"malformed power-sum message: {exc}") from exc
-    if not 1 <= vertex <= n:
-        raise DecodeError(f"decoded vertex ID {vertex} outside 1..{n}")
-    if degree > n - 1:
-        raise DecodeError(f"decoded degree {degree} exceeds n-1 = {n - 1}")
-    return PowerSumRecord(vertex=vertex, degree=degree, power_sums=sums)
+    nbits = powersum_message_bits(n, k)
+    # offsets from the low end: b_k is the last field written
+    vertex_shift = nbits - w
+    degree_shift = vertex_shift - w
+    id_mask = (1 << w) - 1
+    fields = []
+    shift = degree_shift
+    for p in range(1, k + 1):
+        shift -= (p + 1) * w
+        fields.append((shift, (1 << (p + 1) * w) - 1))
+    records = []
+    for msg in messages:
+        if msg.bits != nbits:
+            raise DecodeError(
+                f"malformed power-sum message: {msg.bits} bits, expected {nbits}"
+            )
+        acc = msg.acc
+        vertex = acc >> vertex_shift
+        if not 1 <= vertex <= n:
+            raise DecodeError(f"decoded vertex ID {vertex} outside 1..{n}")
+        degree = (acc >> degree_shift) & id_mask
+        if degree > n - 1:
+            raise DecodeError(f"decoded degree {degree} exceeds n-1 = {n - 1}")
+        records.append((vertex, degree, [(acc >> s) & m for s, m in fields]))
+    return records
+
+
+def decode_powersum_message(n: int, k: int, msg: Message) -> PowerSumRecord:
+    """Parse one Algorithm-3 message back into a record; strict framing."""
+    ((vertex, degree, sums),) = decode_powersum_messages(n, k, [msg])
+    return PowerSumRecord(vertex=vertex, degree=degree, power_sums=tuple(sums))
 
 
 def newton_identities(power_sums: tuple[int, ...] | list[int]) -> list[int]:

@@ -1,5 +1,7 @@
 """Tests for Theorem 5: exact reconstruction of degeneracy-≤k graphs, and recognition."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,9 @@ from repro.protocols import (
     DegeneracyReconstructionProtocol,
     DegeneracyRecognitionProtocol,
 )
+from repro.protocols import degeneracy_reconstruction
 from repro.protocols.degeneracy_reconstruction import prune_decode
+from repro.protocols.powersum import compute_power_sums, decode_neighborhood_newton
 
 
 class TestReconstructionExactness:
@@ -69,6 +73,7 @@ class TestReconstructionExactness:
         assert DegeneracyReconstructionProtocol(4).reconstruct(g) == g
 
     def test_empty_and_tiny_graphs(self):
+        assert DegeneracyReconstructionProtocol(2).global_(0, []) == LabeledGraph(0)
         assert DegeneracyReconstructionProtocol(2).reconstruct(LabeledGraph(0)) == LabeledGraph(0)
         assert DegeneracyReconstructionProtocol(2).reconstruct(LabeledGraph(1)) == LabeledGraph(1)
         g2 = LabeledGraph(2, [(1, 2)])
@@ -160,6 +165,11 @@ class TestFailureInjection:
         with pytest.raises(DecodeError, match="duplicate"):
             prune_decode(2, 1, records)
 
+    @pytest.mark.parametrize("vertex", [0, 3])
+    def test_out_of_range_record(self, vertex):
+        with pytest.raises(DecodeError, match=f"record for vertex {vertex} outside 1..2"):
+            prune_decode(2, 1, [(1, 0, [0]), (vertex, 0, [0])])
+
     def test_missing_record(self):
         with pytest.raises(DecodeError, match="expected 3"):
             prune_decode(3, 1, [(1, 0, [0]), (2, 0, [0])])
@@ -181,6 +191,104 @@ class TestFailureInjection:
         records = [(1, 1, [2]), (2, 1, [1]), (3, 2, [1])]  # vertex 3 inconsistent
         with pytest.raises(DecodeError):
             prune_decode(3, 1, records)
+
+
+class _NewtonReference:
+    """A ``table`` stand-in: every decode takes ``decode_neighborhood_newton``."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def lookup_partial(self, degree, power_sums):
+        return decode_neighborhood_newton(degree, power_sums, self.n)
+
+
+def _records(g, k, last, sums=None):
+    """Algorithm-3 records of ``g``; ``last`` (popped first, in reverse) go
+    at the end, and ``sums`` overrides the power sums of ``last[-1]``."""
+    records = {v: (v, g.degree(v), list(compute_power_sums(g.neighbors(v), k)))
+               for v in g.vertices()}
+    if sums is not None:
+        records[last[-1]] = (last[-1], g.degree(last[-1]), list(sums))
+    return [records[v] for v in g.vertices() if v not in last] + [records[v] for v in last]
+
+
+def _outcome(n, k, records, table=None):
+    try:
+        return prune_decode(n, k, [(v, d, list(s)) for v, d, s in records], table=table)
+    except DecodeError as exc:
+        return type(exc)
+
+
+def _sums_of(*roots):
+    return (sum(roots), sum(r * r for r in roots))
+
+
+class TestInlineSmallDegree:
+    """The closed-form decode of degrees 0..2 against the Newton reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 1024, 2**16])
+    def test_valid_neighbourhoods_match_newton(self, n):
+        """Disjoint cherries a - x - b whose centres x are pruned at degree 2:
+        both end IDs, the two smallest, the two largest, and random pairs."""
+        if n == 2:
+            g, centres = LabeledGraph(2, [(1, 2)]), [2]
+        elif n == 3:
+            g, centres = LabeledGraph(3, [(1, 2), (2, 3)]), [2]
+        else:
+            pairs = [(1, n), (2, 3), (n - 2, n - 1)]
+            rng = random.Random(n)
+            free = rng.sample(range(4, n - 2), 12)
+            pairs += [(free.pop(), free.pop()) for _ in range(3)]
+            centres = free[:len(pairs)]
+            g = LabeledGraph(n, [(x, v) for x, pair in zip(centres, pairs) for v in pair])
+        records = _records(g, 2, centres)
+        assert _outcome(n, 2, records) == _outcome(n, 2, records, _NewtonReference(n)) == g
+
+    @pytest.mark.parametrize("n", [10, 1024])
+    @pytest.mark.parametrize("case", [
+        "negative_disc", "zero_disc", "non_square_disc", "negative_root",
+        "zero_root", "root_above_n", "root_is_x", "wrong_valid_pair",
+    ])
+    def test_corrupted_sums_match_newton(self, n, case):
+        x, a, b = 4, 2, 7
+        sums = {
+            "negative_disc": (5, 12),        # 2·12 - 25 < 0
+            "zero_disc": _sums_of(3, 3),     # a repeated root
+            "non_square_disc": (5, 15),      # 2·15 - 25 = 5
+            "negative_root": _sums_of(-1, 5),
+            "zero_root": _sums_of(0, 5),
+            "root_above_n": _sums_of(3, n + 2),
+            "root_is_x": _sums_of(x, a),
+            "wrong_valid_pair": _sums_of(1, 9),  # vertex 1 is isolated
+        }[case]
+        g = LabeledGraph(n, [(a, x), (x, b), (b, 9), (9, a)])
+        records = _records(g, 2, [x], sums)
+        newton = _outcome(n, 2, records, _NewtonReference(n))
+        assert _outcome(n, 2, records) == newton is DecodeError
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flipped_sum_bits_match_newton(self, seed):
+        """Corrupt input that still decodes for a while: the pruning order,
+        and so the outcome, must be the reference one (a bit flip at a
+        vertex is pruned around until the bad sums surface, or never do)."""
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.choice([16, 32, 64])
+            g = random_k_degenerate(n, 2, seed=rng.randrange(10**6))
+            records = _records(g, 2, [])
+            v, d, sums = records[rng.randrange(n)]
+            p = rng.randrange(2)
+            sums[p] ^= 1 << rng.randrange(sums[p].bit_length() + 2)
+            assert _outcome(n, 2, records) == _outcome(n, 2, records, _NewtonReference(n))
+
+    def test_valid_decodes_never_reach_newton(self, monkeypatch):
+        def boom(degree, power_sums, n):
+            raise AssertionError(f"Newton decode of degree {degree}")
+
+        monkeypatch.setattr(degeneracy_reconstruction, "decode_neighborhood_newton", boom)
+        for g in (cycle_graph(12), path_graph(9), star_graph(7)):
+            assert DegeneracyReconstructionProtocol(2).reconstruct(g) == g
 
 
 @settings(max_examples=50, deadline=None)

@@ -103,6 +103,19 @@ class TestCorruptMessages:
         with pytest.raises(DecodeError, match="vertex 1 decoded neighbours outside"):
             p.global_(5, messages)
 
+    def test_degree_above_n_minus_1_rejected_at_unpack(self):
+        from repro.bits import BitWriter
+        from repro.model import Message
+
+        p = GeneralizedDegeneracyProtocol(1)
+        messages = self.c4_with_isolated_vertex_messages(p)
+        # vertex 1 claims degree 7 > n-1 = 4: its co-degree would be negative
+        w = BitWriter()
+        w.write_many([(1, 3), (7, 3), (0, 6), (0, 6)])
+        messages[0] = Message.from_writer(w)
+        with pytest.raises(DecodeError, match="decoded degree 7 exceeds n-1 = 4"):
+            p.global_(5, messages)
+
     def test_reader_bug_is_not_a_decode_error(self, monkeypatch):
         """Only bitstream errors become DecodeError; a reader bug propagates."""
         from repro.bits.reader import BitReader

@@ -14,6 +14,7 @@ from repro.protocols.powersum import (
     compute_power_sums,
     decode_neighborhood_newton,
     decode_powersum_message,
+    decode_powersum_messages,
     encode_powersum_message,
     integer_roots_of_monic,
     newton_identities,
@@ -146,18 +147,44 @@ class TestMessageCodec:
         with pytest.raises(DecodeError):
             decode_powersum_message(10, 2, Message(0, 3))
 
-    def test_reader_bug_is_not_a_decode_error(self, monkeypatch):
-        """Only bitstream errors become DecodeError; a reader bug propagates."""
-        from repro.bits.reader import BitReader
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_one_bit_short_or_long_raises(self, extra):
+        """Exact framing: one bit short of or past the Lemma-2 size is malformed."""
+        msg = encode_powersum_message(10, 2, 1, frozenset({2, 3}))
+        framed = Message(msg.acc >> 1 if extra < 0 else msg.acc << 1, msg.bits + extra)
+        with pytest.raises(DecodeError, match="malformed power-sum message"):
+            decode_powersum_message(10, 2, framed)
+        with pytest.raises(DecodeError, match="malformed power-sum message"):
+            decode_powersum_messages(10, 2, [msg, framed])
 
+    def test_reader_bug_is_not_a_decode_error(self):
+        """Only malformed input becomes DecodeError; a bug in the payload propagates."""
         msg = encode_powersum_message(10, 2, 1, frozenset({2, 3}))
 
-        def broken(self, width):
-            raise TypeError("reader bug")
+        class BrokenMessage(Message):
+            __slots__ = ()
 
-        monkeypatch.setattr(BitReader, "read_bits", broken)
+            @property
+            def acc(self):
+                raise TypeError("reader bug")
+
         with pytest.raises(TypeError, match="reader bug"):
-            decode_powersum_message(10, 2, msg)
+            decode_powersum_message(10, 2, BrokenMessage(msg.acc, msg.bits))
+
+    def test_batch_matches_single_decodes(self):
+        n, k = 50, 3
+        nbhds = [frozenset(), frozenset({7}), frozenset({1, 50}), frozenset({2, 3, 49})]
+        msgs = [encode_powersum_message(n, k, i, nb) for i, nb in enumerate(nbhds, start=1)]
+        batch = decode_powersum_messages(n, k, msgs)
+        singles = [decode_powersum_message(n, k, m) for m in msgs]
+        assert batch == [(r.vertex, r.degree, list(r.power_sums)) for r in singles]
+        assert [tuple(sums) for _, _, sums in batch] == [compute_power_sums(nb, k) for nb in nbhds]
+
+    def test_empty_batch(self):
+        """n = 0 sends no messages; no width is derived for an empty batch."""
+        assert decode_powersum_messages(0, 2, []) == []
+        with pytest.raises(DecodeError, match="1 messages for a graph on 0 vertices"):
+            decode_powersum_messages(0, 2, [Message(0, 4)])
 
     def test_bad_vertex_id_raises(self):
         msg = encode_powersum_message(10, 1, 1, frozenset())
