@@ -31,11 +31,11 @@ from scratch, everything the paper builds on it:
 * the **fluent API** (:mod:`repro.api`): ``Session`` chains the whole
   pipeline (graphs → protocol → faults → executor → run → aggregate →
   gate) and produces records identical to hand-wired campaigns;
-* the **benchmark harness** (:mod:`repro.bench`): declaratively registered
-  benchmarks (``kind="benchmark"``), one timing/RSS harness with stable
-  JSON reports (``python -m repro bench`` → ``BENCH_PR4.json``), and
-  regression gating against frozen bench baselines with
-  optimized-vs-naive speedup floors;
+* the **benchmark harness** (:mod:`repro.bench`): four registered
+  optimized/naive benchmark pairs (``kind="benchmark"``), one timing/RSS
+  harness with stable JSON reports (``python -m repro bench`` →
+  ``BENCH_PR4.json``), and a gate against a frozen bench baseline that
+  pins each case's digest and each pair's speedup floor;
 * the **observability layer** (:mod:`repro.obs`): a span tracer on the
   engine's monotonic timebase streaming crash-durable
   ``<name>.events.jsonl`` telemetry, always-on campaign metrics

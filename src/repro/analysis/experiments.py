@@ -76,7 +76,14 @@ from repro.sketching import AGMConnectivityProtocol, MultiRoundSketchConnectivit
 Row = Sequence[object]
 Result = tuple[str, list[str], list[Row]]
 
+#: Wall-clock columns: EXP-L2 times the local phase, EXP-L3 one
+#: neighbourhood decode, EXP-T5 and EXP-FOREST the referee's decode and
+#: EXP-T1/T2/T3 the reduction's global phase.  These are the only cells
+#: that may differ between two runs; determinism checks drop them.
+TIMING_COLUMNS = frozenset({"local_us/node", "us/decode", "decode_ms", "global_ms"})
+
 __all__ = [
+    "TIMING_COLUMNS",
     "exp_lemma1_counting",
     "exp_lemma2_encoding",
     "exp_lemma3_decoding",

@@ -1,4 +1,4 @@
-"""The builtin benchmark suite: sketching/bits hot paths + Session campaigns.
+"""The builtin benchmark suite: four optimized/reference pairs.
 
 Each benchmark is a registered factory ``(scale: float = 1.0) -> BenchCase``:
 inputs are built at factory time (off the clock) from deterministic
@@ -6,18 +6,23 @@ inputs are built at factory time (off the clock) from deterministic
 ``random`` module — so ``ops`` / ``bits`` / ``digest`` are pure functions
 of ``scale`` and the frozen bench baseline pins them on any machine.
 
-Two kinds of case live here:
+Every case has a ``-naive`` twin running the reference implementation on
+the same inputs; the harness reports ``speedups[<name>]`` and the bench
+baseline declares a floor for each pair.  The twins double as parity
+witnesses: both members of a pair must produce the same ``digest``.
 
-* **micro** — the tight loops the hot-path work targets (L0 sketch
-  updates, bit packing, incremental aggregation).  Each has a ``-naive``
-  twin running the plain reference implementation on the same inputs;
-  the harness reports ``speedups[<name>]`` and the bench baseline
-  declares floors for them.  The twins double as parity witnesses: both
-  members of a pair must produce the same ``digest``.
-* **campaign** — real end-to-end loads driven through
-  :class:`repro.api.Session`, digesting the run records (spec content
-  hashes + output digests), so a hot-path change that altered *what* a
-  protocol computes fails the gate even if every microbench still agrees.
+* ``l0-update`` — AGM sketch updates and packing through
+  :func:`repro.sketching.agm.encode` vs one plain ``L0Sampler`` a round;
+* ``bits-pack`` — ``BitWriter.write_many`` vs one ``write_bits`` a field;
+* ``aggregate-incremental`` — a polled summary from maintained
+  ``Aggregator`` state vs re-aggregating from scratch at every poll;
+* ``trace-overhead`` — a persisted forest campaign through
+  :class:`repro.api.Session` with tracing off vs fully traced.  Its
+  digest covers the run records (spec content hashes + output digests).
+
+Outcome pins for everything else (Session, resume, the serve control
+plane, the sketch decoders) live in the test suite and the frozen
+campaign baselines, not here.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from repro.bits.writer import BitWriter
 from repro.model.message import Message
 from repro.registry import register
 from repro.sketching.agm import Bank, derive_bank, encode
-from repro.sketching.connectivity import sketch_spanning_forest
 from repro.sketching.field import splitmix64
 from repro.sketching.l0sampler import L0Sampler
 
@@ -168,73 +172,14 @@ def _bench_bits_pack_naive(scale: float = 1.0) -> BenchCase:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end loads
+# the tracing off path
 # --------------------------------------------------------------------- #
-
-
-@register("sketch-connectivity", kind="benchmark",
-          capabilities=("end-to-end", "sketching"),
-          summary="Full AGM sketch round: encode every node, Boruvka-decode "
-                  "the spanning forest.")
-def _bench_sketch_connectivity(scale: float = 1.0) -> BenchCase:
-    from repro.graphs.generators import random_tree
-
-    n = _scaled(28, scale, lo=8)
-    g = random_tree(n, seed=3)
-
-    def op():
-        report = sketch_spanning_forest(g, seed=1)
-        return {
-            "ops": n,
-            "bits": report.bits_per_node,
-            "digest": _digest([report.connected, list(map(list, report.forest_edges))]),
-        }
-
-    return BenchCase(op=op, meta={"n": n, "family": "random_tree"})
-
-
-def _session_case(name: str, family: str, protocol: str, n: int,
-                  seeds: tuple[int, ...]) -> BenchCase:
-    """A campaign driven through the fluent API; digest = records identity."""
-    from repro.api import Session
-
-    session = (Session(name)
-               .graphs(family, n=n, seeds=seeds)
-               .protocol(protocol))
-
-    def op():
-        run = session.run()
-        records = run.records
-        bits = sum(r.total_message_bits for r in records)
-        identity = sorted(
-            (r.spec.content_hash(), r.output_digest, r.status) for r in records
-        )
-        return {"ops": len(records), "bits": bits, "digest": _digest(identity)}
-
-    return BenchCase(op=op, meta={"family": family, "protocol": protocol,
-                                  "n": n, "seeds": len(seeds)})
-
-
-@register("session-forest", kind="benchmark", capabilities=("campaign",),
-          summary="Forest-reconstruction campaign through repro.api.Session "
-                  "(records digested).")
-def _bench_session_forest(scale: float = 1.0) -> BenchCase:
-    return _session_case("bench-forest", "random_forest", "forest",
-                         _scaled(24, scale, lo=8), (0, 1))
-
-
-@register("session-sketch", kind="benchmark", capabilities=("campaign", "sketching"),
-          summary="AGM-connectivity campaign through repro.api.Session "
-                  "(records digested).")
-def _bench_session_sketch(scale: float = 1.0) -> BenchCase:
-    return _session_case("bench-sketch", "two_components", "agm_connectivity",
-                         _scaled(14, scale, lo=6), (0,))
 
 
 def _trace_case(name: str, scale: float, *, trace: bool) -> BenchCase:
     """The same persisted forest campaign, with and without ``--trace``.
 
-    The pair is the tentpole's "provably free" witness: the harness
+    The pair witnesses that tracing's off path is free: the harness
     reports ``speedups["trace-overhead"]`` = traced-min / untraced-min,
     and the frozen bench baseline declares a floor just under 1.0 — if
     the *untraced* path ever gets measurably slower than the fully
@@ -242,23 +187,23 @@ def _trace_case(name: str, scale: float, *, trace: bool) -> BenchCase:
     gate fails.  Digest parity doubles as a correctness witness:
     tracing must not change a single record.
     """
+    import shutil
     import tempfile
+    import weakref
 
     from repro.api import Session
 
     n = _scaled(20, scale, lo=8)
     seeds = tuple(range(_scaled(6, scale, lo=2)))
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-trace-")
+    tmp = tempfile.mkdtemp(prefix="repro-bench-trace-")
     session = (Session(name)
                .graphs("random_forest", n=n, seeds=seeds)
                .protocol("forest")
-               .persist(tmp.name, use_cache=False)
+               .persist(tmp, use_cache=False)
                .trace(trace))
 
     def op():
-        # `tmp` is closed over here, keeping the results directory alive
-        # (each run overwrites the previous streams in place).
-        assert tmp is not None
+        # each run overwrites the previous streams in place
         run = session.run()
         records = run.records
         identity = sorted(
@@ -270,6 +215,8 @@ def _trace_case(name: str, scale: float, *, trace: bool) -> BenchCase:
             "digest": _digest(identity),
         }
 
+    # the results directory lives exactly as long as the timed op
+    weakref.finalize(op, shutil.rmtree, tmp, ignore_errors=True)
     return BenchCase(op=op, meta={"family": "random_forest", "n": n,
                                   "seeds": len(seeds), "trace": trace})
 
@@ -287,145 +234,6 @@ def _bench_trace_overhead(scale: float = 1.0) -> BenchCase:
                   "the cost ceiling the untraced path must beat.")
 def _bench_trace_overhead_naive(scale: float = 1.0) -> BenchCase:
     return _trace_case("bench-traced", scale, trace=True)
-
-
-@register("campaign-resume", kind="benchmark", capabilities=("campaign", "engine"),
-          summary="Resume overhead: replay a fully-checkpointed sharded "
-                  "campaign with zero recomputation, re-merge, digest.")
-def _bench_campaign_resume(scale: float = 1.0) -> BenchCase:
-    """What ``--resume`` costs when there is nothing left to compute.
-
-    A sharded forest campaign is run to completion at factory time (off
-    the clock, durable streams + done markers under a temp dir); the
-    timed op resumes it — load the manifest, prefix-match both shard
-    streams, replay every record, re-merge the canonical JSONL — which is
-    exactly the fixed overhead a crash recovery or a CI re-run pays on
-    top of the missing work.  ``ops``/``bits``/``digest`` cover the
-    replayed records *and* the shard-artifact layout, so a change that
-    broke replay fidelity or the on-disk contract fails the bench gate.
-    """
-    import pathlib
-    import tempfile
-
-    from repro.api import Session
-
-    n = _scaled(20, scale, lo=8)
-    seeds = tuple(range(_scaled(4, scale, lo=2)))
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-resume-")
-    session = (Session("bench-resume")
-               .graphs("random_forest", n=n, seeds=seeds)
-               .protocol("forest")
-               .persist(tmp.name, use_cache=False)
-               .shard(2))
-    session.run()  # checkpoint everything off the clock
-
-    def op():
-        # `tmp` is closed over here, keeping the checkpoint directory
-        # alive for the whole timed run.
-        run = session.resume().run()
-        records = run.records
-        layout = sorted(
-            p.name for p in pathlib.Path(tmp.name).iterdir()
-            if p.suffix in (".jsonl", ".json", ".done")
-        )
-        identity = sorted(
-            (r.spec.content_hash(), r.output_digest, r.status) for r in records
-        )
-        return {
-            "ops": len(records),
-            "bits": sum(r.total_message_bits for r in records),
-            "digest": _digest([identity, layout]),
-            "resumed": run.result.resumed,
-        }
-
-    return BenchCase(op=op, meta={"family": "random_forest", "n": n,
-                                  "seeds": len(seeds), "shards": 2})
-
-
-# --------------------------------------------------------------------- #
-# the campaign service (control plane, not compute)
-# --------------------------------------------------------------------- #
-
-
-def _serve_fixture():
-    """A quiesced in-process daemon: ``workers=0`` so nothing executes.
-
-    With no workers pulling assignments, every submitted job stays
-    ``queued`` and every measured quantity is pure control-plane cost —
-    HTTP round trip, validation, durable job-state write — with
-    deterministic state digests (no records, no wall-clock-dependent
-    transitions on the timed path).  The server thread and its temp store
-    root live in the returned closure cell for the whole bench run.
-    """
-    import tempfile
-
-    from repro.serve import ServeClient, ServerThread
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-serve-")
-    server = ServerThread(tmp.name, workers=0, executor="serial",
-                          queue_limit=1_000_000).start()
-    return tmp, server, ServeClient(server.url)
-
-
-def _job_identity(view: dict) -> tuple:
-    """The deterministic slice of a job view (no IDs, no timestamps)."""
-    return (view["state"], view["name"], view["shards"], view["priority"],
-            view["records"], view["resumed"])
-
-
-@register("serve-submit-latency", kind="benchmark",
-          capabilities=("serve", "end-to-end"),
-          summary="Job submission round trip over the serve HTTP API "
-                  "(validate + persist + enqueue + cancel).")
-def _bench_serve_submit_latency(scale: float = 1.0) -> BenchCase:
-    tmp, server, client = _serve_fixture()
-    batch = _scaled(12, scale, lo=4)
-
-    def op():
-        # `tmp`/`server` are closed over here, keeping the daemon alive
-        # across repeats; cancelling frees every admission slot so each
-        # repeat starts from the same queue state.
-        assert tmp is not None and server is not None
-        identities = []
-        for i in range(batch):
-            job = client.submit("smoke", shards=1 + i % 3,
-                                priority=("high", "normal", "low")[i % 3])
-            identities.append(_job_identity(job.view))
-            identities.append(_job_identity(job.cancel()))
-        return {"ops": batch, "digest": _digest(sorted(identities))}
-
-    return BenchCase(op=op, meta={"batch": batch, "workers": 0,
-                                  "transport": "http"})
-
-
-@register("serve-status-poll", kind="benchmark",
-          capabilities=("serve", "end-to-end"),
-          summary="Status-poll throughput over the serve HTTP API "
-                  "(job view + per-shard progress + listing).")
-def _bench_serve_status_poll(scale: float = 1.0) -> BenchCase:
-    tmp, server, client = _serve_fixture()
-    jobs = [client.submit("smoke", shards=2) for _ in range(_scaled(4, scale, lo=2))]
-    polls = _scaled(30, scale, lo=8)
-
-    def op():
-        # `tmp`/`server` closed over: the daemon (and its queued jobs,
-        # pinned by workers=0) lives for the whole bench run.
-        assert tmp is not None and server is not None
-        identities = []
-        for i in range(polls):
-            view = client.job(jobs[i % len(jobs)].id)
-            identities.append(
-                _job_identity(view) + (view["progress"]["records"],)
-            )
-        listed = client.jobs()
-        return {
-            "ops": polls,
-            "digest": _digest([sorted(identities),
-                               sorted(_job_identity(v) for v in listed)]),
-        }
-
-    return BenchCase(op=op, meta={"jobs": len(jobs), "polls": polls,
-                                  "workers": 0, "transport": "http"})
 
 
 # --------------------------------------------------------------------- #

@@ -24,9 +24,10 @@ clock the whole system uses), spread statistics reuse
 benchmark inputs — which is what lets a frozen bench baseline gate CI on
 any machine: :func:`check_suite` reuses the results layer's
 :class:`~repro.results.baseline.BaselineCheck` / ``CheckFailure`` verdict
-structures, pinning the deterministic fields exactly, wall time only up to
-an explicit relative tolerance, and optimized-vs-naive speedup ratios
-against declared floors.
+structures, pinning the deterministic fields exactly and optimized-vs-naive
+speedup ratios against declared floors.  A wall time depends on the
+machine, so the baseline holds none; only the ratio of a pair timed in
+the same process is compared with it.
 
 Pairing convention: a benchmark named ``<name>-naive`` is the reference
 implementation of ``<name>``; :func:`run_suite` reports the ratio
@@ -59,7 +60,6 @@ __all__ = [
     "BENCH_BASELINE_VERSION",
     "DEFAULT_OUTPUT",
     "BenchCase",
-    "BenchCheck",
     "peak_rss_kb",
     "run_case",
     "run_suite",
@@ -80,23 +80,6 @@ DEFAULT_OUTPUT = pathlib.Path("BENCH_PR4.json")
 
 #: Deterministic per-benchmark fields a bench baseline pins exactly.
 _PINNED_FIELDS = ("ops", "bits", "digest")
-
-
-@dataclass
-class BenchCheck(BaselineCheck):
-    """A :class:`~repro.results.baseline.BaselineCheck` whose timing slot
-    is named honestly: bench gates pin bits exactly, so the inherited
-    ``bits_tolerance`` is meaningless here and is dropped from the JSON
-    form in favour of ``time_tolerance`` (``None`` when timing never
-    gated)."""
-
-    time_tolerance: float | None = None
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        del out["bits_tolerance"]
-        out["time_tolerance"] = self.time_tolerance
-        return out
 
 
 @dataclass(frozen=True)
@@ -230,12 +213,10 @@ def freeze_suite(
 ) -> pathlib.Path:
     """Freeze a report's gateable view to ``path`` (the bench baseline).
 
-    Pins the deterministic fields per benchmark and records mean wall
-    seconds (gated only when a tolerance is requested — timing must never
-    fail a gate by default, exactly like :mod:`repro.results.diff`).
-    ``min_speedup`` floors are operator-declared, so re-freezing over an
-    existing baseline carries its floors forward — a refresh must never
-    silently disarm the speedup gate.
+    Pins the deterministic fields per benchmark.  ``min_speedup`` floors
+    are operator-declared, so re-freezing over an existing baseline
+    carries its floors forward — a refresh must never silently disarm the
+    speedup gate.
     """
     path = pathlib.Path(path)
     results = report.get("results", {})
@@ -253,10 +234,6 @@ def freeze_suite(
         "scale": report.get("scale", 1.0),
         "pinned": {
             bench: {key: entry[key] for key in _PINNED_FIELDS}
-            for bench, entry in sorted(results.items())
-        },
-        "wall_seconds_mean": {
-            bench: entry["wall_seconds"]["mean"]
             for bench, entry in sorted(results.items())
         },
         "min_speedup": floors,
@@ -302,27 +279,20 @@ def load_bench_baseline(source: str | pathlib.Path | Mapping) -> dict:
 def check_suite(
     report: Mapping[str, Any],
     baseline: str | pathlib.Path | Mapping,
-    *,
-    time_tolerance: float | None = None,
-) -> BenchCheck:
+) -> BaselineCheck:
     """Gate a fresh report against a frozen bench baseline.
 
     * every pinned benchmark must be present with identical deterministic
       fields (``ops`` / ``bits`` / ``digest`` — a changed digest means an
       optimization changed *what* is computed, not just how fast);
     * benchmarks the baseline does not know are flagged (freeze again);
-    * with ``time_tolerance`` ``R``, each benchmark's mean wall seconds
-      must satisfy ``mean <= R * baseline_mean`` (off by default: timing
-      is machine-dependent, so it never fails a gate implicitly);
     * declared ``min_speedup`` floors are enforced against the report's
       measured optimized-vs-naive ratios.
 
-    Returns a :class:`BenchCheck` — the results layer's structured verdict
-    (same ``failures``/``passed`` shape CI already turns into an exit
-    code), with the timing tolerance under its own name.
+    Returns the results layer's structured
+    :class:`~repro.results.baseline.BaselineCheck` verdict (same
+    ``failures``/``passed`` shape CI already turns into an exit code).
     """
-    if time_tolerance is not None and time_tolerance <= 0:
-        raise BenchError(f"time_tolerance must be > 0, got {time_tolerance}")
     baseline = load_bench_baseline(baseline)
     if report.get("scale") != baseline.get("scale"):
         raise BenchError(
@@ -333,11 +303,10 @@ def check_suite(
     pinned: dict[str, dict] = baseline["pinned"]
     results: Mapping[str, Mapping] = report.get("results", {})
 
-    verdict = BenchCheck(
+    verdict = BaselineCheck(
         baseline_name=str(baseline.get("name", "bench")),
         runs_checked=len(results),
-        bits_tolerance=0.0,  # bench pins bits exactly; slot unused
-        time_tolerance=time_tolerance,
+        bits_tolerance=0.0,  # bench pins bits exactly
     )
     for bench in sorted(set(pinned) - set(results)):
         verdict.failures.append(CheckFailure(
@@ -352,15 +321,6 @@ def check_suite(
                 verdict.failures.append(CheckFailure(
                     "result", bench,
                     f"{key}: expected {expected[key]!r}, got {got[key]!r}"))
-        if time_tolerance is not None:
-            old = baseline.get("wall_seconds_mean", {}).get(bench)
-            if isinstance(old, (int, float)) and old > 0:
-                new = got["wall_seconds"]["mean"]
-                if new > time_tolerance * old:
-                    verdict.failures.append(CheckFailure(
-                        "time", bench,
-                        f"mean wall seconds {new} exceeds {time_tolerance} x "
-                        f"baseline {old}"))
     speedups = report.get("speedups", {})
     for bench, floor in sorted(baseline.get("min_speedup", {}).items()):
         measured = speedups.get(bench)

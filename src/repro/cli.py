@@ -189,10 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--gate", default=None, metavar="BASELINE",
                          help="check the run against a frozen bench baseline "
                          "(exit 1 on regression)")
-    p_bench.add_argument("--time-tolerance", type=float, default=None, metavar="R",
-                         help="with --gate: fail when a benchmark's mean wall "
-                         "time exceeds R x the baseline's (default: timing "
-                         "never fails the gate)")
     p_bench.add_argument("--trends", default=None, metavar="LEDGER",
                          help="append each benchmark's p95 wall seconds to "
                          "this trend ledger and fail (exit 1) when one rose "
@@ -623,11 +619,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     verdict = None
     if args.gate is not None:
-        verdict = check_suite(report, args.gate,
-                              time_tolerance=args.time_tolerance)
-    elif args.time_tolerance is not None:
-        print("note: --time-tolerance has no effect without --gate",
-              file=sys.stderr)
+        verdict = check_suite(report, args.gate)
 
     trend_failures = []
     if args.trends is not None:

@@ -46,6 +46,10 @@ class ForestReconstructionProtocol(ReconstructionProtocol):
         return Message.from_writer(writer)
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
+        if n == 0:
+            if messages:
+                raise DecodeError(f"{len(messages)} messages for a graph on 0 vertices")
+            return LabeledGraph(0)
         w = id_width(n)
         deg: dict[int, int] = {}
         total: dict[int, int] = {}

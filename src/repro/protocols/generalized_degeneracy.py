@@ -100,6 +100,10 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
     # ------------------------------------------------------------------ #
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
+        if n == 0:
+            if messages:
+                raise DecodeError(f"{len(messages)} messages for a graph on 0 vertices")
+            return LabeledGraph(0)
         w = id_width(n)
         k = self.k
         state: dict[int, tuple[int, list[int], list[int]]] = {}

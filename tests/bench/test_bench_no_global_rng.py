@@ -35,17 +35,16 @@ def test_micro_benchmarks_leave_global_rng_alone():
 
 def test_campaign_benchmarks_leave_global_rng_alone():
     expected = _expected_sequence()
-    run_suite(["session-forest", "session-sketch", "sketch-connectivity"],
-              scale=0.25, repeats=1)
+    run_suite(["trace-overhead", "trace-overhead-naive"], scale=0.25, repeats=1)
     _assert_untouched(expected)
 
 
 def test_suite_results_identical_despite_global_seed_noise():
     """Reseeding the global RNG must not change any deterministic field."""
     random.seed(1)
-    a = run_suite(["l0-update", "session-sketch"], scale=0.2, repeats=1)
+    a = run_suite(["l0-update", "trace-overhead"], scale=0.2, repeats=1)
     random.seed(2)
-    b = run_suite(["l0-update", "session-sketch"], scale=0.2, repeats=1)
+    b = run_suite(["l0-update", "trace-overhead"], scale=0.2, repeats=1)
     for name in a["results"]:
         for key in ("ops", "bits", "digest"):
             assert a["results"][name][key] == b["results"][name][key]

@@ -102,10 +102,6 @@ class TestGatePaths:
                    str(tmp_path / "absent.json"), expect=2)
         assert "does not exist" in out.err
 
-    def test_time_tolerance_without_gate_notes(self, capsys, out_json):
-        out = _run(capsys, "--output", str(out_json), "--time-tolerance", "2.0")
-        assert "no effect without --gate" in out.err
-
 
 class TestUsageErrors:
     def test_unknown_benchmark_exits_two(self, capsys):
@@ -126,6 +122,11 @@ class TestUsageErrors:
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["bench", "--frobnicate"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_time_tolerance_is_a_usage_error(self, capsys):
+        # a bench baseline pins no wall time; `repro diff` keeps its own flag
+        assert main(["bench", "--time-tolerance", "2", "--output", "-"]) == 2
+        assert "unrecognized arguments: --time-tolerance" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["bench", "--help"]) == 0

@@ -169,8 +169,11 @@ def test_backpressure_and_cancel(tmp_path):
         assert cancelled["state"] == "cancelled"
         with pytest.raises(ServeError, match="already cancelled"):
             job.cancel()  # a second cancel is a 409 conflict
-        # the cancelled job released its queue slot
-        assert client.submit("smoke").state == "queued"
+        # the cancelled job released its queue slot, and a job view
+        # echoes the shard count and priority it was submitted with
+        again = client.submit("smoke", shards=3, priority="high")
+        assert again.state == "queued"
+        assert (again.view["shards"], again.view["priority"]) == (3, "high")
 
 
 # --------------------------------------------------------------------- #

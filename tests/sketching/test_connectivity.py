@@ -106,6 +106,20 @@ class TestOneRoundConnectivity:
         for u, v in report.forest_edges:
             assert g.has_edge(u, v)  # no forged edges (fingerprint held)
 
+    def test_report_pins_the_boruvka_forest(self):
+        """The exact forest and message size for one fixed tree and seed,
+        so a sketch change that alters what Borůvka recovers shows here."""
+        report = sketch_spanning_forest(random_tree(28, seed=3), seed=1)
+        assert report.connected
+        assert report.bits_per_node == 9840
+        assert report.forest_edges == (
+            (1, 19), (1, 27), (2, 8), (3, 17), (3, 20), (4, 19), (5, 10),
+            (5, 12), (6, 18), (7, 8), (7, 23), (8, 24), (9, 18), (9, 22),
+            (11, 20), (12, 16), (13, 16), (13, 21), (14, 21), (15, 19),
+            (16, 18), (16, 20), (16, 23), (18, 25), (18, 27), (21, 28),
+            (26, 27),
+        )
+
     def test_no_false_connected_across_seeds(self):
         """One-sided error: a disconnected graph is NEVER called connected."""
         g = disjoint_union(cycle_graph(6), cycle_graph(6))

@@ -2,10 +2,11 @@
 
 Set and dict iteration order over strings changes with ``PYTHONHASHSEED``,
 so a result that leaked that order would differ between machines and runs
-even with every public seed fixed.  Each check below runs the same CLI
-command in two fresh interpreters with different hash seeds, side by side,
-and compares what they print (the sketch experiments) or the records they
-persist, with the timing fields stripped (the smoke campaign).
+even with every public seed fixed.  ``tools/determinism_snapshot.py`` (the
+same snapshot CI compares across Python versions) runs once per hash seed,
+in two fresh interpreters side by side, and the checks below compare what
+they wrote: every registered experiment's ``--json`` table and the smoke
+campaign's records, each without its timing fields.
 """
 
 import json
@@ -17,20 +18,22 @@ import sys
 import pytest
 
 import repro
+from repro import registry
+from repro.analysis.experiments import TIMING_COLUMNS
 
 HASH_SEEDS = ("1", "987654")
 SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
+SNAPSHOT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "determinism_snapshot.py"
 
 
-def _run_under_each_hash_seed(args, root):
-    """``python -m repro *args`` once per hash seed, concurrently, each in its
-    own working directory ``root/<seed>``; the stdouts."""
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory):
+    """``{hash seed: snapshot directory}``, both taken concurrently."""
+    root = tmp_path_factory.mktemp("snapshots")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    for seed in HASH_SEEDS:
-        (root / seed).mkdir()
     procs = [
         subprocess.Popen(
-            [sys.executable, "-m", "repro", *args], cwd=root / seed, text=True,
+            [sys.executable, str(SNAPSHOT), str(root / seed)], cwd=root, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
         )
@@ -39,22 +42,28 @@ def _run_under_each_hash_seed(args, root):
     results = [proc.communicate(timeout=600) for proc in procs]
     for proc, (_, err) in zip(procs, results):
         assert proc.returncode == 0, err[-2000:]
-    return [out for out, _ in results]
+    return {seed: root / seed for seed in HASH_SEEDS}
 
 
-@pytest.mark.parametrize("experiment", ["EXP-SKETCH", "EXP-BIP", "EXP-ROUNDS"])
-def test_sketch_experiment_json_is_hash_seed_independent(experiment, tmp_path):
-    first, second = _run_under_each_hash_seed(["experiment", experiment, "--json"], tmp_path)
-    assert json.loads(first)  # a real table, not an empty print
+def _tables(directory):
+    tables = json.loads((directory / "experiments.json").read_text())
+    return {table["id"]: table for table in tables}
+
+
+@pytest.mark.parametrize("experiment", sorted(registry.catalog()["experiment"]))
+def test_sketch_experiment_json_is_hash_seed_independent(experiment, snapshots):
+    """Every registered experiment, not only the sketch ones the name
+    still carries."""
+    first, second = (_tables(snapshots[seed])[experiment] for seed in HASH_SEEDS)
+    assert first["rows"]  # a real table, not an empty print
+    assert not TIMING_COLUMNS & set(first["headers"])
     assert first == second
 
 
-def test_smoke_records_are_hash_seed_independent(tmp_path):
-    _run_under_each_hash_seed(["campaign", "smoke", "--no-cache", "--json"], tmp_path)
-
+def test_smoke_records_are_hash_seed_independent(snapshots):
     def records(seed):
-        lines = (tmp_path / seed / "results" / "smoke.jsonl").read_text().splitlines()
-        return [{k: v for k, v in json.loads(line).items() if k != "timing"} for line in lines]
+        lines = (snapshots[seed] / "smoke.jsonl").read_text().splitlines()
+        return [json.loads(line) for line in lines]
 
     first, second = (records(seed) for seed in HASH_SEEDS)
     assert len(first) == 8

@@ -14,12 +14,20 @@ from hypothesis import strategies as st
 from repro import registry
 from repro.errors import DecodeError, ReproError
 from repro.graphs import LabeledGraph
-from repro.graphs.generators import erdos_renyi, path_graph, random_forest, random_k_degenerate
-from repro.model import Message
+from repro.graphs.generators import (
+    complete_graph,
+    erdos_renyi,
+    path_graph,
+    random_forest,
+    random_k_degenerate,
+)
+from repro.model import Message, Referee
 from repro.model.multiround import MultiRoundProtocol
+from repro.model.protocol import ReconstructionProtocol
 from repro.protocols import (
     BoundedDegreeProtocol,
     DegeneracyReconstructionProtocol,
+    ForestRecognitionProtocol,
     ForestReconstructionProtocol,
     GeneralizedDegeneracyProtocol,
 )
@@ -261,3 +269,42 @@ def test_random_bit_flip_decodes_or_is_a_decode_error(name, victim, pos):
         _decode_corrupted(name, lambda m: flip_bit(m, pos), victim)
     except DecodeError:
         pass
+
+
+# --------------------------------------------------------------------------- #
+# every registered protocol on the tiniest graphs
+# --------------------------------------------------------------------------- #
+
+#: Each is a forest of maximum degree <= 1, so inside every registered
+#: protocol's default graph class.
+_TINY_GRAPHS = {
+    **{f"empty-{n}": LabeledGraph(n) for n in (0, 1, 2)},
+    "one-edge-2": LabeledGraph(2, [(1, 2)]),
+    **{f"complete-{n}": complete_graph(n) for n in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_TINY_GRAPHS))
+@pytest.mark.parametrize("name", sorted(registry.catalog()["protocol"]))
+def test_tiny_graphs_decode_exactly(name, graph):
+    """n in {0, 1, 2}: a reconstruction returns its input, a decision a
+    bool, and nothing raises."""
+    g = _TINY_GRAPHS[graph]
+    protocol = registry.PROTOCOL.build(name, g.n)
+    out = Referee().run(protocol, g).output
+    if isinstance(protocol, ReconstructionProtocol):
+        assert out == g
+    else:
+        assert isinstance(out, bool)
+
+
+def test_forest_recognition_accepts_the_empty_graph():
+    assert ForestRecognitionProtocol().global_(0, []) is True
+
+
+@pytest.mark.parametrize("protocol", [
+    ForestReconstructionProtocol(), BoundedDegreeProtocol(3), GeneralizedDegeneracyProtocol(1),
+], ids=["forest", "bounded_degree", "generalized_degeneracy"])
+def test_messages_for_an_empty_graph_are_a_decode_error(protocol):
+    with pytest.raises(DecodeError, match="0 vertices"):
+        protocol.global_(0, [Message(1, 3)])
