@@ -640,7 +640,7 @@ def exp_results_gate() -> Result:
         return [r.to_json_dict() for r in campaign.run().records]
 
     a, b = run_once(), run_once()
-    self_diff = "identical" if diff_campaigns(a, b).ok else "DIFFERS"
+    self_diff = "identical" if diff_campaigns(a, b).passed else "DIFFERS"
     headers = ["protocol", "n", "runs", "ok", "exact",
                "max bits (mean)", "bits/(k^2 lg n)", "self-diff"]
     rows: list[Row] = []

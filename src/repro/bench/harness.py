@@ -22,12 +22,12 @@ clock the whole system uses), spread statistics reuse
 :class:`repro.results.aggregate.RunningStats`, and memory is the process peak RSS.
 ``ops`` / ``bits`` / ``digest`` are *deterministic* — pure functions of the
 benchmark inputs — which is what lets a frozen bench baseline gate CI on
-any machine: :func:`check_suite` reuses the results layer's
-:class:`~repro.results.baseline.BaselineCheck` / ``CheckFailure`` verdict
-structures, pinning the deterministic fields exactly and optimized-vs-naive
-speedup ratios against declared floors.  A wall time depends on the
-machine, so the baseline holds none; only the ratio of a pair timed in
-the same process is compared with it.
+any machine: :func:`check_suite` runs the results layer's one pin
+comparison (:func:`~repro.results.baseline.compare_pins`) over the
+deterministic fields and returns its ``BaselineCheck`` verdict, plus
+optimized-vs-naive speedup ratios against declared floors.  A wall time
+depends on the machine, so the baseline holds none; only the ratio of a
+pair timed in the same process is compared with it.
 
 Pairing convention: a benchmark named ``<name>-naive`` is the reference
 implementation of ``<name>``; :func:`run_suite` reports the ratio
@@ -53,7 +53,7 @@ from repro import registry
 from repro.errors import BenchError
 from repro.model.referee import monotonic_clock
 from repro.results.aggregate import _PRECISION, RunningStats
-from repro.results.baseline import BaselineCheck, CheckFailure
+from repro.results.baseline import BaselineCheck, CheckFailure, compare_pins
 
 __all__ = [
     "BENCH_VERSION",
@@ -282,16 +282,15 @@ def check_suite(
 ) -> BaselineCheck:
     """Gate a fresh report against a frozen bench baseline.
 
-    * every pinned benchmark must be present with identical deterministic
-      fields (``ops`` / ``bits`` / ``digest`` — a changed digest means an
-      optimization changed *what* is computed, not just how fast);
-    * benchmarks the baseline does not know are flagged (freeze again);
+    * the results layer's :func:`~repro.results.baseline.compare_pins`
+      holds the pinned table against the report: every pinned benchmark
+      present with identical ``ops`` / ``bits`` / ``digest`` (a changed
+      digest means an optimization changed *what* is computed, not just
+      how fast), and no benchmark the baseline does not know;
     * declared ``min_speedup`` floors are enforced against the report's
       measured optimized-vs-naive ratios.
 
-    Returns the results layer's structured
-    :class:`~repro.results.baseline.BaselineCheck` verdict (same
-    ``failures``/``passed`` shape CI already turns into an exit code).
+    Returns the results layer's :class:`~repro.results.baseline.BaselineCheck`.
     """
     baseline = load_bench_baseline(baseline)
     if report.get("scale") != baseline.get("scale"):
@@ -300,27 +299,14 @@ def check_suite(
             f"this report ran at scale {report.get('scale')} — "
             "deterministic op counts are only comparable at equal scale"
         )
-    pinned: dict[str, dict] = baseline["pinned"]
     results: Mapping[str, Mapping] = report.get("results", {})
-
     verdict = BaselineCheck(
         baseline_name=str(baseline.get("name", "bench")),
         runs_checked=len(results),
         bits_tolerance=0.0,  # bench pins bits exactly
+        failures=compare_pins(baseline["pinned"], results,
+                              exact=_PINNED_FIELDS, what="bench"),
     )
-    for bench in sorted(set(pinned) - set(results)):
-        verdict.failures.append(CheckFailure(
-            "missing-bench", bench, "pinned benchmark was not run"))
-    for bench in sorted(set(results) - set(pinned)):
-        verdict.failures.append(CheckFailure(
-            "extra-bench", bench, "benchmark has no baseline entry (re-freeze?)"))
-    for bench in sorted(set(pinned) & set(results)):
-        expected, got = pinned[bench], results[bench]
-        for key in _PINNED_FIELDS:
-            if got[key] != expected[key]:
-                verdict.failures.append(CheckFailure(
-                    "result", bench,
-                    f"{key}: expected {expected[key]!r}, got {got[key]!r}"))
     speedups = report.get("speedups", {})
     for bench, floor in sorted(baseline.get("min_speedup", {}).items()):
         measured = speedups.get(bench)

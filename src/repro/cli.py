@@ -152,10 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("b", help="candidate campaign JSONL")
     p_diff.add_argument("--bits-tolerance", type=float, default=0.0, metavar="F",
                         help="relative bit-count tolerance (default: 0 = exact)")
-    p_diff.add_argument("--time-tolerance", type=float, default=None, metavar="R",
-                        help="fail when mean wall-clock ratio b/a exceeds R "
-                        "(default: timing never fails the diff)")
-    p_diff.add_argument("--json", action="store_true", help="emit the report as JSON")
+    p_diff.add_argument("--json", action="store_true", help="emit the verdict as JSON")
 
     p_base = sub.add_parser("baseline", help="freeze or check a regression baseline")
     base_sub = p_base.add_subparsers(dest="action", metavar="{freeze,check}")
@@ -534,43 +531,35 @@ def _report_trend(args, records_path, spec_hashes, bits):
     }
 
 
+#: Failure lines a verdict prints before pointing at ``--json``.
+_SHOWN_FAILURES = 20
+
+
+def _print_failures(failures: list) -> None:
+    for failure in failures[:_SHOWN_FAILURES]:
+        print(f"  FAIL [{failure.kind}] {failure.key}: {failure.detail}")
+    if len(failures) > _SHOWN_FAILURES:
+        print(f"  ... and {len(failures) - _SHOWN_FAILURES} more (use --json)")
+
+
+def _print_verdict(title: str, verdict: Any, *, as_json: bool = False) -> int:
+    """The one rendering of a pin verdict (``diff``, ``baseline check``, ``bench --gate``)."""
+    if as_json:
+        print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
+    else:
+        print(f"{title}: {verdict.runs_checked} runs, "
+              f"{len(verdict.failures)} failure(s)")
+        _print_failures(verdict.failures)
+        print("passed" if verdict.passed else "FAILED")
+    return 0 if verdict.passed else 1
+
+
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.results import diff_campaigns, load_records
 
-    report = diff_campaigns(
-        load_records(args.a),
-        load_records(args.b),
-        bits_tolerance=args.bits_tolerance,
-        time_tolerance=args.time_tolerance,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    print(f"diff {args.a} vs {args.b}: {report.matched} matched, "
-          f"{len(report.only_in_a)} only in a, {len(report.only_in_b)} only in b")
-    for delta in report.result_mismatches[:20]:
-        s = delta.spec
-        print(f"  MISMATCH {delta.field} @ {s['scenario']}/{s['family']}/n={s['n']}/"
-              f"seed={s['seed']}: {delta.a!r} -> {delta.b!r}")
-    for delta in report.bit_deltas[:20]:
-        s = delta.spec
-        print(f"  BITS {delta.field} @ {s['scenario']}/{s['family']}/n={s['n']}/"
-              f"seed={s['seed']}: {delta.a} -> {delta.b} "
-              f"(tolerance {report.bits_tolerance})")
-    hidden = max(0, len(report.result_mismatches) - 20) + \
-        max(0, len(report.bit_deltas) - 20)
-    if hidden > 0:
-        print(f"  ... and {hidden} more (use --json for the full report)")
-    if report.time_ok is not None:
-        if report.wall_ratio is None:
-            print("  wall-clock ratio b/a: unavailable (no wall_seconds "
-                  "measured); timing gate vacuously ok")
-        else:
-            print(f"  wall-clock ratio b/a: mean {report.wall_ratio['mean']} "
-                  f"({'ok' if report.time_ok else 'EXCEEDS'} tolerance "
-                  f"{report.time_tolerance})")
-    print("identical" if report.ok else "DIFFERS")
-    return 0 if report.ok else 1
+    verdict = diff_campaigns(load_records(args.a), load_records(args.b),
+                             bits_tolerance=args.bits_tolerance)
+    return _print_verdict(f"diff {args.a} vs {args.b}", verdict, as_json=args.json)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -586,17 +575,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         print(f"baseline {args.name} ({len(records)} runs) -> {path}")
         return 0
     verdict = check(records, args.baseline, bits_tolerance=args.bits_tolerance)
-    if args.json:
-        print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
-        return 0 if verdict.passed else 1
-    print(f"baseline check {args.baseline}: {verdict.runs_checked} runs, "
-          f"{len(verdict.failures)} failure(s)")
-    for failure in verdict.failures[:20]:
-        print(f"  FAIL [{failure.kind}] {failure.key}: {failure.detail}")
-    if len(verdict.failures) > 20:
-        print(f"  ... and {len(verdict.failures) - 20} more (use --json)")
-    print("passed" if verdict.passed else "FAILED")
-    return 0 if verdict.passed else 1
+    return _print_verdict(f"baseline check {args.baseline}", verdict,
+                          as_json=args.json)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -617,10 +597,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.freeze:
         freeze_suite(report, args.freeze)
 
-    verdict = None
-    if args.gate is not None:
-        verdict = check_suite(report, args.gate)
-
+    verdict = check_suite(report, args.gate) if args.gate is not None else None
     trend_failures = []
     if args.trends is not None:
         trend_failures = _bench_trends(args.trends, report)
@@ -654,19 +631,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.freeze:
             print(f"  baseline -> {args.freeze}")
         if verdict is not None:
-            print(f"  gate {verdict.baseline_name}: "
-                  f"{len(verdict.failures)} failure(s)")
-            for failure in verdict.failures[:20]:
-                print(f"    FAIL [{failure.kind}] {failure.key}: {failure.detail}")
-            if len(verdict.failures) > 20:
-                print(f"    ... and {len(verdict.failures) - 20} more (use --json)")
-            print("  " + ("passed" if verdict.passed else "FAILED"))
-        elif trend_failures:
-            for failure in trend_failures:
-                print(f"  FAIL [{failure.kind}] {failure.key}: {failure.detail}")
-    if verdict is not None:
-        return 0 if verdict.passed else 1
-    return 1 if trend_failures else 0
+            _print_verdict(f"gate {verdict.baseline_name}", verdict)
+        else:
+            _print_failures(trend_failures)
+    failures = verdict.failures if verdict is not None else trend_failures
+    return 1 if failures else 0
 
 
 def _bench_trends(ledger: str, report: dict):

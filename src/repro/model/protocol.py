@@ -23,11 +23,26 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
-from repro.errors import ProtocolError
+from repro.errors import DecodeError, ProtocolError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 
-__all__ = ["OneRoundProtocol", "DecisionProtocol", "ReconstructionProtocol"]
+__all__ = [
+    "OneRoundProtocol",
+    "DecisionProtocol",
+    "ReconstructionProtocol",
+    "require_one_message_per_vertex",
+]
+
+
+def require_one_message_per_vertex(n: int, messages: list[Message]) -> None:
+    """Raise :class:`DecodeError` unless ``messages`` holds exactly ``n`` messages.
+
+    A referee decodes the n-vector of Definition 1; a vector one short or
+    one long is malformed input, not a graph to guess at.
+    """
+    if len(messages) != n:
+        raise DecodeError(f"{len(messages)} messages for a graph on {n} vertices")
 
 
 class OneRoundProtocol(ABC):

@@ -21,7 +21,7 @@ from repro.bits.writer import BitWriter
 from repro.errors import BitstreamError, DecodeError, GraphError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
-from repro.model.protocol import ReconstructionProtocol
+from repro.model.protocol import ReconstructionProtocol, require_one_message_per_vertex
 from repro.registry import register
 
 __all__ = ["BoundedDegreeProtocol"]
@@ -51,9 +51,8 @@ class BoundedDegreeProtocol(ReconstructionProtocol):
         return Message.from_writer(writer)
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
+        require_one_message_per_vertex(n, messages)
         if n == 0:
-            if messages:
-                raise DecodeError(f"{len(messages)} messages for a graph on 0 vertices")
             return LabeledGraph(0)
         w = id_width(n)
         g = LabeledGraph(n)
@@ -78,8 +77,6 @@ class BoundedDegreeProtocol(ReconstructionProtocol):
                 raise DecodeError(f"bad or duplicate vertex ID {i}")
             seen.add(i)
             claims[i] = nbrs
-        if len(seen) != n:
-            raise DecodeError(f"expected {n} records, got {len(seen)}")
         for i, nbrs in claims.items():
             for v in nbrs:
                 if not 1 <= v <= n or v == i:

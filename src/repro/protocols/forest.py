@@ -26,7 +26,11 @@ from repro.bits.writer import BitWriter
 from repro.errors import BitstreamError, DecodeError, RecognitionFailure
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
-from repro.model.protocol import DecisionProtocol, ReconstructionProtocol
+from repro.model.protocol import (
+    DecisionProtocol,
+    ReconstructionProtocol,
+    require_one_message_per_vertex,
+)
 from repro.registry import register
 
 __all__ = ["ForestReconstructionProtocol", "ForestRecognitionProtocol"]
@@ -46,9 +50,8 @@ class ForestReconstructionProtocol(ReconstructionProtocol):
         return Message.from_writer(writer)
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
+        require_one_message_per_vertex(n, messages)
         if n == 0:
-            if messages:
-                raise DecodeError(f"{len(messages)} messages for a graph on 0 vertices")
             return LabeledGraph(0)
         w = id_width(n)
         deg: dict[int, int] = {}
@@ -66,8 +69,6 @@ class ForestReconstructionProtocol(ReconstructionProtocol):
                 raise DecodeError(f"bad or duplicate vertex ID {v}")
             deg[v] = d
             total[v] = s
-        if len(deg) != n:
-            raise DecodeError(f"expected {n} records, got {len(deg)}")
 
         h = LabeledGraph(n)
         leaves = [v for v in deg if deg[v] <= 1]

@@ -25,7 +25,7 @@ from repro.bits.writer import BitWriter
 from repro.errors import BitstreamError, DecodeError, GraphError, RecognitionFailure
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
-from repro.model.protocol import ReconstructionProtocol
+from repro.model.protocol import ReconstructionProtocol, require_one_message_per_vertex
 from repro.protocols.powersum import compute_power_sums, decode_neighborhood_newton
 from repro.registry import register
 
@@ -100,9 +100,8 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
     # ------------------------------------------------------------------ #
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
+        require_one_message_per_vertex(n, messages)
         if n == 0:
-            if messages:
-                raise DecodeError(f"{len(messages)} messages for a graph on 0 vertices")
             return LabeledGraph(0)
         w = id_width(n)
         k = self.k
@@ -122,8 +121,6 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
             if d > n - 1:
                 raise DecodeError(f"decoded degree {d} exceeds n-1 = {n - 1}")
             state[v] = (d, b, bc)
-        if len(state) != n:
-            raise DecodeError(f"expected {n} records, got {len(state)}")
 
         h = LabeledGraph(n)
         remaining = set(state)

@@ -21,7 +21,11 @@ from repro.bits.writer import BitWriter
 from repro.errors import DecodeError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
-from repro.model.protocol import OneRoundProtocol, ReconstructionProtocol
+from repro.model.protocol import (
+    OneRoundProtocol,
+    ReconstructionProtocol,
+    require_one_message_per_vertex,
+)
 from repro.registry import register
 
 __all__ = ["EmptyProtocol", "IdEchoProtocol", "DegreeProtocol", "FullAdjacencyProtocol"]
@@ -79,8 +83,9 @@ class FullAdjacencyProtocol(ReconstructionProtocol):
     The referee reconstructs the graph exactly, taking the union of claimed
     edges (each edge is reported by both endpoints; the union keeps the
     protocol total on arbitrary — even inconsistent — message vectors,
-    which the reductions rely on).  A message that is not exactly ``n``
-    bits long is a :class:`~repro.errors.DecodeError`.
+    which the reductions rely on).  A vector of other than ``n`` messages,
+    or a message that is not exactly ``n`` bits long, is a
+    :class:`~repro.errors.DecodeError`.
     """
 
     name = "full-adjacency"
@@ -94,6 +99,7 @@ class FullAdjacencyProtocol(ReconstructionProtocol):
         return Message.from_writer(w)
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
+        require_one_message_per_vertex(n, messages)
         g = LabeledGraph(n)
         for i, msg in enumerate(messages, start=1):
             if msg.bits != n:

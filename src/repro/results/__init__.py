@@ -10,19 +10,21 @@ machine-detectable instead of eyeballed.
 * :mod:`~repro.results.aggregate` — group-by over spec axes with
   min/mean/max/p95 of message bits, exactness and fault-outcome rates, and
   the Lemma-2 normalization ``bits / (k² log₂ n)``;
-* :mod:`~repro.results.diff` — align two campaigns on spec content hash
-  and report per-run digest mismatches, bit deltas, and (opt-in)
-  wall-clock ratios under a configurable tolerance;
 * :mod:`~repro.results.baseline` — freeze a campaign to
-  ``benchmarks/baselines/<name>.json`` and :func:`~repro.results.baseline.check`
-  a fresh run against it; the structured pass/fail CI turns into an exit
-  code.
+  ``benchmarks/baselines/<name>.json``, :func:`~repro.results.baseline.check`
+  a fresh run against it, or :func:`~repro.results.baseline.diff_campaigns`
+  two campaigns run by run.  Both return one
+  :class:`~repro.results.baseline.BaselineCheck` verdict (a list of
+  ``CheckFailure``), keyed on spec content hash and built by the one pin
+  comparison :func:`~repro.results.baseline.compare_pins` that the bench
+  gate also uses; CI turns it into an exit code.
 
 CLI: ``python -m repro report <file.jsonl>``, ``python -m repro diff <a> <b>``,
 ``python -m repro baseline freeze|check`` (all with ``--json``).
 
-Everything is pure stdlib and — timing aside, which is opt-in throughout —
-deterministic: identical records produce byte-identical reports.
+Everything is pure stdlib and — timing aside, which is opt-in in
+``report`` and absent from every verdict — deterministic: identical
+records produce byte-identical reports.
 """
 
 from repro.results.records import (
@@ -34,7 +36,6 @@ from repro.results.records import (
     migrate_record,
     spec_content_hash,
     validate_record,
-    within_tolerance,
     write_records,
 )
 from repro.results.aggregate import (
@@ -47,13 +48,14 @@ from repro.results.aggregate import (
     normalized_bits,
     percentile,
 )
-from repro.results.diff import DiffReport, RunDelta, diff_campaigns
 from repro.results.baseline import (
     BASELINE_VERSION,
     DEFAULT_BASELINES_DIR,
     BaselineCheck,
     CheckFailure,
     check,
+    compare_pins,
+    diff_campaigns,
     freeze,
     load_baseline,
     summarize_campaign,
@@ -69,7 +71,6 @@ __all__ = [
     "canonical_line",
     "spec_content_hash",
     "index_by_spec_hash",
-    "within_tolerance",
     "DEFAULT_AXES",
     "Aggregator",
     "QuantileSketch",
@@ -78,9 +79,6 @@ __all__ = [
     "normalized_bits",
     "aggregate",
     "aggregate_table",
-    "DiffReport",
-    "RunDelta",
-    "diff_campaigns",
     "BASELINE_VERSION",
     "DEFAULT_BASELINES_DIR",
     "summarize_campaign",
@@ -88,5 +86,7 @@ __all__ = [
     "load_baseline",
     "CheckFailure",
     "BaselineCheck",
+    "compare_pins",
     "check",
+    "diff_campaigns",
 ]

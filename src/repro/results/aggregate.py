@@ -120,18 +120,22 @@ class QuantileSketch:
         idx = math.floor(math.log2(abs(value)) * SKETCH_SUBBUCKETS)
         return (1, idx) if value > 0 else (-1, -idx)
 
+    @staticmethod
+    def _fold(buckets: dict[tuple, list], key: tuple, count: int, vmax) -> None:
+        # One bucket update: counts add, the bucket keeps its largest value.
+        slot = buckets.get(key)
+        if slot is None:
+            buckets[key] = [count, vmax]
+        else:
+            slot[0] += count
+            if vmax > slot[1]:
+                slot[1] = vmax
+
     def _spill(self) -> None:
         assert self._exact is not None
         buckets: dict[tuple, list] = {}
         for value, count in self._exact.items():
-            key = self._bucket_key(value)
-            slot = buckets.get(key)
-            if slot is None:
-                buckets[key] = [count, value]
-            else:
-                slot[0] += count
-                if value > slot[1]:
-                    slot[1] = value
+            self._fold(buckets, self._bucket_key(value), count, value)
         self._exact, self._buckets = None, buckets
 
     def feed(self, value) -> None:
@@ -143,44 +147,23 @@ class QuantileSketch:
                 self._spill()
             return
         assert self._buckets is not None
-        key = self._bucket_key(value)
-        slot = self._buckets.get(key)
-        if slot is None:
-            self._buckets[key] = [1, value]
-        else:
-            slot[0] += 1
-            if value > slot[1]:
-                slot[1] = value
+        self._fold(self._buckets, self._bucket_key(value), 1, value)
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch in (commutative, like feeding its values)."""
-        if other._exact is not None:
-            if self._exact is not None:
-                for value, count in other._exact.items():
-                    self._exact[value] = self._exact.get(value, 0) + count
-                if len(self._exact) > SKETCH_EXACT_LIMIT:
-                    self._spill()
-            else:
-                for value, count in other._exact.items():
-                    key = self._bucket_key(value)
-                    slot = self._buckets.get(key)  # type: ignore[union-attr]
-                    if slot is None:
-                        self._buckets[key] = [count, value]  # type: ignore[index]
-                    else:
-                        slot[0] += count
-                        if value > slot[1]:
-                            slot[1] = value
+        if other._exact is not None and self._exact is not None:
+            for value, count in other._exact.items():
+                self._exact[value] = self._exact.get(value, 0) + count
+            if len(self._exact) > SKETCH_EXACT_LIMIT:
+                self._spill()
+        elif other._exact is not None:
+            for value, count in other._exact.items():
+                self._fold(self._buckets, self._bucket_key(value), count, value)  # type: ignore[arg-type]
         else:
             if self._exact is not None:
                 self._spill()
             for key, (count, vmax) in other._buckets.items():  # type: ignore[union-attr]
-                slot = self._buckets.get(key)  # type: ignore[union-attr]
-                if slot is None:
-                    self._buckets[key] = [count, vmax]  # type: ignore[index]
-                else:
-                    slot[0] += count
-                    if vmax > slot[1]:
-                        slot[1] = vmax
+                self._fold(self._buckets, key, count, vmax)  # type: ignore[arg-type]
         self.count += other.count
 
     def quantile(self, q: float) -> float:

@@ -1,4 +1,4 @@
-"""Frozen campaign baselines: the machine-checkable regression gate.
+"""Frozen campaign baselines and the one pin check behind every gate.
 
 :func:`freeze` distills a campaign's deterministic fields — per-run status,
 output digest, exactness, bit counts, keyed by spec content hash — into
@@ -7,6 +7,9 @@ against a fresh run and returns a structured pass/fail that CI turns into
 an exit code: a changed digest means the protocol now computes something
 else; a grown bit count means a message got bigger than the paper's bound
 justified; a missing run means the campaign grid silently shrank.
+:func:`diff_campaigns` is the same check with a second campaign as the
+baseline, and the bench gate (:func:`repro.bench.check_suite`) runs its
+pinned table through the same :func:`compare_pins`.
 
 Baselines deliberately contain no timing — they must be reproducible on
 any machine (the engine's determinism contract, DESIGN.md §2).
@@ -16,15 +19,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import BaselineError, SchemaError
-from repro.results.records import (
-    RECORD_VERSION,
-    index_by_spec_hash,
-    within_tolerance,
-)
+from repro.results.records import RECORD_VERSION, index_by_spec_hash
 
 __all__ = [
     "BASELINE_VERSION",
@@ -34,7 +33,9 @@ __all__ = [
     "load_baseline",
     "CheckFailure",
     "BaselineCheck",
+    "compare_pins",
     "check",
+    "diff_campaigns",
 ]
 
 BASELINE_VERSION = 1
@@ -48,15 +49,21 @@ _PINNED_FIELDS = ("status", "output_kind", "output_digest", "exact")
 _BIT_FIELDS = ("max_message_bits", "total_message_bits")
 
 
-def summarize_campaign(records: Iterable[Mapping], *, name: str = "campaign") -> dict:
-    """The frozen form of a campaign: its per-run deterministic fields."""
+def _by_hash(records: Iterable[Mapping], *, label: str) -> dict[str, dict]:
+    """A campaign's pin table: spec content hash -> flat deterministic entry."""
     by_hash: dict[str, dict] = {}
-    for key, record in index_by_spec_hash(records, label=f"baseline {name!r}").items():
+    for key, record in sorted(index_by_spec_hash(records, label=label).items()):
         spec, result = record["spec"], record["result"]
         entry = {k: spec[k] for k in ("scenario", "family", "n", "seed", "protocol")}
-        for name_ in _PINNED_FIELDS + _BIT_FIELDS:
-            entry[name_] = result[name_]
+        for name in _PINNED_FIELDS + _BIT_FIELDS:
+            entry[name] = result[name]
         by_hash[key] = entry
+    return by_hash
+
+
+def summarize_campaign(records: Iterable[Mapping], *, name: str = "campaign") -> dict:
+    """The frozen form of a campaign: its per-run deterministic fields."""
+    by_hash = _by_hash(records, label=f"baseline {name!r}")
     if not by_hash:
         raise SchemaError(f"cannot freeze baseline {name!r} from zero records")
     return {
@@ -64,7 +71,7 @@ def summarize_campaign(records: Iterable[Mapping], *, name: str = "campaign") ->
         "name": name,
         "spec_version": RECORD_VERSION,
         "runs": len(by_hash),
-        "by_hash": dict(sorted(by_hash.items())),
+        "by_hash": by_hash,
     }
 
 
@@ -119,10 +126,10 @@ def load_baseline(source: str | pathlib.Path | Mapping) -> dict:
 
 @dataclass(frozen=True)
 class CheckFailure:
-    """One violated baseline expectation."""
+    """One violated pin: a run, a benchmark, a speedup floor or a trend."""
 
-    kind: str        # "missing-run" | "extra-run" | "result" | "bits"
-    key: str         # spec content hash ("" for campaign-level failures)
+    kind: str        # "missing-run" | "extra-run" | "result" | "bits" | ...
+    key: str         # spec content hash, or a benchmark name
     detail: str
 
     def to_dict(self) -> dict:
@@ -131,7 +138,7 @@ class CheckFailure:
 
 @dataclass
 class BaselineCheck:
-    """Structured verdict of :func:`check` — what CI gates on."""
+    """The one verdict of ``check``, ``diff`` and the bench gate — what CI gates on."""
 
     baseline_name: str
     runs_checked: int
@@ -152,58 +159,99 @@ class BaselineCheck:
         }
 
 
+def compare_pins(
+    expected: Mapping[str, Mapping],
+    actual: Mapping[str, Mapping],
+    *,
+    exact: Sequence[str],
+    bits: Sequence[str] = (),
+    bits_tolerance: float = 0.0,
+    what: str = "run",
+    label: Callable[[Mapping], str] | None = None,
+) -> list[CheckFailure]:
+    """The one keyed pin comparison behind ``check``, ``diff`` and the bench gate.
+
+    Both tables map a key to a flat entry.  Keys only ``expected`` has fail
+    as ``missing-<what>``, keys only ``actual`` has as ``extra-<what>`` (a
+    silently grown grid is as suspicious as a shrunken one).  Per shared
+    key, the ``exact`` fields must be equal (``result`` failures) and the
+    ``bits`` fields within the relative ``bits_tolerance``
+    (``|new - old| <= tol * max(old, 1)``; ``bits`` failures).  ``label``
+    names a missing or extra entry in its detail line.
+    """
+    def named(entry: Mapping) -> str:
+        return f"{what} {label(entry)}" if label else what
+
+    failures = [
+        CheckFailure(f"missing-{what}", key,
+                     f"baseline {named(expected[key])} not present")
+        for key in sorted(expected.keys() - actual.keys())
+    ]
+    failures += [
+        CheckFailure(f"extra-{what}", key,
+                     f"{named(actual[key])} has no baseline entry (re-freeze?)")
+        for key in sorted(actual.keys() - expected.keys())
+    ]
+    for key in sorted(expected.keys() & actual.keys()):
+        e, a = expected[key], actual[key]
+        for name in exact:
+            if a[name] != e[name]:
+                failures.append(CheckFailure(
+                    "result", key, f"{name}: expected {e[name]!r}, got {a[name]!r}"))
+        for name in bits:
+            if abs(a[name] - e[name]) > bits_tolerance * max(abs(e[name]), 1):
+                failures.append(CheckFailure(
+                    "bits", key,
+                    f"{name}: expected {e[name]} ± {bits_tolerance:.0%}, got {a[name]}"))
+    return failures
+
+
+def _run_label(entry: Mapping) -> str:
+    return (f"{entry.get('scenario')}/{entry.get('family')}/n={entry.get('n')}/"
+            f"seed={entry.get('seed')}")
+
+
+def _check_records(
+    name: str, expected: Mapping, records: Iterable[Mapping], bits_tolerance: float
+) -> BaselineCheck:
+    if bits_tolerance < 0:
+        raise SchemaError(f"bits_tolerance must be >= 0, got {bits_tolerance}")
+    actual = _by_hash(records, label="checked campaign")
+    return BaselineCheck(
+        baseline_name=name,
+        runs_checked=len(actual),
+        bits_tolerance=bits_tolerance,
+        failures=compare_pins(expected, actual, exact=_PINNED_FIELDS,
+                              bits=_BIT_FIELDS, bits_tolerance=bits_tolerance,
+                              label=_run_label),
+    )
+
+
 def check(
     records: Iterable[Mapping],
     baseline: str | pathlib.Path | Mapping,
     *,
     bits_tolerance: float = 0.0,
 ) -> BaselineCheck:
-    """Verify a fresh campaign against a frozen baseline.
+    """Verify a fresh campaign against a frozen baseline (see :func:`compare_pins`).
 
-    Every baseline run must be present with identical status / output
-    digest / exactness; bit counts must match within the relative
-    ``bits_tolerance`` (``|new - old| <= tol * max(old, 1)``); runs absent
-    from the baseline are flagged too (a silently grown grid is as
-    suspicious as a shrunken one).
+    Runs are keyed on the *physical* spec content hash, so scenario labels
+    and file order never matter.
     """
-    if bits_tolerance < 0:
-        raise SchemaError(f"bits_tolerance must be >= 0, got {bits_tolerance}")
     baseline = load_baseline(baseline)
-    expected: dict[str, dict] = baseline["by_hash"]
+    return _check_records(str(baseline.get("name", "baseline")),
+                          baseline["by_hash"], records, bits_tolerance)
 
-    fresh = index_by_spec_hash(records, label="checked campaign")
 
-    result = BaselineCheck(
-        baseline_name=str(baseline.get("name", "baseline")),
-        runs_checked=len(fresh),
-        bits_tolerance=bits_tolerance,
-    )
-    for key in sorted(set(expected) - set(fresh)):
-        e = expected[key]
-        result.failures.append(CheckFailure(
-            "missing-run", key,
-            f"baseline run {e.get('scenario')}/{e.get('family')}/n={e.get('n')}/"
-            f"seed={e.get('seed')} not present in campaign",
-        ))
-    for key in sorted(set(fresh) - set(expected)):
-        spec = fresh[key]["spec"]
-        result.failures.append(CheckFailure(
-            "extra-run", key,
-            f"campaign run {spec['scenario']}/{spec['family']}/n={spec['n']}/"
-            f"seed={spec['seed']} has no baseline entry (re-freeze?)",
-        ))
-    for key in sorted(set(expected) & set(fresh)):
-        e, res = expected[key], fresh[key]["result"]
-        for name in _PINNED_FIELDS:
-            if res[name] != e[name]:
-                result.failures.append(CheckFailure(
-                    "result", key, f"{name}: expected {e[name]!r}, got {res[name]!r}",
-                ))
-        for name in _BIT_FIELDS:
-            old, new = e[name], res[name]
-            if not within_tolerance(old, new, bits_tolerance):
-                result.failures.append(CheckFailure(
-                    "bits", key,
-                    f"{name}: expected {old} ± {bits_tolerance:.0%}, got {new}",
-                ))
-    return result
+def diff_campaigns(
+    records_a: Iterable[Mapping],
+    records_b: Iterable[Mapping],
+    *,
+    bits_tolerance: float = 0.0,
+) -> BaselineCheck:
+    """Compare two campaigns run by run: :func:`check` with side a as the baseline.
+
+    Unlike a frozen baseline, side a may be empty: two empty campaigns agree.
+    """
+    return _check_records("a", _by_hash(records_a, label="campaign a"),
+                          records_b, bits_tolerance)

@@ -36,7 +36,6 @@ __all__ = [
     "canonical_line",
     "spec_content_hash",
     "index_by_spec_hash",
-    "within_tolerance",
 ]
 
 #: The record schema version this module validates against (== engine
@@ -300,9 +299,8 @@ def write_records(
 def spec_content_hash(spec: Mapping[str, Any]) -> str:
     """Content hash of a record's ``spec`` section (see ``RunSpec.content_hash``).
 
-    The alignment key for :mod:`repro.results.diff` and
-    :mod:`repro.results.baseline`: two campaigns match runs on the physical
-    spec, not on file order or scenario labels.
+    The alignment key of :mod:`repro.results.baseline`: two campaigns match
+    runs on the physical spec, not on file order or scenario labels.
     """
     return RunSpec.from_dict(spec).content_hash()
 
@@ -326,11 +324,3 @@ def index_by_spec_hash(
         out[key] = record
     return out
 
-
-def within_tolerance(baseline: int, candidate: int, tolerance: float) -> bool:
-    """The gate's relative comparison: ``|c - b| <= tol * max(|b|, 1)``.
-
-    One definition shared by :mod:`repro.results.diff` and
-    :mod:`repro.results.baseline` so the two CI gates cannot drift apart.
-    """
-    return abs(candidate - baseline) <= tolerance * max(abs(baseline), 1)

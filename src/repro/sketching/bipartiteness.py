@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.graphs.unionfind import UnionFind
 from repro.model.message import Message
-from repro.model.protocol import DecisionProtocol
+from repro.model.protocol import DecisionProtocol, require_one_message_per_vertex
 from repro.sketching.agm import Bank, bank_offsets, boruvka, derive_bank, encode, incidence_updates
 from repro.registry import register
 
@@ -113,6 +113,7 @@ class SketchBipartitenessProtocol(DecisionProtocol):
         return self.decode_and_solve(n, messages).bipartite
 
     def decode_and_solve(self, n: int, messages: list[Message]) -> BipartitenessReport:
+        require_one_message_per_vertex(n, messages)
         if n <= 1:
             return BipartitenessReport(True, n, n, 2 * n, 0)
         g_bank, dc_bank = self.banks(n)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
-from repro.model.protocol import DecisionProtocol
+from repro.model.protocol import DecisionProtocol, require_one_message_per_vertex
 from repro.sketching.agm import (
     Bank,
     bank_offsets,
@@ -117,6 +117,7 @@ class AGMConnectivityProtocol(DecisionProtocol):
 
     def decode_and_solve(self, n: int, messages: list[Message]) -> SketchReport:
         """Full global phase, returning the detailed report."""
+        require_one_message_per_vertex(n, messages)
         if n <= 1:
             return SketchReport(True, n, 0, (), 0, 0)
         bank = self.bank(n)

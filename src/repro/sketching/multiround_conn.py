@@ -30,6 +30,7 @@ from typing import Any
 from repro.graphs.unionfind import UnionFind
 from repro.model.message import Message
 from repro.model.multiround import MultiRoundProtocol
+from repro.model.protocol import require_one_message_per_vertex
 from repro.sketching.agm import Bank, bank_offsets, boruvka_round, encode, incidence_updates
 from repro.sketching.connectivity import AGMConnectivityProtocol
 
@@ -69,6 +70,7 @@ class MultiRoundSketchConnectivity(MultiRoundProtocol):
     # ------------------------------------------------------------------ #
 
     def referee_step(self, n: int, round_idx: int, messages: list[Message]) -> tuple[str, Any]:
+        require_one_message_per_vertex(n, messages)
         if round_idx == 0:
             self._state = {"uf": UnionFind(n), "components": max(n, 1)}
         if n >= 2 and self._state["components"] > 1:

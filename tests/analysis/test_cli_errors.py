@@ -115,7 +115,7 @@ class TestDiffPaths:
 
     def test_diff_identical_exits_zero(self, capsys, smoke_jsonl):
         assert main(["diff", str(smoke_jsonl), str(smoke_jsonl)]) == 0
-        assert "identical" in capsys.readouterr().out
+        assert "passed" in capsys.readouterr().out
 
     def test_diff_mismatch_exits_one(self, capsys, smoke_jsonl, tmp_path):
         lines = smoke_jsonl.read_text().splitlines()
@@ -125,7 +125,7 @@ class TestDiffPaths:
         drifted.write_text("\n".join([json.dumps(record, sort_keys=True)] + lines[1:]) + "\n")
         assert main(["diff", str(smoke_jsonl), str(drifted)]) == 1
         out = capsys.readouterr().out
-        assert "MISMATCH output_digest" in out and "DIFFERS" in out
+        assert "FAIL [result]" in out and "output_digest" in out and "FAILED" in out
 
     def test_diff_json_mismatch_exits_one(self, capsys, smoke_jsonl, tmp_path):
         lines = smoke_jsonl.read_text().splitlines()
@@ -135,7 +135,27 @@ class TestDiffPaths:
         drifted.write_text("\n".join([json.dumps(record, sort_keys=True)] + lines[1:]) + "\n")
         assert main(["diff", str(smoke_jsonl), str(drifted), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False and payload["bit_deltas"]
+        assert payload["passed"] is False
+        assert [f["kind"] for f in payload["failures"]] == ["bits"]
+
+    def test_diff_json_is_the_baseline_check_verdict(self, capsys, smoke_jsonl, tmp_path):
+        lines = smoke_jsonl.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["result"]["output_digest"] = "drifted"
+        record["timing"]["wall_seconds"] = 1e6  # timing noise must not leak
+        drifted = tmp_path / "drifted.jsonl"
+        drifted.write_text("\n".join([json.dumps(record, sort_keys=True)] + lines[1:]) + "\n")
+        assert main(["diff", str(smoke_jsonl), str(drifted), "--json"]) == 1
+        diffed = json.loads(capsys.readouterr().out)
+        baseline = freeze(load_records(smoke_jsonl), "a", baselines_dir=tmp_path)
+        assert main(["baseline", "check", str(drifted), str(baseline), "--json"]) == 1
+        assert diffed == json.loads(capsys.readouterr().out)
+        assert [f["kind"] for f in diffed["failures"]] == ["result"]
+
+    def test_diff_time_tolerance_is_a_usage_error(self, capsys, smoke_jsonl):
+        assert main(["diff", str(smoke_jsonl), str(smoke_jsonl),
+                     "--time-tolerance", "2"]) == 2
+        assert "unrecognized arguments: --time-tolerance" in capsys.readouterr().err
 
     def test_diff_bad_tolerance(self, capsys, smoke_jsonl):
         assert main(["diff", str(smoke_jsonl), str(smoke_jsonl),

@@ -124,7 +124,7 @@ class TestUsageErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_time_tolerance_is_a_usage_error(self, capsys):
-        # a bench baseline pins no wall time; `repro diff` keeps its own flag
+        # a bench baseline pins no wall time, and no gate takes a timing flag
         assert main(["bench", "--time-tolerance", "2", "--output", "-"]) == 2
         assert "unrecognized arguments: --time-tolerance" in capsys.readouterr().err
 

@@ -156,21 +156,26 @@ def _framing_decode(truncate: bool):
     return unpack_messages(packed, 3)
 
 
-def _decode(protocol, g, corrupt=None, victim: int = 0):
-    """Decode ``g``'s messages with ``msgs[victim]`` corrupted.
+def _referee(protocol, n: int):
+    """The referee's decode of an n-vector; a multi-round protocol's round 0."""
+    if isinstance(protocol, MultiRoundProtocol):
+        return lambda msgs: protocol.referee_step(n, 0, msgs)
+    return lambda msgs: protocol.global_(n, msgs)
 
-    A multi-round protocol decodes its round 0 through its referee step.
-    """
+
+def _decode(protocol, g, corrupt=None, victim: int = 0, reshape=None):
+    """Decode ``g``'s messages with ``msgs[victim]`` corrupted, then the
+    whole vector passed through ``reshape``."""
     if isinstance(protocol, MultiRoundProtocol):
         msgs = [protocol.node_step(g.n, i, g.neighbors(i), 0, Message.empty())
                 for i in g.vertices()]
-        decode = lambda m: protocol.referee_step(g.n, 0, m)  # noqa: E731
     else:
         msgs = protocol.message_vector(g)
-        decode = lambda m: protocol.global_(g.n, m)  # noqa: E731
     if corrupt is not None:
         msgs[victim] = corrupt(msgs[victim])
-    return decode(msgs)
+    if reshape is not None:
+        msgs = reshape(msgs)
+    return _referee(protocol, g.n)(msgs)
 
 
 def _decoder(protocol):
@@ -212,16 +217,19 @@ _MULTIROUND = "multiround_sketch"
 _TOTALITY_PROTOCOLS = sorted(registry.catalog()["protocol"]) + [_MULTIROUND]
 
 
-def _decode_corrupted(name: str, corrupt=None, victim: int = 0):
+def _roster_member(name: str, n: int):
+    return (MultiRoundSketchConnectivity(seed=1) if name == _MULTIROUND
+            else registry.PROTOCOL.build(name, n))
+
+
+def _decode_corrupted(name: str, corrupt=None, victim: int = 0, reshape=None):
     """Decode a path graph's messages with one of them corrupted.
 
     A path is in every registered protocol's default graph class: a forest
     of degeneracy 1 and maximum degree 2.
     """
     g = path_graph(8)
-    protocol = (MultiRoundSketchConnectivity(seed=1) if name == _MULTIROUND
-                else registry.PROTOCOL.build(name, g.n))
-    return _decode(protocol, g, corrupt, victim)
+    return _decode(_roster_member(name, g.n), g, corrupt, victim, reshape)
 
 
 def test_totality_roster_covers_the_catalog():
@@ -247,6 +255,12 @@ class TestEveryProtocolIsTotal:
     def test_empty_message_is_a_decode_error(self, name, victim):
         with pytest.raises(DecodeError):
             _decode_corrupted(name, lambda m: Message.empty(), victim)
+
+    @pytest.mark.parametrize("reshape", [lambda m: m[:-1], lambda m: m + m[:1]],
+                             ids=["one-short", "one-extra"])
+    def test_wrong_message_count_is_a_decode_error(self, name, reshape):
+        with pytest.raises(DecodeError):
+            _decode_corrupted(name, reshape=reshape)
 
     @pytest.mark.parametrize("pos", [0, 1, 5, 13, 61, 200, 1000, 4095])
     def test_bit_flip_decodes_or_is_a_decode_error(self, name, pos):
@@ -302,9 +316,7 @@ def test_forest_recognition_accepts_the_empty_graph():
     assert ForestRecognitionProtocol().global_(0, []) is True
 
 
-@pytest.mark.parametrize("protocol", [
-    ForestReconstructionProtocol(), BoundedDegreeProtocol(3), GeneralizedDegeneracyProtocol(1),
-], ids=["forest", "bounded_degree", "generalized_degeneracy"])
-def test_messages_for_an_empty_graph_are_a_decode_error(protocol):
+@pytest.mark.parametrize("name", _TOTALITY_PROTOCOLS)
+def test_messages_for_an_empty_graph_are_a_decode_error(name):
     with pytest.raises(DecodeError, match="0 vertices"):
-        protocol.global_(0, [Message(1, 3)])
+        _referee(_roster_member(name, 0), 0)([Message(1, 3)])
