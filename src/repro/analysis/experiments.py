@@ -45,6 +45,7 @@ from repro.graphs.generators import (
 from repro.model import FrugalityAuditor, MultiRoundReferee, Referee, log2_ceil
 from repro.protocols import (
     DegeneracyReconstructionProtocol,
+    DegreeProtocol,
     ForestReconstructionProtocol,
     GeneralizedDegeneracyProtocol,
     PartitionConnectivityProtocol,
@@ -57,8 +58,6 @@ from repro.protocols.powersum import (
     powersum_message_bits,
 )
 from repro.reductions import (
-    DegreeEncoder,
-    DegreeSumEncoder,
     DiameterReduction,
     HashedNeighborhoodEncoder,
     OracleDiameterDetector,
@@ -363,14 +362,16 @@ def exp_adversary(max_n: int = 6) -> Result:
                 )
         return f"rigid <= n={max_n}", "-"
 
-    for encoder, prop, prop_name in [
-        (DegreeEncoder(), has_square, "has_square"),
-        (DegreeEncoder(), has_triangle, "has_triangle"),
-        (HashedNeighborhoodEncoder(bits=2, salt=7), has_square, "has_square"),
-        (DegreeSumEncoder(), has_square, "has_square"),
+    hashed = HashedNeighborhoodEncoder(bits=2, salt=7)
+    for label, encoder, prop, prop_name in [
+        ("degree", DegreeProtocol(), has_square, "has_square"),
+        ("degree", DegreeProtocol(), has_triangle, "has_triangle"),
+        (hashed.name, hashed, has_square, "has_square"),
+        # the forest message; its sender ID is equal across a pair's two graphs
+        ("degree+sum", ForestReconstructionProtocol(), has_square, "has_square"),
     ]:
         verdict, witness = hunt(encoder, prop, prop_name)
-        rows.append([encoder.name, prop_name, verdict, witness])
+        rows.append([label, prop_name, verdict, witness])
 
     crossover = next(
         n for n in range(4, 100_000)

@@ -6,10 +6,12 @@ referee.  This subpackage provides:
 * :class:`~repro.bits.writer.BitWriter` / :class:`~repro.bits.reader.BitReader`
   — append-only bit stream builder and cursor-based reader;
 * :mod:`~repro.bits.codes` — self-delimiting and fixed-width integer codes
-  (fixed-width, unary, Elias gamma, Elias delta, LEB128 varint) used by the
-  protocol implementations to serialize IDs, degrees, and power sums;
-* :mod:`~repro.bits.sizing` — closed-form bit-length helpers used by the
-  frugality auditor and by the Lemma 2 experiments.
+  (fixed-width, unary, Elias gamma, Elias delta, LEB128 varint); the
+  protocols write IDs, degrees and power sums as fixed-width fields, and
+  Elias delta only frames the reductions' tuple messages
+  (:mod:`repro.reductions.framing`);
+* :mod:`~repro.bits.sizing` — :func:`~repro.bits.sizing.id_width`, the
+  width of every fixed-width field, plus the codes' closed-form lengths.
 
 All protocols in :mod:`repro.protocols` serialize through this layer so the
 auditor's byte counts are honest: a message's size is the number of bits

@@ -3,8 +3,10 @@
 Each code is a stateless object with ``encode(writer, value)`` and
 ``decode(reader) -> value``.  Fixed-width codes carry their width; the
 self-delimiting codes (unary, Elias gamma/delta, varint) need no external
-framing and are used where a value's magnitude is data-dependent (e.g. power
-sums in Algorithm 3, whose size grows with ``p``).
+framing.  No protocol message uses them: Algorithm 3's power sums are
+fixed-width fields (``b_p`` takes ``(p+1)·w`` bits), and the one code in use
+is Elias delta, which frames the reductions' tuple messages
+(:mod:`repro.reductions.framing`).
 
 The codes are deliberately classical: the paper measures message size in
 bits, so the library uses textbook codes whose lengths have closed forms

@@ -3,8 +3,9 @@
 These are the arithmetic facts behind the paper's frugality accounting:
 an ID in ``1..n`` costs ``ceil(log2(n+1))`` bits fixed-width, a power sum
 ``b_p <= n^{p+1}`` costs at most ``(p+1) * ceil(log2(n+1))`` bits, and so on
-(Lemma 2).  The frugality auditor uses these to convert "O(log n)" into a
-concrete per-protocol constant.
+(Lemma 2).  :func:`id_width` sizes every fixed-width field the protocols
+write; the code-length helpers are the closed forms of
+:mod:`repro.bits.codes`, which the tests check measured lengths against.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ The paper's final remark: define generalized degeneracy k by an ordering
 complement of** ``G_i``.  The protocol "encodes both the neighborhood and
 the non-neighborhood of each vertex": every node sends Algorithm 3's power
 sums twice — once for ``N(v)``, once for ``V \\ ({v} ∪ N(v))`` — doubling
-the message (still ``O(k² log n)``).
+the message (still ``O(k² log n)``).  The message is Algorithm 3's
+``(ID, deg, b_1..b_k)`` followed by the co-sums ``b̄_1..b̄_k`` at the same
+widths; the referee unpacks the first part with
+:func:`~repro.protocols.powersum.decode_powersum_messages` and slices the
+co-sums at the same fixed offsets.
 
 The referee's pruning now fires on either side: a vertex whose *current*
 degree is ≤ k decodes its neighbourhood from ``b``; one whose current
@@ -19,14 +23,20 @@ plain bounded degeneracy.
 
 from __future__ import annotations
 
-from repro.bits.reader import BitReader
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import BitstreamError, DecodeError, GraphError, RecognitionFailure
+from repro.errors import DecodeError, GraphError, RecognitionFailure
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import ReconstructionProtocol, require_one_message_per_vertex
-from repro.protocols.powersum import compute_power_sums, decode_neighborhood_newton
+from repro.protocols.powersum import (
+    _sum_fields,
+    compute_power_sums,
+    decode_neighborhood_newton,
+    decode_powersum_messages,
+    encode_powersum_message,
+    powersum_message_bits,
+)
 from repro.registry import register
 
 __all__ = ["GeneralizedDegeneracyProtocol", "generalized_degeneracy"]
@@ -87,13 +97,12 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
         w = id_width(n)
         co = frozenset(range(1, n + 1)) - neighborhood - {i}
         writer = BitWriter()
-        writer.write_bits(i, w)
-        writer.write_bits(len(neighborhood), w)
-        for p, b in enumerate(compute_power_sums(neighborhood, self.k), start=1):
-            writer.write_bits(b, (p + 1) * w)
-        for p, b in enumerate(compute_power_sums(co, self.k), start=1):
-            writer.write_bits(b, (p + 1) * w)
-        return Message.from_writer(writer)
+        writer.write_many(
+            (b, (p + 1) * w) for p, b in enumerate(compute_power_sums(co, self.k), start=1)
+        )
+        return encode_powersum_message(n, self.k, i, neighborhood).concat(
+            Message.from_writer(writer)
+        )
 
     # ------------------------------------------------------------------ #
     # global phase: two-sided pruning
@@ -105,22 +114,23 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
             return LabeledGraph(0)
         w = id_width(n)
         k = self.k
-        state: dict[int, tuple[int, list[int], list[int]]] = {}
+        head_bits = powersum_message_bits(n, k)
+        co_bits = head_bits - 2 * w  # the co-sums: Algorithm 3's sums, no ID or degree
         for msg in messages:
-            r: BitReader = msg.reader()
-            try:
-                v = r.read_bits(w)
-                d = r.read_bits(w)
-                b = [r.read_bits((p + 1) * w) for p in range(1, k + 1)]
-                bc = [r.read_bits((p + 1) * w) for p in range(1, k + 1)]
-                r.expect_exhausted()
-            except BitstreamError as exc:
-                raise DecodeError(f"malformed generalized-degeneracy message: {exc}") from exc
-            if not 1 <= v <= n or v in state:
+            if msg.bits != head_bits + co_bits:
+                raise DecodeError(
+                    f"malformed generalized-degeneracy message: {msg.bits} bits, "
+                    f"expected {head_bits + co_bits}"
+                )
+        records = decode_powersum_messages(
+            n, k, [Message(msg.acc >> co_bits, head_bits) for msg in messages]
+        )
+        co_fields = _sum_fields(w, k, co_bits)
+        state: dict[int, tuple[int, list[int], list[int]]] = {}
+        for (v, d, b), msg in zip(records, messages):
+            if v in state:
                 raise DecodeError(f"bad or duplicate vertex ID {v}")
-            if d > n - 1:
-                raise DecodeError(f"decoded degree {d} exceeds n-1 = {n - 1}")
-            state[v] = (d, b, bc)
+            state[v] = (d, b, [(msg.acc >> s) & m for s, m in co_fields])
 
         h = LabeledGraph(n)
         remaining = set(state)

@@ -106,6 +106,19 @@ def encode_powersum_message(n: int, k: int, i: int, neighborhood: frozenset[int]
     return Message.from_writer(writer)
 
 
+def _sum_fields(w: int, k: int, top: int) -> list[tuple[int, int]]:
+    """``(shift, mask)`` of ``b_1..b_k`` written MSB first below bit ``top``.
+
+    ``b_p`` is ``(p+1)·w`` bits wide, so the last sum ends at bit
+    ``top - Σ_p (p+1)·w``.
+    """
+    fields = []
+    for p in range(1, k + 1):
+        top -= (p + 1) * w
+        fields.append((top, (1 << (p + 1) * w) - 1))
+    return fields
+
+
 def decode_powersum_messages(
     n: int, k: int, messages: list[Message]
 ) -> list[tuple[int, int, list[int]]]:
@@ -126,11 +139,7 @@ def decode_powersum_messages(
     vertex_shift = nbits - w
     degree_shift = vertex_shift - w
     id_mask = (1 << w) - 1
-    fields = []
-    shift = degree_shift
-    for p in range(1, k + 1):
-        shift -= (p + 1) * w
-        fields.append((shift, (1 << (p + 1) * w) - 1))
+    fields = _sum_fields(w, k, degree_shift)
     records = []
     for msg in messages:
         if msg.bits != nbits:

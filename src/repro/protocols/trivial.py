@@ -4,7 +4,8 @@ These anchor the experiments:
 
 * :class:`EmptyProtocol` / :class:`IdEchoProtocol` / :class:`DegreeProtocol`
   send almost nothing — frugal but (provably) unable to decide the paper's
-  properties; the adversarial collision search uses them as the easy kills.
+  properties; the adversarial collision search runs :class:`DegreeProtocol`
+  as its easy kill.
 * :class:`FullAdjacencyProtocol` sends everything — the *non-frugal* oracle
   whose messages are ``n`` bits; plugged into the Section II reductions it
   validates them end-to-end (a correct detector really does yield a correct
@@ -31,6 +32,18 @@ from repro.registry import register
 __all__ = ["EmptyProtocol", "IdEchoProtocol", "DegreeProtocol", "FullAdjacencyProtocol"]
 
 
+def _read_one_field(n: int, messages: list[Message]) -> list[int]:
+    """The one ``id_width(n)``-bit field of each of the n messages, in order."""
+    require_one_message_per_vertex(n, messages)
+    if n == 0:
+        return []
+    width = id_width(n)
+    for i, msg in enumerate(messages, start=1):
+        if msg.bits != width:
+            raise DecodeError(f"node {i} sent {msg.bits} bits, expected {width}")
+    return [msg.acc for msg in messages]
+
+
 class EmptyProtocol(OneRoundProtocol):
     """Every node sends the empty message; the referee outputs ``None``."""
 
@@ -53,9 +66,8 @@ class IdEchoProtocol(OneRoundProtocol):
         w.write_bits(i, id_width(n))
         return Message.from_writer(w)
 
-    def global_(self, n: int, messages: list[Message]) -> Any:
-        width = id_width(n)
-        return [m.reader().read_bits(width) for m in messages]
+    def global_(self, n: int, messages: list[Message]) -> list[int]:
+        return _read_one_field(n, messages)
 
 
 class DegreeProtocol(OneRoundProtocol):
@@ -72,9 +84,8 @@ class DegreeProtocol(OneRoundProtocol):
         w.write_bits(len(neighborhood), id_width(n))
         return Message.from_writer(w)
 
-    def global_(self, n: int, messages: list[Message]) -> Any:
-        width = id_width(n)
-        return [m.reader().read_bits(width) for m in messages]
+    def global_(self, n: int, messages: list[Message]) -> list[int]:
+        return _read_one_field(n, messages)
 
 
 class FullAdjacencyProtocol(ReconstructionProtocol):

@@ -55,10 +55,6 @@ from repro.reductions.collision import (
     CollisionWitness,
     find_collision_exhaustive,
     find_collision_sampled,
-    LocalEncoder,
-    DegreeEncoder,
-    DegreeSumEncoder,
-    PowerSumEncoder,
     HashedNeighborhoodEncoder,
 )
 
@@ -85,9 +81,5 @@ __all__ = [
     "CollisionWitness",
     "find_collision_exhaustive",
     "find_collision_sampled",
-    "LocalEncoder",
-    "DegreeEncoder",
-    "DegreeSumEncoder",
-    "PowerSumEncoder",
     "HashedNeighborhoodEncoder",
 ]

@@ -6,17 +6,18 @@ its *local* function alone: if two graphs produce the same message vector
 but differ on the property, **no** global function can be correct.  The
 searchers below hunt for such witness pairs:
 
-* :func:`find_collision_exhaustive` — enumerate all labelled graphs on n
-  vertices (guarded), bucket by message vector, report a bucket mixing
-  property values;
-* :func:`find_collision_sampled` — birthday-style random search over a
-  generator, for sizes beyond enumeration.
+* :func:`find_collision_sampled` — bucket a stream of graphs by message
+  vector and report the first bucket mixing property values
+  (birthday-style over a random generator, for sizes beyond enumeration);
+* :func:`find_collision_exhaustive` — the same search over every labelled
+  graph on n vertices.
 
-Candidate local encoders (all frugal) are provided to be killed:
-:class:`DegreeEncoder`, :class:`DegreeSumEncoder` (the forest encoder —
-complete for degeneracy 1 yet useless for C4 on general graphs),
-:class:`PowerSumEncoder` (Algorithm 3 with fixed k — complete for
-degeneracy ≤ k, still collides beyond), and
+The candidates are the protocols' own local functions: any object with
+``local(n, i, N)`` and ``name`` will do, since the search quantifies over
+all global functions at once.  The experiments kill
+:class:`~repro.protocols.trivial.DegreeProtocol`, probe
+:class:`~repro.protocols.forest.ForestReconstructionProtocol` (complete for
+degeneracy 1, square-rigid at enumerable sizes), and use
 :class:`HashedNeighborhoodEncoder` (a random-fingerprint strawman).
 
 A found witness is *certified*: the pair of graphs, their property values,
@@ -25,22 +26,18 @@ and the shared message vector are returned so tests can re-verify.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
 from repro.graphs.counting import enumerate_labeled_graphs
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
-from repro.protocols.powersum import compute_power_sums
+from repro.model.protocol import OneRoundProtocol
 from repro.sketching.field import derive_params
 
 __all__ = [
-    "LocalEncoder",
-    "DegreeEncoder",
-    "DegreeSumEncoder",
-    "PowerSumEncoder",
     "HashedNeighborhoodEncoder",
     "CollisionWitness",
     "find_collision_exhaustive",
@@ -48,60 +45,7 @@ __all__ = [
 ]
 
 
-class LocalEncoder:
-    """A bare local function ``(n, i, N) -> Message`` — no global function needed.
-
-    The collision search quantifies over all possible global functions at
-    once, so candidates only supply the encoding side.
-    """
-
-    name = "local-encoder"
-
-    def local(self, n: int, i: int, neighborhood: frozenset[int]) -> Message:
-        raise NotImplementedError
-
-    def message_vector(self, g: LabeledGraph) -> tuple[Message, ...]:
-        return tuple(self.local(g.n, i, g.neighbors(i)) for i in g.vertices())
-
-
-class DegreeEncoder(LocalEncoder):
-    """Send only the degree (``<= log(n+1)`` bits)."""
-
-    name = "degree"
-
-    def local(self, n: int, i: int, neighborhood: frozenset[int]) -> Message:
-        w = BitWriter()
-        w.write_bits(len(neighborhood), id_width(n))
-        return Message.from_writer(w)
-
-
-class DegreeSumEncoder(LocalEncoder):
-    """Send (degree, sum of neighbour IDs) — the Section III.A forest message."""
-
-    name = "degree+sum"
-
-    def local(self, n: int, i: int, neighborhood: frozenset[int]) -> Message:
-        w = BitWriter()
-        wid = id_width(n)
-        w.write_bits(len(neighborhood), wid)
-        w.write_bits(sum(neighborhood), 2 * wid)
-        return Message.from_writer(w)
-
-
-class PowerSumEncoder(LocalEncoder):
-    """Algorithm 3's message for a fixed k — frugal, complete only up to degeneracy k."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.name = f"powersum(k={k})"
-
-    def local(self, n: int, i: int, neighborhood: frozenset[int]) -> Message:
-        from repro.protocols.powersum import encode_powersum_message
-
-        return encode_powersum_message(n, self.k, i, neighborhood)
-
-
-class HashedNeighborhoodEncoder(LocalEncoder):
+class HashedNeighborhoodEncoder:
     """Send a ``bits``-bit deterministic fingerprint of (i, N) — a hashing strawman.
 
     Stands in for "maybe a clever randomized digest escapes the counting
@@ -128,6 +72,14 @@ class HashedNeighborhoodEncoder(LocalEncoder):
         return Message.from_writer(w)
 
 
+#: What the search runs: a protocol, or a bare local function with a name.
+Encoder = OneRoundProtocol | HashedNeighborhoodEncoder
+
+
+def _message_vector(encoder: Encoder, g: LabeledGraph) -> tuple[Message, ...]:
+    return tuple(encoder.local(g.n, i, g.neighbors(i)) for i in g.vertices())
+
+
 @dataclass(frozen=True)
 class CollisionWitness:
     """A certified kill: two graphs the encoder cannot separate, property values differing."""
@@ -137,17 +89,17 @@ class CollisionWitness:
     g_without: LabeledGraph
     property_name: str
 
-    def verify(self, encoder: LocalEncoder, prop: Callable[[LabeledGraph], bool]) -> bool:
+    def verify(self, encoder: Encoder, prop: Callable[[LabeledGraph], bool]) -> bool:
         """Re-check the certificate from scratch."""
         return (
-            encoder.message_vector(self.g_with) == encoder.message_vector(self.g_without)
+            _message_vector(encoder, self.g_with) == _message_vector(encoder, self.g_without)
             and prop(self.g_with)
             and not prop(self.g_without)
         )
 
 
 def find_collision_exhaustive(
-    encoder: LocalEncoder,
+    encoder: Encoder,
     n: int,
     prop: Callable[[LabeledGraph], bool],
     property_name: str = "property",
@@ -158,34 +110,22 @@ def find_collision_exhaustive(
     separates the property on ALL pairs (possible when ``2^{bits·n}`` exceeds
     the graph count — the Lemma 1 regime).
     """
-    buckets: dict[tuple[Message, ...], tuple[LabeledGraph | None, LabeledGraph | None]] = {}
-    for g in enumerate_labeled_graphs(n):
-        key = encoder.message_vector(g)
-        holds = prop(g)
-        with_g, without_g = buckets.get(key, (None, None))
-        if holds and with_g is None:
-            with_g = g.copy()
-        elif not holds and without_g is None:
-            without_g = g.copy()
-        if with_g is not None and without_g is not None:
-            return CollisionWitness(encoder.name, with_g, without_g, property_name)
-        buckets[key] = (with_g, without_g)
-    return None
+    return find_collision_sampled(
+        encoder, enumerate_labeled_graphs(n), prop, property_name, max_samples=None
+    )
 
 
 def find_collision_sampled(
-    encoder: LocalEncoder,
-    generator: Iterator[LabeledGraph],
+    encoder: Encoder,
+    generator: Iterable[LabeledGraph],
     prop: Callable[[LabeledGraph], bool],
     property_name: str = "property",
-    max_samples: int = 100_000,
+    max_samples: int | None = 100_000,
 ) -> CollisionWitness | None:
-    """Birthday search over a graph stream for sizes beyond enumeration."""
+    """Birthday search over the first ``max_samples`` graphs of a stream (all if None)."""
     buckets: dict[tuple[Message, ...], tuple[LabeledGraph | None, LabeledGraph | None]] = {}
-    for count, g in enumerate(generator):
-        if count >= max_samples:
-            return None
-        key = encoder.message_vector(g)
+    for g in islice(generator, max_samples):
+        key = _message_vector(encoder, g)
         holds = prop(g)
         with_g, without_g = buckets.get(key, (None, None))
         if holds and with_g is None:

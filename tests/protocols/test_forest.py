@@ -59,6 +59,17 @@ class TestForestReconstruction:
                 == g
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 1024])
+    @pytest.mark.parametrize("family", ["forest", "star", "path"])
+    def test_message_vector_is_algorithm3_at_k1(self, family, n):
+        """Every node sends exactly Algorithm 3's k = 1 message."""
+        g = {"forest": lambda: random_forest(n, max(1, n // 20), seed=n),
+             "star": lambda: star_graph(n),
+             "path": lambda: path_graph(n)}[family]()
+        assert (ForestReconstructionProtocol().message_vector(g)
+                == ForestRecognitionProtocol().message_vector(g)
+                == DegeneracyReconstructionProtocol(1).message_vector(g))
+
     def test_malformed_message(self):
         with pytest.raises(DecodeError):
             ForestReconstructionProtocol().global_(2, [Message(0, 1), Message(0, 1)])

@@ -11,12 +11,13 @@ from repro.graphs.counting import (
     labeled_graph_count,
 )
 from repro.graphs.generators import erdos_renyi, random_forest, random_k_degenerate
-from repro.protocols import DegeneracyReconstructionProtocol, ForestReconstructionProtocol
+from repro.protocols import (
+    DegeneracyReconstructionProtocol,
+    DegreeProtocol,
+    ForestReconstructionProtocol,
+)
 from repro.reductions import (
-    DegreeEncoder,
-    DegreeSumEncoder,
     HashedNeighborhoodEncoder,
-    PowerSumEncoder,
     capacity_gap_rows,
     find_collision_exhaustive,
     find_collision_sampled,
@@ -66,57 +67,47 @@ class TestInjectivity:
 
     def test_degree_encoder_not_injective(self):
         """Two different forests share a degree sequence -> not reconstructible."""
-
-        class _Wrap(DegreeEncoder):
-            def message_vector(self, g):
-                return tuple(self.local(g.n, i, g.neighbors(i)) for i in g.vertices())
-
         from repro.graphs import LabeledGraph
 
         g1 = LabeledGraph(4, [(1, 2), (3, 4)])
         g2 = LabeledGraph(4, [(1, 3), (2, 4)])
-
-        class _P(ForestReconstructionProtocol):
-            def local(self, n, i, neighborhood):
-                return DegreeEncoder().local(n, i, neighborhood)
-
-        ok, witness = message_vectors_injective(_P(), [g1, g2])
+        ok, witness = message_vectors_injective(DegreeProtocol(), [g1, g2])
         assert not ok and set(witness) == {g1, g2}
 
 
 class TestCollisionSearch:
     """EXP-ADV: frugal candidate encoders vs the pigeonhole.
 
-    Measured finding (recorded in EXPERIMENTS.md): the weakest encoders die
-    at tiny n, while the Section III.A (degree, id-sum) encoder is
-    collision-free through n = 7 — the paper's impossibility is *asymptotic*
+    The candidates are the protocols' own local functions.  Measured finding
+    (recorded in EXPERIMENTS.md): the weakest encoders die at tiny n, while
+    the Section III.A (id, degree, id-sum) message is collision-free through
+    n = 7 — the paper's impossibility is *asymptotic*
     (collisions are forced once 2^{Θ(n^{3/2})} square-free graphs outnumber
     the 2^{O(n log n)} message vectors, far beyond enumeration range).
     """
 
     def test_degree_encoder_killed_exhaustively(self):
-        w = find_collision_exhaustive(DegreeEncoder(), 5, has_square, "has_square")
+        w = find_collision_exhaustive(DegreeProtocol(), 5, has_square, "has_square")
         assert w is not None
-        assert w.verify(DegreeEncoder(), has_square)
+        assert w.encoder == "degree"
+        assert w.verify(DegreeProtocol(), has_square)
 
     def test_degree_encoder_survives_n4(self):
         """At n = 4 the labelled degree vector still pins down square-ness."""
-        assert find_collision_exhaustive(DegreeEncoder(), 4, has_square) is None
+        assert find_collision_exhaustive(DegreeProtocol(), 4, has_square) is None
 
     def test_degree_sum_encoder_survives_small_n(self):
-        """The forest encoder is square-rigid at enumerable sizes (n <= 6 here;
+        """The forest message — Algorithm 3 at k = 1, (deg, sum) plus the
+        sender's ID — is square-rigid at enumerable sizes (n <= 6 here;
         n = 7 is certified by the vectorized bench)."""
         for n in (4, 5, 6):
-            assert find_collision_exhaustive(DegreeSumEncoder(), n, has_square) is None
-
-    def test_powersum_k1_survives_small_n(self):
-        """Algorithm 3's k=1 message extends (deg, sum) with the ID: also rigid."""
-        assert find_collision_exhaustive(PowerSumEncoder(1), 5, has_square) is None
+            assert find_collision_exhaustive(
+                ForestReconstructionProtocol(), n, has_square) is None
 
     def test_degree_encoder_killed_on_triangles(self):
-        w = find_collision_exhaustive(DegreeEncoder(), 5, has_triangle, "has_triangle")
+        w = find_collision_exhaustive(DegreeProtocol(), 5, has_triangle, "has_triangle")
         assert w is not None
-        assert w.verify(DegreeEncoder(), has_triangle)
+        assert w.verify(DegreeProtocol(), has_triangle)
 
     def test_sampled_search_finds_hash_collision(self):
         def stream():
@@ -140,7 +131,7 @@ class TestCollisionSearch:
         # forest messages are injective on forests (the protocol reconstructs
         # them!), so no collision exists in this stream
         w = find_collision_sampled(
-            DegreeSumEncoder(), stream(), has_square, max_samples=300
+            ForestReconstructionProtocol(), stream(), has_square, max_samples=300
         )
         assert w is None
 

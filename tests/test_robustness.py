@@ -27,9 +27,11 @@ from repro.model.protocol import ReconstructionProtocol
 from repro.protocols import (
     BoundedDegreeProtocol,
     DegeneracyReconstructionProtocol,
+    DegreeProtocol,
     ForestRecognitionProtocol,
     ForestReconstructionProtocol,
     GeneralizedDegeneracyProtocol,
+    IdEchoProtocol,
 )
 from repro.protocols.adaptive_query import AdaptiveQueryReconstruction
 from repro.reductions.framing import pack_messages, unpack_messages
@@ -184,20 +186,27 @@ def _decoder(protocol):
     )
 
 
-@pytest.mark.parametrize(
-    "decode",
-    [_forest_decode, _bounded_degree_decode, _framing_decode,
-     _decoder(AdaptiveQueryReconstruction()), _decoder(AGMConnectivityProtocol(seed=3)),
-     _decoder(SketchBipartitenessProtocol(seed=3)), _decoder(MultiRoundSketchConnectivity(seed=3))],
-    ids=["forest", "bounded_degree", "framing", "adaptive_query", "agm_connectivity",
-         "sketch_bipartiteness", "multiround_sketch"],
-)
+#: Decoders that read through a BitReader; forest's fixed-offset unpack
+#: reads none, so it only joins the truncation case.
+_READER_DECODERS = [
+    pytest.param(_bounded_degree_decode, id="bounded_degree"),
+    pytest.param(_framing_decode, id="framing"),
+    pytest.param(_decoder(AdaptiveQueryReconstruction()), id="adaptive_query"),
+    pytest.param(_decoder(AGMConnectivityProtocol(seed=3)), id="agm_connectivity"),
+    pytest.param(_decoder(SketchBipartitenessProtocol(seed=3)), id="sketch_bipartiteness"),
+    pytest.param(_decoder(MultiRoundSketchConnectivity(seed=3)), id="multiround_sketch"),
+]
+
+
 class TestOnlyBitstreamErrorsBecomeDecodeErrors:
+    @pytest.mark.parametrize(
+        "decode", [pytest.param(_forest_decode, id="forest")] + _READER_DECODERS)
     def test_truncated_message_is_a_decode_error(self, decode):
         decode(truncate=False)  # the untouched messages decode
         with pytest.raises(DecodeError):
             decode(truncate=True)
 
+    @pytest.mark.parametrize("decode", _READER_DECODERS)
     def test_reader_bug_propagates(self, decode, monkeypatch):
         from repro.bits.reader import BitReader
 
@@ -314,6 +323,31 @@ def test_tiny_graphs_decode_exactly(name, graph):
 
 def test_forest_recognition_accepts_the_empty_graph():
     assert ForestRecognitionProtocol().global_(0, []) is True
+
+
+@pytest.mark.parametrize("protocol", [DegreeProtocol(), IdEchoProtocol()],
+                         ids=["degree", "id_echo"])
+class TestOneFieldDecodersAreTotal:
+    """The unregistered one-field protocols (the collision search runs
+    ``DegreeProtocol``) decode exactly n messages of ``id_width(n)`` bits."""
+
+    def test_empty_graph_decodes_to_nothing(self, protocol):
+        assert protocol.global_(0, []) == []
+
+    def test_messages_for_an_empty_graph_are_a_decode_error(self, protocol):
+        with pytest.raises(DecodeError, match="0 vertices"):
+            protocol.global_(0, [Message(1, 3)])
+
+    def test_wrong_message_count_is_a_decode_error(self, protocol):
+        with pytest.raises(DecodeError, match="1 messages for a graph on 4 vertices"):
+            protocol.global_(4, [Message(1, 3)])
+
+    @pytest.mark.parametrize("bits", [0, 2, 4])
+    def test_message_of_the_wrong_length_is_a_decode_error(self, protocol, bits):
+        msgs = protocol.message_vector(path_graph(4))  # id_width(4) = 3 bits each
+        msgs[1] = Message(0, bits)
+        with pytest.raises(DecodeError, match=f"node 2 sent {bits} bits, expected 3"):
+            protocol.global_(4, msgs)
 
 
 @pytest.mark.parametrize("name", _TOTALITY_PROTOCOLS)
