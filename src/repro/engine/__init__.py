@@ -17,8 +17,8 @@ provides:
   :func:`execute_run`;
 * :mod:`~repro.engine.campaign` — the :class:`Campaign` runner: grid
   expansion, content-hash result caching, durable JSONL streaming under
-  ``results/`` (fsync per record), and the builtin campaigns the CLI
-  exposes as ``python -m repro campaign <name>``;
+  ``results/`` (fresh records fsynced as they land), and the builtin
+  campaigns the CLI exposes as ``python -m repro campaign <name>``;
 * :mod:`~repro.engine.shard` — sharded, checkpointed execution: one
   campaign split across worker processes / machines / CI matrix jobs by
   deterministic content-hash assignment, an atomic checkpoint manifest,

@@ -17,9 +17,10 @@ blocks.  :meth:`Campaign.run`:
    ``<results_dir>/<name>.jsonl`` — one JSON object per line with
    ``spec`` / ``result`` / ``timing`` sections, ``sort_keys`` so the bytes
    are stable (the determinism test strips only ``timing`` and ``cached``).
-   Each line is flushed and fsynced as it lands, so a crash tears at most
-   the final line; every persisted run also writes the checkpoint manifest
-   from :mod:`repro.engine.shard`, making it resumable
+   Fresh records are fsynced as they land; replayed lines (cache hits)
+   are flushed whole and made durable by the next fsync, so a crash tears
+   at most the final line.  Every persisted run also writes the
+   checkpoint manifest from :mod:`repro.engine.shard`, making it resumable
    (``run(resume=True)``) and shardable (``run(shards=n, shard_index=i)``
    plus ``python -m repro merge``).
 
@@ -280,13 +281,16 @@ class Campaign:
         metrics: MetricsRegistry | None = None,
         shard_index: int | None = None,
     ) -> tuple[list[RunRecord], int, int, int]:
-        """Execute ``specs`` in order, making each record durable as it lands.
+        """Execute ``specs`` in order, streaming each record as it lands.
 
         Records are streamed to ``stream_path`` through
-        :class:`~repro.engine.shard.JsonlStreamWriter` (flush + fsync per
-        line, so a crash tears at most the final line).  Pending specs
-        found in ``cache`` (a :func:`~repro.engine.shard.durable_records`
-        index) are replayed instead of executed.  With ``resume``,
+        :class:`~repro.engine.shard.JsonlStreamWriter`: fresh records are
+        fsynced as they land, replayed lines are flushed whole and made
+        durable by the next fsync (or the writer's close, which precedes
+        the done marker), so a crash tears at most the final line.
+        Pending specs found in ``cache`` (a
+        :func:`~repro.engine.shard.durable_records` index) are replayed
+        instead of executed.  With ``resume``,
         every durable record of an interrupted stream whose spec is still
         in the grid is replayed instead of re-executed — matched by
         content hash, so completed work survives scenario reordering and
@@ -353,7 +357,8 @@ class Campaign:
             for spec, record in zip(pending, slots):
                 t_land = monotonic_clock()
                 worker = busy = None
-                if record is None:
+                fresh = record is None
+                if fresh:
                     try:
                         record, worker, busy = next(miss_iter)
                     except Exception as exc:
@@ -387,7 +392,10 @@ class Campaign:
                         raise
                 durable[spec.content_hash()] = record
                 if writer is not None:
-                    writer.write(record.to_json_dict())
+                    if fresh:
+                        writer.write(record.to_json_dict())
+                    else:
+                        writer.write_replayed(record.to_json_dict())
                 self._observe_record(
                     record, tracer, metrics,
                     t_land, monotonic_clock() - t_land, worker, busy,
@@ -443,7 +451,7 @@ class Campaign:
         trace:
             Stream span/mark/metrics events (DESIGN.md §8) to
             ``<results_dir>/<name>[.shard-…].events.jsonl`` through the
-            same fsync-per-line writer as the records, so traces survive
+            same writer as the records, one fsync per event, so traces survive
             ``kill -9`` too.  Requires a ``results_dir``
             (:class:`~repro.errors.ObsError` otherwise).  On ``resume``,
             completed-run events survive and new ones append; replayed

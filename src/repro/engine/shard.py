@@ -29,15 +29,17 @@ error: hash-based membership means surviving specs replay from the
 streams, stale records are dropped, and the manifest is rewritten.
 
 **Incremental per-shard streaming** — each shard appends finished records
-to ``<name>.shard-<i>-of-<n>.jsonl`` through :class:`JsonlStreamWriter`,
-which flushes *and fsyncs* after every line.  A crash can therefore tear
-at most the final line; :func:`load_partial_records` detects a torn tail,
-drops it, and reports it so ``resume`` re-runs exactly that spec.  When a
-shard finishes, :func:`write_done_marker` atomically publishes
-``<name>.shard-<i>-of-<n>.done`` with the record count — the completion
-mark :func:`merge_shards` trusts.  An unsharded campaign is shard 0 of 1,
-and a one-shard stem is plain ``<name>``: its stream is the canonical
-``<name>.jsonl`` and its mark ``<name>.done``.
+to ``<name>.shard-<i>-of-<n>.jsonl`` through :class:`JsonlStreamWriter`:
+fresh records are fsynced as they land, and replayed lines (cache hits)
+are flushed whole and made durable by the next fsync.  A crash can
+therefore tear at most the final line; :func:`load_partial_records`
+detects a torn tail, drops it, and reports it so ``resume`` re-runs
+exactly that spec.  When a shard finishes and its writer has closed
+(closing fsyncs any replayed tail), :func:`write_done_marker` atomically
+publishes ``<name>.shard-<i>-of-<n>.done`` with the record count — the
+completion mark :func:`merge_shards` trusts.  An unsharded campaign is
+shard 0 of 1, and a one-shard stem is plain ``<name>``: its stream is the
+canonical ``<name>.jsonl`` and its mark ``<name>.done``.
 
 **Merge** — :func:`merge_shards` verifies every shard's done marker and
 record set against the manifest, then reassembles the canonical
@@ -356,11 +358,16 @@ class ShardManifest:
 
 
 class JsonlStreamWriter:
-    """Append JSONL records durably: one line, one flush, one fsync.
+    """Append JSONL records: every line flushed whole, fresh ones fsynced.
 
-    The fsync-per-record discipline bounds crash damage to *at most one
-    torn final line* — the invariant :func:`load_partial_records` (and
-    therefore resume) relies on.  Use as a context manager.
+    :meth:`write` flushes and fsyncs its line, which makes every earlier
+    line durable too.  :meth:`write_replayed` is for a record that was
+    already durable (a cache hit): its line is flushed whole but not
+    fsynced, and becomes durable with the next :meth:`write` or with
+    :meth:`close`, which fsyncs once if any line is still unsynced.
+    Every line reaches the file in one flush, so a killed process tears
+    *at most the final line* — the invariant :func:`load_partial_records`
+    (and therefore resume) relies on.  Use as a context manager.
     """
 
     def __init__(self, path: str | pathlib.Path, *, append: bool = False) -> None:
@@ -368,16 +375,32 @@ class JsonlStreamWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("a" if append else "w")
         self.written = 0
+        self._unsynced = False
+
+    def _append(self, record: Mapping[str, Any]) -> None:
+        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.flush()
+        self.written += 1
 
     def write(self, record: Mapping[str, Any]) -> None:
         """Durably append one canonical (sorted-keys) record line."""
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        self._append(record)
         os.fsync(self._fh.fileno())
-        self.written += 1
+        self._unsynced = False
+
+    def write_replayed(self, record: Mapping[str, Any]) -> None:
+        """Append the same canonical line as :meth:`write`, flushed but
+        not fsynced; the next :meth:`write` or :meth:`close` syncs it."""
+        self._append(record)
+        self._unsynced = True
 
     def close(self) -> None:
-        if not self._fh.closed:
+        if self._fh.closed:
+            return
+        try:
+            if self._unsynced:
+                os.fsync(self._fh.fileno())
+        finally:
             self._fh.close()
 
     def __enter__(self) -> "JsonlStreamWriter":
@@ -393,7 +416,7 @@ def scan_partial_lines(
     *,
     what: str = "record",
 ) -> tuple[list, int, int]:
-    """Scan any fsync-per-line JSONL stream, tolerating one torn tail.
+    """Scan a :class:`JsonlStreamWriter` stream, tolerating one torn tail.
 
     The machinery behind :func:`load_partial_records` (shard/record
     streams) and :func:`repro.obs.events.load_partial_events` (trace
@@ -408,9 +431,10 @@ def scan_partial_lines(
     offset just past the last good line — the truncation point a resume
     uses so appended lines start clean.
 
-    Because the writer fsyncs per line, only the *final* line can be
-    incomplete after a crash; a line counts only when it is
-    newline-terminated **and** parses.  A malformed line anywhere but the
+    Because the writer flushes every line whole (fresh records fsynced as
+    they land, replayed lines made durable by the next fsync), only the
+    *final* line can be incomplete after a crash; a line counts only when
+    it is newline-terminated **and** parses.  A malformed line anywhere but the
     tail means real corruption and raises
     :class:`~repro.errors.ShardError` instead of silently skipping data.
     A missing file is an empty stream.
@@ -472,8 +496,9 @@ def durable_records(
 ) -> dict[str, RunRecord]:
     """The run cache: every durable record under ``results_dir`` for ``wanted``.
 
-    The record streams already are an append-only, fsync-per-line,
-    single-writer log of every finished run, so they double as the cache
+    The record streams already are an append-only, single-writer log of
+    every finished run (fresh records fsynced as they land, replayed lines
+    made durable by the next fsync), so they double as the cache
     (DESIGN.md §7).  Each ``<name>.manifest.json`` names one campaign's
     streams: ``<name>.jsonl`` and ``<name>.shard-<i>-of-<n>.jsonl``.  A
     manifest that does not load, names another campaign than its file,

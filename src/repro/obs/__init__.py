@@ -5,7 +5,7 @@ The observability substrate for the whole execution stack (DESIGN.md §8):
 * :mod:`repro.obs.trace` — the span tracer.  ``obs.span("phase",
   **attrs)`` opens a span on the ambient tracer; the engine streams
   events to ``<results_dir>/<name>.events.jsonl`` through the same
-  fsync-per-line writer the record streams use, so traces survive
+  writer the record streams use, one fsync per event, so traces survive
   ``kill -9``.  Off by default and provably free: the ambient default is
   :data:`NULL_TRACER`, whose every operation is a constant-time no-op
   (pinned by the ``trace-overhead`` benchmark).

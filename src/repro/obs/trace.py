@@ -19,7 +19,7 @@ Three design rules keep tracing honest:
   the record's ``*_seconds`` sums *exactly* while offsets stay synthetic.
 * **Single writer.**  Only the process that owns the event stream emits;
   workers report durations through their return values.  The stream
-  reuses the fsync-per-line discipline of
+  goes through the fsynced ``write`` of
   :class:`repro.engine.shard.JsonlStreamWriter` (injected by the caller,
   never constructed here), so a ``kill -9`` tears at most one line.
 * **Off means free.**  :data:`NULL_TRACER` is the ambient default; its

@@ -126,6 +126,11 @@ def prune_decode(
         for v in nbrs:
             adj[v].add(x)
             d_v, s_v = state[v]
+            if d_v == 0:
+                raise DecodeError(
+                    f"vertex {x} names vertex {v} as a neighbour, but vertex "
+                    f"{v} has current degree 0: corrupt messages"
+                )
             xp = 1
             for p in range(len(s_v)):
                 xp *= x

@@ -163,6 +163,11 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
             remaining.discard(x)
             for v in remaining:
                 d_v, b_v, bc_v = state[v]
+                if d_v == 0 and v in nbrs:
+                    raise DecodeError(
+                        f"vertex {x} names vertex {v} as a neighbour, but "
+                        f"vertex {v} has current degree 0: corrupt messages"
+                    )
                 target = b_v if v in nbrs else bc_v
                 xp = 1
                 for p in range(k):

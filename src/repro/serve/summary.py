@@ -8,7 +8,7 @@ module keeps one :class:`~repro.results.aggregate.Aggregator` per
 order-independent, so tailing shard streams as they land produces
 exactly the batch answer over the merged file.
 
-The cache trusts the engine's durability contract (fsync per line, at
+The cache trusts the engine's durability contract (whole lines, at
 most one torn tail):
 
 * ``stat()`` before ``open()`` — an unchanged stream costs zero file

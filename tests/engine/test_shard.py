@@ -11,10 +11,13 @@ The load-bearing invariants:
 * ``merge`` of *any* shard-count factorization reproduces the 1-shard
   output hash (modulo the ``timing``/``cached`` sidecars);
 * a torn final stream line is detected and dropped, a torn middle line
-  is corruption and raises.
+  is corruption and raises;
+* the stream writer flushes every line whole, fsyncs each fresh record,
+  and leaves replayed lines to the next fsync or to ``close``.
 """
 
 import json
+import os
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.engine import (
     shard_stream_path,
 )
 from repro.engine.scenario import SPEC_VERSION, execute_run
+from repro.engine.shard import JsonlStreamWriter
 from repro.errors import ShardError, ShardIncomplete
 
 
@@ -243,6 +247,35 @@ class TestPartialLoader:
         path.write_bytes(b"\n\n\n")
         records, torn, _good = load_partial_records(path)
         assert (records, torn) == ([], 0)
+
+
+class TestStreamWriter:
+    @pytest.mark.parametrize("ops,synced_at", [
+        ("rrwr", [3, 4]),  # the write syncs both replays, close the last
+        ("rw", [2]),       # nothing left for close
+        ("w", [1]),
+        ("", []),
+    ])
+    def test_fsync_per_fresh_record_plus_an_unsynced_tail(
+            self, tmp_path, monkeypatch, ops, synced_at):
+        path = tmp_path / "s.jsonl"
+        lines_at_fsync = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            lines_at_fsync.append(path.read_bytes().count(b"\n"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with JsonlStreamWriter(path) as writer:
+            for i, op in enumerate(ops):
+                (writer.write if op == "w" else writer.write_replayed)({"i": i})
+                # every line is on disk whole as soon as its call returns
+                assert path.read_text() == "".join(
+                    f'{{"i": {j}}}\n' for j in range(i + 1))
+        writer.close()  # a second close syncs nothing more
+        assert lines_at_fsync == synced_at
+        assert writer.written == len(ops)
 
 
 class TestMerge:

@@ -5,14 +5,19 @@ produces a JSONL byte-identical (modulo the ``timing``/``cached``
 sidecars) to an uninterrupted run, re-executing *only* the specs whose
 records were not yet durable.  The kill is simulated by patching the
 executor-facing ``execute_run`` to raise after K successful runs —
-exactly what ``kill -9`` leaves behind, because the stream writer fsyncs
-every line.
+exactly what ``kill -9`` leaves behind, because the stream writer
+flushes every line whole before the next run lands (fresh records are
+fsynced too; replayed ones become durable with the next fsync).  A
+re-run that mixes replayed and fresh records is killed after every one
+of its writes instead, from snapshots of the stream's bytes.
 
 K, N, shard count, and the kill schedule are fuzzed with seeded sweeps
 (`random.Random(seed)`), so failures replay exactly.
 """
 
 import json
+import os
+import pathlib
 import random
 
 import pytest
@@ -25,6 +30,7 @@ from repro.engine import (
     merge_shards,
 )
 from repro.engine.scenario import execute_run
+from repro.engine.shard import JsonlStreamWriter, load_partial_records
 
 
 class SimulatedCrash(RuntimeError):
@@ -319,3 +325,101 @@ class TestResumeSurvivesGridChanges:
         clean = Campaign(grown, name="c", results_dir=tmp_path / "clean",
                          use_cache=False).run()
         assert _strip(path.read_text()) == _strip(clean.jsonl_path.read_text())
+
+
+def _replay_setup(run_dir, scenarios, dropped):
+    """Run the grid into ``run_dir``, then drop the records at the indices
+    in ``dropped`` from its stream: a plain re-run replays the rest as
+    cache hits and executes the dropped specs fresh."""
+    Campaign(scenarios, name="c", results_dir=run_dir).run()
+    stream = run_dir / "c.jsonl"
+    lines = stream.read_text().splitlines(keepends=True)
+    stream.write_text("".join(l for i, l in enumerate(lines) if i not in dropped))
+
+
+class TestReplayRun:
+    """A re-run mixing cache hits (``write_replayed``: flushed, not
+    fsynced) with fresh records (``write``: flushed and fsynced)."""
+
+    def test_kill_after_every_write_resumes_to_the_same_stream(
+            self, tmp_path, monkeypatch):
+        scenarios = _grid(12)
+        clean = Campaign(scenarios, name="c", results_dir=tmp_path / "clean",
+                         use_cache=False).run()
+        run_dir = tmp_path / "r"
+        _replay_setup(run_dir, scenarios, dropped=set(range(0, 12, 2)))
+        manifest = (run_dir / "c.manifest.json").read_bytes()
+
+        # What a kill -9 leaves: the stream's bytes on disk right after the
+        # truncating open and after each write, flushed or fsynced.
+        snapshots = [b""]
+        for name in ("write", "write_replayed"):
+            def spy(self, record, _original=getattr(JsonlStreamWriter, name)):
+                _original(self, record)
+                snapshots.append(self.path.read_bytes())
+            monkeypatch.setattr(JsonlStreamWriter, name, spy)
+        rerun = Campaign(scenarios, name="c", results_dir=run_dir).run()
+        monkeypatch.undo()
+        assert (rerun.cache_hits, rerun.cache_misses) == (6, 6)
+        assert _strip((run_dir / "c.jsonl").read_text()) == \
+               _strip(clean.jsonl_path.read_text())
+        assert len(snapshots) == 13
+        for i, snap in enumerate(snapshots):
+            assert snap.count(b"\n") == i and snap.endswith(b"\n") == (i > 0)
+
+        executed = []
+
+        def counting(spec):
+            executed.append(spec.content_hash())
+            return execute_run(spec)
+
+        monkeypatch.setattr(campaign_module, "execute_run", counting)
+        every = {r.spec.content_hash() for r in clean.records}
+        for i, snap in enumerate(snapshots):
+            killed = tmp_path / f"kill-{i}"
+            killed.mkdir()
+            (killed / "c.manifest.json").write_bytes(manifest)
+            (killed / "c.jsonl").write_bytes(snap)
+            held, torn, _ = load_partial_records(killed / "c.jsonl")
+            assert torn == 0
+            executed.clear()
+            resumed = Campaign(scenarios, name="c",
+                               results_dir=killed).run(resume=True)
+            assert resumed.resumed == len(held) == i
+            # only the specs missing from the snapshot re-execute
+            assert sorted(executed) == \
+                   sorted(every - {r.spec.content_hash() for r in held})
+            assert _strip((killed / "c.jsonl").read_text()) == \
+                   _strip(clean.jsonl_path.read_text())
+
+    @pytest.mark.parametrize("dropped,fsyncs", [
+        (range(0, 12, 2), 6 + 1),  # k = 6 fresh, the replayed tail at close
+        ((), 0 + 1),               # all replayed: close syncs them once
+        ((11,), 1),                # the fresh last record syncs every line
+        (range(12), 12),           # nothing to replay
+    ])
+    def test_stream_fsynced_once_per_fresh_record_and_before_its_mark(
+            self, tmp_path, monkeypatch, dropped, fsyncs):
+        scenarios = _grid(12)
+        _replay_setup(tmp_path, scenarios, set(dropped))
+        stream = tmp_path / "c.jsonl"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            if os.path.samestat(os.fstat(fd), os.stat(stream)):
+                events.append("stream-fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(pathlib.Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        rerun = Campaign(scenarios, name="c", results_dir=tmp_path).run()
+        monkeypatch.undo()
+        assert rerun.cache_misses == len(dropped)
+        assert events.count("stream-fsync") == fsyncs
+        last_fsync = max(i for i, e in enumerate(events) if e == "stream-fsync")
+        assert last_fsync < events.index("c.done")

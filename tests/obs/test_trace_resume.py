@@ -1,7 +1,7 @@
 """Trace streams across kill/resume: durable events, zero duplication.
 
-The event stream rides the same fsync-per-line writer as the records, so
-a crash costs at most the final (torn) event; on ``--resume`` the torn
+The event stream rides the same writer as the records, one fsync per
+event, so a crash costs at most the final (torn) event; on ``--resume`` the torn
 tail is truncated, completed-run events survive, replayed records emit
 *nothing*, and only the genuinely re-executed specs append new spans.
 The invariant checked throughout: exactly one ``run`` span per spec

@@ -192,6 +192,22 @@ class TestFailureInjection:
         with pytest.raises(DecodeError):
             prune_decode(3, 1, records)
 
+    @pytest.mark.parametrize("decoder", ["newton", "table"])
+    def test_neighbour_of_current_degree_0_named(self, decoder):
+        from repro.bits import BitWriter
+        from repro.model import Message
+
+        # the path 1 - 2 - 3, with vertex 1's degree field zeroed: 3 is
+        # pruned, then 2 names 1, whose degree would fall to -1
+        g = LabeledGraph(3, [(1, 2), (2, 3)])
+        p = DegeneracyReconstructionProtocol(1, decoder=decoder)
+        messages = [p.local(3, v, g.neighbors(v)) for v in g.vertices()]
+        w = BitWriter()
+        w.write_many([(1, 2), (0, 2), (2, 4)])
+        messages[0] = Message.from_writer(w)
+        with pytest.raises(DecodeError, match="vertex 1 has current degree 0"):
+            p.global_(3, messages)
+
 
 class _NewtonReference:
     """A ``table`` stand-in: every decode takes ``decode_neighborhood_newton``."""

@@ -140,6 +140,21 @@ class TestCorruptMessages:
         with pytest.raises(DecodeError, match="decoded degree 7 exceeds n-1 = 4"):
             p.global_(5, messages)
 
+    def test_neighbour_of_current_degree_0_named(self):
+        from repro.bits import BitWriter
+        from repro.model import Message
+
+        p = GeneralizedDegeneracyProtocol(1)
+        g = LabeledGraph(3, [(1, 2), (2, 3)])
+        messages = [p.local(3, v, g.neighbors(v)) for v in g.vertices()]
+        # vertex 2's degree field zeroed: 1 is pruned first and names 2,
+        # whose degree would fall to -1
+        w = BitWriter()
+        w.write_many([(2, 2), (0, 2), (4, 4), (0, 4)])
+        messages[1] = Message.from_writer(w)
+        with pytest.raises(DecodeError, match="vertex 2 has current degree 0"):
+            p.global_(3, messages)
+
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 12), p=st.floats(0, 1), seed=st.integers(0, 999))
