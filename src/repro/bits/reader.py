@@ -8,45 +8,21 @@ __all__ = ["BitReader"]
 
 
 class BitReader:
-    """Reads bits MSB-first from a stream produced by :class:`BitWriter`.
-
-    Construct either from ``(acc, nbits)`` as returned by
-    :meth:`BitWriter.to_int`, or from ``bytes`` (in which case the bit count
-    is ``8 * len(data)`` unless ``nbits`` is given explicitly to trim the
-    right-padding added by :meth:`BitWriter.to_bytes`).
-    """
+    """Reads bits MSB-first from ``(acc, nbits)`` as returned by :meth:`BitWriter.to_int`."""
 
     __slots__ = ("_acc", "_nbits", "_pos")
 
-    def __init__(self, data: bytes | int, nbits: int | None = None) -> None:
-        if isinstance(data, bytes):
-            acc = int.from_bytes(data, "big")
-            total = 8 * len(data)
-            if nbits is not None:
-                if nbits > total or nbits < 0:
-                    raise CodecError(f"nbits {nbits} out of range for {len(data)} bytes")
-                acc >>= total - nbits
-                total = nbits
-        else:
-            if nbits is None:
-                raise CodecError("nbits is required when constructing from an int")
-            if nbits < 0 or (nbits == 0 and data != 0) or (data >> nbits):
-                raise CodecError(f"value does not fit in {nbits} bits")
-            acc = data
-            total = nbits
+    def __init__(self, acc: int, nbits: int) -> None:
+        if nbits < 0 or acc >> nbits:
+            raise CodecError(f"value does not fit in {nbits} bits")
         self._acc = acc
-        self._nbits = total
+        self._nbits = nbits
         self._pos = 0
 
     @property
     def remaining(self) -> int:
         """Bits left to read."""
         return self._nbits - self._pos
-
-    @property
-    def position(self) -> int:
-        """Bits consumed so far."""
-        return self._pos
 
     def read_bit(self) -> int:
         """Read and return the next bit."""

@@ -38,11 +38,6 @@ class BitWriter:
         """Number of bits written so far."""
         return self._nbits
 
-    @property
-    def bits(self) -> int:
-        """Number of bits written so far (alias for ``len``)."""
-        return self._nbits
-
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
         if bit not in (0, 1):
@@ -98,11 +93,6 @@ class BitWriter:
         for chunk, chunk_bits in parts:
             self._acc = (self._acc << chunk_bits) | chunk
             self._nbits += chunk_bits
-
-    def write_writer(self, other: "BitWriter") -> None:
-        """Append the full contents of another writer."""
-        self._acc = (self._acc << other._nbits) | other._acc
-        self._nbits += other._nbits
 
     def to_int(self) -> tuple[int, int]:
         """Return ``(acc, nbits)`` — the raw integer and the bit count."""

@@ -181,7 +181,10 @@ def load_metrics_file(path: str | pathlib.Path) -> dict[str, Any]:
 
     The file is the atomic snapshot :meth:`Campaign.run
     <repro.engine.campaign.Campaign.run>` writes next to the records; the
-    returned dict carries ``campaign`` and the ``metrics`` snapshot.
+    returned dict carries ``campaign`` and the ``metrics`` snapshot.  Every
+    counter and gauge must be a number and every histogram must hold
+    numeric ``count``/``total``/``min``/``max``, so
+    :func:`render_prometheus` never meets a series it cannot print.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -202,4 +205,18 @@ def load_metrics_file(path: str | pathlib.Path) -> dict[str, Any]:
             raise ObsError(
                 f"{path}: metrics snapshot is missing the {section!r} section"
             )
+    for section in ("counters", "gauges"):
+        for series, value in metrics[section].items():
+            if not _is_number(value):
+                raise ObsError(f"{path}: {section} series {series!r} is not "
+                               f"a number: {value!r}")
+    for series, h in metrics["histograms"].items():
+        if not (isinstance(h, dict) and all(
+                _is_number(h.get(field)) for field in ("count", "total", "min", "max"))):
+            raise ObsError(f"{path}: histogram series {series!r} needs numeric "
+                           f"count/total/min/max, got {h!r}")
     return raw
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -99,7 +99,13 @@ def critical_path(events: list[dict]) -> list[dict[str, Any]]:
 
 
 def slowest_runs(events: list[dict], *, top: int = 10) -> list[dict[str, Any]]:
-    """The top-k ``run`` spans by duration, slowest first."""
+    """The top-k ``run`` spans by duration, slowest first.
+
+    Raises :class:`~repro.errors.ObsError` on a negative ``top`` (a slice
+    ``runs[:-1]`` would silently drop the last row); ``top=0`` is empty.
+    """
+    if top < 0:
+        raise ObsError(f"top must be >= 0, got {top}")
     runs = [s for s in _spans(events) if s["name"] == "run"]
     runs.sort(key=lambda s: -s["dur"])
     out = []

@@ -104,6 +104,16 @@ class TestTraceCommand:
         data = json.loads(capsys.readouterr().out)
         assert len(data["slowest_runs"]) == 2
 
+    def test_negative_top_is_a_usage_error(self, traced_smoke, capsys):
+        events = str(traced_smoke / "smoke.events.jsonl")
+        for extra in ([], ["--json"]):
+            assert main(["trace", events, "--top", "-1", *extra]) == 2
+            err = capsys.readouterr().err
+            assert "top must be >= 0, got -1" in err
+            assert "Traceback" not in err
+        assert main(["trace", events, "--json", "--top", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["slowest_runs"] == []
+
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope.events.jsonl")]) == 2
         err = capsys.readouterr().err
@@ -137,6 +147,27 @@ class TestStatsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["campaign"] == "smoke"
         assert "counters" in payload["metrics"]
+
+    @pytest.mark.parametrize("metrics", [
+        pytest.param({"histograms": {"run_seconds": {"count": 3}}},
+                     id="histogram-without-total-min-max"),
+        pytest.param({"histograms": {"h": {"count": 1, "total": "1",
+                                           "min": 1, "max": 1}}},
+                     id="histogram-string-total"),
+        pytest.param({"histograms": {"h": [1, 2]}}, id="histogram-not-an-object"),
+        pytest.param({"counters": {"a": "zz"}}, id="string-counter"),
+        pytest.param({"counters": {"a": True}}, id="boolean-counter"),
+        pytest.param({"gauges": {"g": None}}, id="null-gauge"),
+    ])
+    def test_malformed_series_is_a_usage_error(self, tmp_path, capsys, metrics):
+        snapshot = {"counters": {}, "gauges": {}, "histograms": {}, **metrics}
+        path = tmp_path / "bad.metrics.json"
+        path.write_text(json.dumps({"campaign": "bad", "metrics": snapshot}))
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_snapshot_names_the_fix(self, tmp_path, capsys):
         assert main(["stats", "smoke", "--results-dir", str(tmp_path)]) == 2

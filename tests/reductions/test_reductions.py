@@ -1,5 +1,7 @@
 """End-to-end tests for the Theorem 1–3 reductions with oracle detectors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +27,82 @@ from repro.reductions import (
 from repro.reductions.framing import pack_messages, unpack_messages
 
 
+#: Part lengths whose length prefix ``bits + 1`` crosses every length class
+#: of the Elias delta code (prefix values 1, 2, 3, 4, 8, 9, 256, 257).
+LENGTH_CLASSES = (0, 1, 2, 3, 7, 8, 255, 256)
+
+
+def _delta_len(v):
+    """|δ(v)| = ⌊log2 v⌋ + 2⌊log2(⌊log2 v⌋ + 1)⌋ + 1, for v >= 1."""
+    log_v = v.bit_length() - 1  # ⌊log2 v⌋
+    return log_v + 2 * ((log_v + 1).bit_length() - 1) + 1
+
+
+def _part(nbits, seed):
+    """A deterministic ``nbits``-bit part with a mix of zeros and ones."""
+    return Message(random.Random(seed).getrandbits(nbits) if nbits else 0, nbits)
+
+
+def _framed_by_every_class():
+    parts = [_part(nbits, seed) for seed, nbits in enumerate(LENGTH_CLASSES)]
+    return parts, pack_messages(parts)
+
+
 class TestFraming:
     def test_roundtrip(self):
         parts = [Message(0b101, 3), Message.empty(), Message(0xFFFF, 16)]
         packed = pack_messages(parts)
         assert unpack_messages(packed, 3) == parts
+
+    @pytest.mark.parametrize("nbits", LENGTH_CLASSES)
+    def test_roundtrip_every_length_class(self, nbits):
+        for part in (_part(nbits, 0), Message((1 << nbits) - 1, nbits), Message(0, nbits)):
+            assert unpack_messages(pack_messages([part]), 1) == [part]
+            pair = [part, _part(nbits, 1)]
+            assert unpack_messages(pack_messages(pair), 2) == pair
+
+    def test_roundtrip_all_classes_in_one_frame(self):
+        parts, packed = _framed_by_every_class()
+        assert unpack_messages(packed, len(parts)) == parts
+
+    def test_packed_length_is_parts_plus_delta_prefixes(self):
+        parts, packed = _framed_by_every_class()
+        assert packed.bits == sum(p.bits + _delta_len(p.bits + 1) for p in parts)
+        for nbits in LENGTH_CLASSES:
+            assert pack_messages([Message(0, nbits)]).bits == nbits + _delta_len(nbits + 1)
+
+    @pytest.mark.parametrize("nbits, prefix", [
+        (0, "1"), (1, "0100"), (2, "0101"), (3, "01100"), (7, "00100000"),
+        (8, "00100001"), (255, "0001001" + "0" * 8), (256, "0001001" + "0" * 7 + "1"),
+    ])
+    def test_length_prefix_is_the_textbook_delta_code(self, nbits, prefix):
+        packed = pack_messages([Message(0, nbits)])
+        assert format(packed.acc >> nbits, f"0{packed.bits - nbits}b") == prefix
+
+    def test_every_truncated_frame_raises(self):
+        from repro.errors import DecodeError
+
+        parts, packed = _framed_by_every_class()
+        for cut in range(1, packed.bits + 1):
+            with pytest.raises(DecodeError):
+                unpack_messages(Message(packed.acc >> cut, packed.bits - cut), len(parts))
+
+    @pytest.mark.parametrize("extra_bits", [1, 2, 7, 8, 9])
+    def test_over_long_frame_raises(self, extra_bits):
+        from repro.errors import DecodeError
+
+        parts, packed = _framed_by_every_class()
+        for tail in (0, (1 << extra_bits) - 1):
+            longer = Message((packed.acc << extra_bits) | tail, packed.bits + extra_bits)
+            with pytest.raises(DecodeError):
+                unpack_messages(longer, len(parts))
+
+    def test_length_prefix_past_the_end_raises(self):
+        from repro.errors import DecodeError
+
+        # δ's gamma part claims a 2^24-bit length field in a 49-bit frame
+        with pytest.raises(DecodeError):
+            unpack_messages(Message(1 << 24, 49), 1)
 
     def test_wrong_count_raises(self):
         from repro.errors import DecodeError
