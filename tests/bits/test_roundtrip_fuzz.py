@@ -67,6 +67,55 @@ def test_random_programs_roundtrip(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_bytes_path_matches_int_path(seed):
+    """``to_bytes`` is ``to_int`` left-aligned and zero-padded to whole bytes."""
+    rng = random.Random(seed + 1000)
+    for _ in range(CASES_PER_SEED):
+        ops = _random_program(rng)
+        writer = _write(ops)
+        acc, nbits = writer.to_int()
+        data = writer.to_bytes()
+        pad = len(data) * 8 - nbits
+        assert 0 <= pad < 8
+        assert int.from_bytes(data, "big") == acc << pad
+        reader = BitReader(int.from_bytes(data, "big") >> pad, nbits)
+        assert _read_back(reader, ops) == ops
+        reader.expect_exhausted()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sequential_writes_concatenate(seed):
+    """Writing two programs in a row yields their concatenated bit strings."""
+    rng = random.Random(seed + 2000)
+    for _ in range(CASES_PER_SEED):
+        left, right = _random_program(rng), _random_program(rng)
+        left_acc, left_bits = _write(left).to_int()
+        right_acc, right_bits = _write(right).to_int()
+        assert _write(left + right).to_int() == (
+            (left_acc << right_bits) | right_acc,
+            left_bits + right_bits,
+        )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_write_many_matches_write_bits(seed):
+    """``write_many`` is bit-identical to per-field ``write_bits``, across its chunk size."""
+    rng = random.Random(seed + 4000)
+    for _ in range(CASES_PER_SEED // 10):
+        fields = []
+        for _ in range(rng.randrange(0, 400)):
+            width = rng.randrange(0, 65)
+            fields.append((rng.randrange(1 << width) if width else 0, width))
+        batched, single = BitWriter(), BitWriter()
+        batched.write_bits(1, 1)  # a non-empty prefix must be shifted, not overwritten
+        single.write_bits(1, 1)
+        batched.write_many(fields)
+        for value, width in fields:
+            single.write_bits(value, width)
+        assert batched.to_int() == single.to_int()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_underflow_is_always_detected(seed):
     rng = random.Random(seed + 3000)
     for _ in range(CASES_PER_SEED):

@@ -33,6 +33,15 @@ class TestBitWriter:
         w.write_bits(0b1011, 4)
         assert w.to_bytes() == bytes([0b10110000])
 
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 9, 15, 16, 17])
+    def test_to_bytes_length_and_padding(self, nbits):
+        w = BitWriter()
+        w.write_bits((1 << nbits) - 1, nbits)
+        data = w.to_bytes()
+        assert len(data) == (nbits + 7) // 8
+        pad = len(data) * 8 - nbits
+        assert int.from_bytes(data, "big") == ((1 << nbits) - 1) << pad
+
     def test_zero_width_write(self):
         w = BitWriter()
         w.write_bits(0, 0)
@@ -80,6 +89,10 @@ class TestBitReader:
         r.read_bit()
         with pytest.raises(CodecError):
             r.expect_exhausted()
+
+    def test_int_requires_nbits(self):
+        with pytest.raises(TypeError):
+            BitReader(5)
 
     @pytest.mark.parametrize("acc, nbits", [(8, 3), (1, 0), (0, -1), (-1, 4)])
     def test_int_value_must_fit(self, acc, nbits):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bits import BitReader, BitWriter
 from repro.graphs import LabeledGraph
 from repro.graphs.families import figure1_base, figure2_base, petersen
 from repro.graphs.generators import (
@@ -24,7 +25,7 @@ from repro.reductions import (
     SquareReduction,
     TriangleReduction,
 )
-from repro.reductions.framing import pack_messages, unpack_messages
+from repro.reductions.framing import _read_delta, _write_delta, pack_messages, unpack_messages
 
 
 #: Part lengths whose length prefix ``bits + 1`` crosses every length class
@@ -78,6 +79,37 @@ class TestFraming:
     def test_length_prefix_is_the_textbook_delta_code(self, nbits, prefix):
         packed = pack_messages([Message(0, nbits)])
         assert format(packed.acc >> nbits, f"0{packed.bits - nbits}b") == prefix
+
+    @pytest.mark.parametrize("value", [1, 2, 3, 16, 17, 255, 1 << 40])
+    def test_delta_code_roundtrip(self, value):
+        w = BitWriter()
+        _write_delta(w, value)
+        assert len(w) == _delta_len(value)
+        r = BitReader(*w.to_int())
+        assert _read_delta(r) == value
+        r.expect_exhausted()
+
+    def test_delta_code_rejects_zero(self):
+        from repro.errors import CodecError
+
+        with pytest.raises(CodecError):
+            _write_delta(BitWriter(), 0)
+
+    @given(values=st.lists(st.integers(min_value=1, max_value=1 << 48), max_size=30))
+    def test_delta_words_concatenate_without_framing(self, values):
+        w = BitWriter()
+        for value in values:
+            _write_delta(w, value)
+        assert len(w) == sum(_delta_len(v) for v in values)
+        r = BitReader(*w.to_int())
+        assert [_read_delta(r) for _ in values] == values
+        r.expect_exhausted()
+
+    @given(value=st.integers(min_value=1, max_value=1 << 200))
+    def test_delta_code_roundtrip_huge_values(self, value):
+        w = BitWriter()
+        _write_delta(w, value)
+        assert _read_delta(BitReader(*w.to_int())) == value
 
     def test_every_truncated_frame_raises(self):
         from repro.errors import DecodeError
