@@ -17,7 +17,7 @@ provides:
   :func:`execute_run`;
 * :mod:`~repro.engine.campaign` — the :class:`Campaign` runner: grid
   expansion, content-hash result caching, durable JSONL streaming under
-  ``results/`` (fresh records fsynced as they land), and the builtin
+  ``results/`` (fsynced once per 64 fresh records), and the builtin
   campaigns the CLI exposes as ``python -m repro campaign <name>``;
 * :mod:`~repro.engine.shard` — sharded, checkpointed execution: one
   campaign split across worker processes / machines / CI matrix jobs by

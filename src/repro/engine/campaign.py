@@ -17,12 +17,14 @@ blocks.  :meth:`Campaign.run`:
    ``<results_dir>/<name>.jsonl`` — one JSON object per line with
    ``spec`` / ``result`` / ``timing`` sections, ``sort_keys`` so the bytes
    are stable (the determinism test strips only ``timing`` and ``cached``).
-   Fresh records are fsynced as they land; replayed lines (cache hits)
-   are flushed whole and made durable by the next fsync, so a crash tears
-   at most the final line.  Every persisted run also writes the
-   checkpoint manifest from :mod:`repro.engine.shard`, making it resumable
-   (``run(resume=True)``) and shardable (``run(shards=n, shard_index=i)``
-   plus ``python -m repro merge``).
+   Every line is flushed whole and the stream is fsynced once per 64
+   fresh records (replayed lines, i.e. cache hits, do not count) and at
+   close, so a crash tears at most the final line and a power loss
+   loses at most that unsynced window, which resume re-executes.  Every
+   persisted run also writes the checkpoint manifest from
+   :mod:`repro.engine.shard`, making it resumable (``run(resume=True)``)
+   and shardable (``run(shards=n, shard_index=i)`` plus
+   ``python -m repro merge``).
 
 Campaign specs are plain JSON (see :func:`load_campaign`)::
 
@@ -284,10 +286,10 @@ class Campaign:
         """Execute ``specs`` in order, streaming each record as it lands.
 
         Records are streamed to ``stream_path`` through
-        :class:`~repro.engine.shard.JsonlStreamWriter`: fresh records are
-        fsynced as they land, replayed lines are flushed whole and made
-        durable by the next fsync (or the writer's close, which precedes
-        the done marker), so a crash tears at most the final line.
+        :class:`~repro.engine.shard.JsonlStreamWriter`: every line is
+        flushed whole, fresh records are fsynced in groups of 64, and the
+        writer's close (which precedes the done marker) fsyncs any
+        unsynced tail, so a crash tears at most the final line.
         Pending specs found in ``cache`` (a
         :func:`~repro.engine.shard.durable_records` index) are replayed
         instead of executed.  With ``resume``,
@@ -451,11 +453,12 @@ class Campaign:
         trace:
             Stream span/mark/metrics events (DESIGN.md §8) to
             ``<results_dir>/<name>[.shard-…].events.jsonl`` through the
-            same writer as the records, one fsync per event, so traces survive
-            ``kill -9`` too.  Requires a ``results_dir``
-            (:class:`~repro.errors.ObsError` otherwise).  On ``resume``,
-            completed-run events survive and new ones append; replayed
-            records emit nothing, so nothing duplicates.
+            same writer as the records (each event flushed whole, fsynced
+            in groups of 64), so traces survive ``kill -9`` too.
+            Requires a ``results_dir`` (:class:`~repro.errors.ObsError`
+            otherwise).  On ``resume``, completed-run events survive and
+            new ones append; replayed records emit nothing, so nothing
+            duplicates.
         progress:
             Live progress on stderr: ``True`` for a default
             :class:`~repro.obs.progress.ProgressReporter`, or an instance

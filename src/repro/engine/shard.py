@@ -30,12 +30,14 @@ streams, stale records are dropped, and the manifest is rewritten.
 
 **Incremental per-shard streaming** — each shard appends finished records
 to ``<name>.shard-<i>-of-<n>.jsonl`` through :class:`JsonlStreamWriter`:
-fresh records are fsynced as they land, and replayed lines (cache hits)
-are flushed whole and made durable by the next fsync.  A crash can
-therefore tear at most the final line; :func:`load_partial_records`
-detects a torn tail, drops it, and reports it so ``resume`` re-runs
-exactly that spec.  When a shard finishes and its writer has closed
-(closing fsyncs any replayed tail), :func:`write_done_marker` atomically
+every line is flushed whole, and the stream is fsynced once per 64 fresh
+records (replayed lines, i.e. cache hits, do not count).  A killed
+process can therefore tear at most the final line;
+:func:`load_partial_records` detects a torn tail, drops it, and reports
+it so ``resume`` re-runs exactly that spec.  A power loss can also lose
+the unsynced window since the last fsync, whose specs ``resume``
+re-executes.  When a shard finishes and its writer has closed (closing
+fsyncs any unsynced tail), :func:`write_done_marker` atomically
 publishes ``<name>.shard-<i>-of-<n>.done`` with the record count — the
 completion mark :func:`merge_shards` trusts.  An unsharded campaign is
 shard 0 of 1, and a one-shard stem is plain ``<name>``: its stream is the
@@ -52,10 +54,11 @@ pins.
 Crash-consistency invariants (DESIGN.md §7):
 
 1. every durable artifact is either absent, complete, or — for shard
-   streams only — torn in its final line;
+   streams only — torn in its final line; a power loss may also cut a
+   stream back to any point after its last fsync;
 2. the manifest and done markers only ever appear atomically;
-3. resume never re-executes a spec whose record is durable, and always
-   re-executes a spec whose record is absent or torn;
+3. resume never re-executes a spec whose record is on disk whole, and
+   always re-executes a spec whose record is absent or torn;
 4. shard membership is a pure function of ``(spec content hash, n)``.
 """
 
@@ -357,17 +360,24 @@ class ShardManifest:
 # --------------------------------------------------------------------- #
 
 
-class JsonlStreamWriter:
-    """Append JSONL records: every line flushed whole, fresh ones fsynced.
+#: Fresh lines :meth:`JsonlStreamWriter.write` leaves unsynced before one
+#: fsync commits them as a group: the power-loss window of DESIGN.md §7.
+_SYNC_EVERY = 64
 
-    :meth:`write` flushes and fsyncs its line, which makes every earlier
-    line durable too.  :meth:`write_replayed` is for a record that was
-    already durable (a cache hit): its line is flushed whole but not
-    fsynced, and becomes durable with the next :meth:`write` or with
-    :meth:`close`, which fsyncs once if any line is still unsynced.
-    Every line reaches the file in one flush, so a killed process tears
-    *at most the final line* — the invariant :func:`load_partial_records`
-    (and therefore resume) relies on.  Use as a context manager.
+
+class JsonlStreamWriter:
+    """Append JSONL records: every line flushed whole, fsynced in groups.
+
+    :meth:`write` flushes its line and fsyncs once every
+    ``_SYNC_EVERY`` (64) fresh lines, which makes every earlier line
+    durable too.  :meth:`write_replayed` is for a record that was already
+    durable (a cache hit): its line is flushed whole but does not count
+    toward the window.  :meth:`close` fsyncs once if any line is still
+    unsynced.  Every line reaches the file in one flush, so a killed
+    process tears *at most the final line* — the invariant
+    :func:`load_partial_records` (and therefore resume) relies on; a
+    power loss can also lose the lines written since the last fsync,
+    whose specs resume re-executes.  Use as a context manager.
     """
 
     def __init__(self, path: str | pathlib.Path, *, append: bool = False) -> None:
@@ -375,31 +385,39 @@ class JsonlStreamWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("a" if append else "w")
         self.written = 0
-        self._unsynced = False
+        self._fresh = 0  # fresh lines since the last fsync
+        self._unsynced = False  # any line, fresh or replayed, since then
 
     def _append(self, record: Mapping[str, Any]) -> None:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
         self.written += 1
+        self._unsynced = True
+
+    def _sync(self) -> None:
+        os.fsync(self._fh.fileno())
+        self._fresh = 0
+        self._unsynced = False
 
     def write(self, record: Mapping[str, Any]) -> None:
-        """Durably append one canonical (sorted-keys) record line."""
+        """Append one canonical (sorted-keys) record line; every 64th
+        fresh line since the last fsync syncs the stream."""
         self._append(record)
-        os.fsync(self._fh.fileno())
-        self._unsynced = False
+        self._fresh += 1
+        if self._fresh >= _SYNC_EVERY:
+            self._sync()
 
     def write_replayed(self, record: Mapping[str, Any]) -> None:
         """Append the same canonical line as :meth:`write`, flushed but
-        not fsynced; the next :meth:`write` or :meth:`close` syncs it."""
+        not counted toward the window; the next fsync syncs it."""
         self._append(record)
-        self._unsynced = True
 
     def close(self) -> None:
         if self._fh.closed:
             return
         try:
             if self._unsynced:
-                os.fsync(self._fh.fileno())
+                self._sync()
         finally:
             self._fh.close()
 
@@ -431,9 +449,9 @@ def scan_partial_lines(
     offset just past the last good line — the truncation point a resume
     uses so appended lines start clean.
 
-    Because the writer flushes every line whole (fresh records fsynced as
-    they land, replayed lines made durable by the next fsync), only the
-    *final* line can be incomplete after a crash; a line counts only when
+    Because the writer flushes every line whole (and fsyncs in groups
+    of 64 fresh lines), only the *final* line can be incomplete after a
+    crash or a power loss; a line counts only when
     it is newline-terminated **and** parses.  A malformed line anywhere but the
     tail means real corruption and raises
     :class:`~repro.errors.ShardError` instead of silently skipping data.
@@ -497,8 +515,8 @@ def durable_records(
     """The run cache: every durable record under ``results_dir`` for ``wanted``.
 
     The record streams already are an append-only, single-writer log of
-    every finished run (fresh records fsynced as they land, replayed lines
-    made durable by the next fsync), so they double as the cache
+    every finished run (every line flushed whole, fsynced in groups of
+    64 fresh lines), so they double as the cache
     (DESIGN.md §7).  Each ``<name>.manifest.json`` names one campaign's
     streams: ``<name>.jsonl`` and ``<name>.shard-<i>-of-<n>.jsonl``.  A
     manifest that does not load, names another campaign than its file,

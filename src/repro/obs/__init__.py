@@ -5,10 +5,11 @@ The observability substrate for the whole execution stack (DESIGN.md §8):
 * :mod:`repro.obs.trace` — the span tracer.  ``obs.span("phase",
   **attrs)`` opens a span on the ambient tracer; the engine streams
   events to ``<results_dir>/<name>.events.jsonl`` through the same
-  writer the record streams use, one fsync per event, so traces survive
-  ``kill -9``.  Off by default and provably free: the ambient default is
-  :data:`NULL_TRACER`, whose every operation is a constant-time no-op
-  (pinned by the ``trace-overhead`` benchmark).
+  writer the record streams use (flushed per event, fsynced once per 64
+  events), so traces survive ``kill -9``.  Off by default and provably
+  free: the ambient default is :data:`NULL_TRACER`, whose every
+  operation is a constant-time no-op (pinned by the ``trace-overhead``
+  benchmark).
 * :mod:`repro.obs.metrics` — counters / gauges / streaming histograms,
   snapshotted into :class:`~repro.engine.campaign.CampaignResult`, the
   shard manifest, ``<name>.metrics.json``, and the event stream.

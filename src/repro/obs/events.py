@@ -4,9 +4,9 @@ One campaign run with ``--trace`` streams its telemetry to
 ``<results_dir>/<name>.events.jsonl`` (per-shard workers of two or more
 shards to ``<name>.shard-<i>-of-<n>.events.jsonl``) through the same
 :class:`~repro.engine.shard.JsonlStreamWriter` the record streams use.
-Every event goes through its fsynced ``write`` (only the record streams'
-replayed lines skip the fsync; events are never replayed), so a crash
-tears at most the final event.  This module is
+Every event goes through its ``write`` (events are never replayed), so
+each is flushed whole and the stream is fsynced once per 64 events and
+at close: a crash tears at most the final event.  This module is
 the read side of that contract, in the mold of
 :mod:`repro.results.records`: a strict validator (unknown keys, wrong
 types, negative durations all refused), version gating, and the

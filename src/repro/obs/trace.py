@@ -19,9 +19,10 @@ Three design rules keep tracing honest:
   the record's ``*_seconds`` sums *exactly* while offsets stay synthetic.
 * **Single writer.**  Only the process that owns the event stream emits;
   workers report durations through their return values.  The stream
-  goes through the fsynced ``write`` of
+  goes through the ``write`` of
   :class:`repro.engine.shard.JsonlStreamWriter` (injected by the caller,
-  never constructed here), so a ``kill -9`` tears at most one line.
+  never constructed here), which flushes every line whole, so a
+  ``kill -9`` tears at most one line.
 * **Off means free.**  :data:`NULL_TRACER` is the ambient default; its
   ``span()`` returns one reusable no-op context manager and every emit is
   a constant-time early return.  The ``trace-overhead`` benchmark pins

@@ -21,8 +21,9 @@ bench suite, the manifest's spec-hash list for a campaign — so a series
 only ever chains runs that measured the same thing; edit the grid or the
 suite and the series starts fresh instead of comparing apples to oranges.
 
-The file shares the fsync-per-line durability contract of the shard
-streams: a crash tears at most the final line, :func:`load_points`
+The file shares the durability contract of the shard streams, and
+:func:`append_point` fsyncs its one line before it returns (the
+writer's close): a crash tears at most the final line, :func:`load_points`
 drops a torn tail silently, and corruption anywhere else raises
 :class:`~repro.errors.StoreError`.
 
@@ -114,7 +115,8 @@ def validate_point(point: Mapping, *, where: str = "trend point") -> dict:
 def append_point(
     path: str | pathlib.Path, point: Mapping
 ) -> pathlib.Path:
-    """Durably append one validated point (one line, one flush, one fsync)."""
+    """Durably append one validated point: one line, one flush, and
+    the one fsync the writer's close makes before this returns."""
     from repro.engine.shard import JsonlStreamWriter
 
     point = validate_point(point)

@@ -12,8 +12,8 @@ The load-bearing invariants:
   output hash (modulo the ``timing``/``cached`` sidecars);
 * a torn final stream line is detected and dropped, a torn middle line
   is corruption and raises;
-* the stream writer flushes every line whole, fsyncs each fresh record,
-  and leaves replayed lines to the next fsync or to ``close``.
+* the stream writer flushes every line whole, fsyncs once per 64 fresh
+  lines (replayed lines do not count), and leaves the rest to ``close``.
 """
 
 import json
@@ -251,12 +251,19 @@ class TestPartialLoader:
 
 class TestStreamWriter:
     @pytest.mark.parametrize("ops,synced_at", [
-        ("rrwr", [3, 4]),  # the write syncs both replays, close the last
-        ("rw", [2]),       # nothing left for close
-        ("w", [1]),
         ("", []),
-    ])
-    def test_fsync_per_fresh_record_plus_an_unsynced_tail(
+        ("w", [1]),                    # the tail, at close
+        ("w" * 63, [63]),
+        ("w" * 64, [64]),              # the window; close has nothing left
+        ("w" * 65, [64, 65]),
+        ("w" * 128, [64, 128]),
+        ("r" * 100, [100]),            # replays never fill the window
+        ("rrr" + "w" * 64, [67]),      # the window's fsync syncs the replays
+        ("w" * 63 + "r" * 10 + "w", [74]),
+        ("w" * 64 + "r", [64, 65]),    # a replayed tail, synced at close
+    ], ids=["0", "1w", "63w", "64w", "65w", "128w", "100r", "3r64w",
+            "63w10r1w", "64w1r"])
+    def test_fsync_per_64_fresh_lines_plus_an_unsynced_tail(
             self, tmp_path, monkeypatch, ops, synced_at):
         path = tmp_path / "s.jsonl"
         lines_at_fsync = []
@@ -271,11 +278,14 @@ class TestStreamWriter:
             for i, op in enumerate(ops):
                 (writer.write if op == "w" else writer.write_replayed)({"i": i})
                 # every line is on disk whole as soon as its call returns
-                assert path.read_text() == "".join(
-                    f'{{"i": {j}}}\n' for j in range(i + 1))
+                assert path.read_bytes().count(b"\n") == i + 1
+                assert path.read_bytes().endswith(f'{{"i": {i}}}\n'.encode())
+        assert lines_at_fsync == synced_at
         writer.close()  # a second close syncs nothing more
         assert lines_at_fsync == synced_at
         assert writer.written == len(ops)
+        assert path.read_text() == "".join(
+            f'{{"i": {j}}}\n' for j in range(len(ops)))
 
 
 class TestMerge:

@@ -6,10 +6,13 @@ sidecars) to an uninterrupted run, re-executing *only* the specs whose
 records were not yet durable.  The kill is simulated by patching the
 executor-facing ``execute_run`` to raise after K successful runs —
 exactly what ``kill -9`` leaves behind, because the stream writer
-flushes every line whole before the next run lands (fresh records are
-fsynced too; replayed ones become durable with the next fsync).  A
-re-run that mixes replayed and fresh records is killed after every one
-of its writes instead, from snapshots of the stream's bytes.
+flushes every line whole before the next run lands (the page cache
+keeps it whatever the fsync window).  A re-run that mixes replayed and
+fresh records is killed after every one of its writes instead, from
+snapshots of the stream's bytes.  A power loss can also take the lines
+written since the last fsync (one per 64 fresh records, and one at
+close): ``TestPowerLoss`` cuts streams back to every synced size and
+every whole-line point after it, and resumes each.
 
 K, N, shard count, and the kill schedule are fuzzed with seeded sweeps
 (`random.Random(seed)`), so failures replay exactly.
@@ -19,6 +22,7 @@ import json
 import os
 import pathlib
 import random
+import shutil
 
 import pytest
 
@@ -86,7 +90,7 @@ class TestMonolithicResume:
         with pytest.raises(SimulatedCrash):
             interrupted.run()
         durable = (tmp_path / "r" / "c.jsonl").read_text().splitlines()
-        assert len(durable) == 3  # fsync-per-record made exactly K durable
+        assert len(durable) == 3  # every flushed line outlives a kill: K
 
         crash_after(10**9)  # disarm
         resumed = Campaign(scenarios, name="c", results_dir=tmp_path / "r",
@@ -338,8 +342,9 @@ def _replay_setup(run_dir, scenarios, dropped):
 
 
 class TestReplayRun:
-    """A re-run mixing cache hits (``write_replayed``: flushed, not
-    fsynced) with fresh records (``write``: flushed and fsynced)."""
+    """A re-run mixing cache hits (``write_replayed``: flushed, outside
+    the fsync window) with fresh records (``write``: flushed, fsynced
+    once per 64)."""
 
     def test_kill_after_every_write_resumes_to_the_same_stream(
             self, tmp_path, monkeypatch):
@@ -392,15 +397,20 @@ class TestReplayRun:
             assert _strip((killed / "c.jsonl").read_text()) == \
                    _strip(clean.jsonl_path.read_text())
 
-    @pytest.mark.parametrize("dropped,fsyncs", [
-        (range(0, 12, 2), 6 + 1),  # k = 6 fresh, the replayed tail at close
-        ((), 0 + 1),               # all replayed: close syncs them once
-        ((11,), 1),                # the fresh last record syncs every line
-        (range(12), 12),           # nothing to replay
+    # fsyncs = fresh // 64 + (1 if a tail is unsynced at close)
+    @pytest.mark.parametrize("n,dropped,fsyncs", [
+        (12, range(0, 12, 2), 6 // 64 + 1),  # 6 fresh, synced at close
+        (12, (), 0 // 64 + 1),       # all replayed: close syncs them once
+        (12, (11,), 1 // 64 + 1),    # a fresh last record: still at close
+        (12, range(12), 12 // 64 + 1),       # nothing to replay
+        (140, range(0, 140, 2), 70 // 64 + 1),  # one window, then a tail
+        (140, range(140), 140 // 64 + 1),    # two windows, then a tail
+        (128, range(128), 128 // 64 + 0),    # the last window ends it
+        (130, range(64), 64 // 64 + 1),      # a window, then replayed tail
     ])
-    def test_stream_fsynced_once_per_fresh_record_and_before_its_mark(
-            self, tmp_path, monkeypatch, dropped, fsyncs):
-        scenarios = _grid(12)
+    def test_stream_fsynced_once_per_64_fresh_records_and_before_its_mark(
+            self, tmp_path, monkeypatch, n, dropped, fsyncs):
+        scenarios = _grid(n)
         _replay_setup(tmp_path, scenarios, set(dropped))
         stream = tmp_path / "c.jsonl"
         events = []
@@ -423,3 +433,83 @@ class TestReplayRun:
         assert events.count("stream-fsync") == fsyncs
         last_fsync = max(i for i, e in enumerate(events) if e == "stream-fsync")
         assert last_fsync < events.index("c.done")
+
+
+def _record_syncs(monkeypatch, stream):
+    """Swap ``os.fsync`` for a recorder of ``stream``'s size at each of its
+    syncs: what a power loss at that moment would keep.  Temp files need
+    no real fsync, so none is made."""
+    synced = []
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        if stream.exists() and os.path.samestat(st, os.stat(stream)):
+            synced.append(st.st_size)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
+
+
+def _line_ends(data):
+    """Every whole-line point of ``data``: 0 and each offset past a newline."""
+    return [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+
+
+class TestPowerLoss:
+    """A power loss keeps a stream up to its last fsync, and possibly some
+    whole lines after it.  Each such cut, resumed, must give the
+    uninterrupted stream and execute exactly the specs the cut lost."""
+
+    N = 2 * 64 + 12  # two full windows and a tail
+
+    @pytest.mark.parametrize("dropped,synced_lines", [
+        (None, [64, 128, N]),  # a fresh run: two windows, the tail at close
+        # A re-run of 93 fresh and 47 replayed records: the 64th fresh one
+        # is line 96; close syncs the 29 fresh and 15 replayed after it.
+        ({i for i in range(N) if i % 3}, [96, N]),
+    ], ids=["fresh-run", "mixed-rerun"])
+    def test_cut_at_every_synced_size_and_line_after(
+            self, tmp_path, monkeypatch, dropped, synced_lines):
+        scenarios = _grid(self.N)
+        clean = Campaign(scenarios, name="c", results_dir=tmp_path / "clean",
+                         use_cache=False).run()
+        run_dir = tmp_path / "r"
+        if dropped is None:
+            run_dir.mkdir()
+        else:
+            _replay_setup(run_dir, scenarios, dropped)
+        synced = _record_syncs(monkeypatch, run_dir / "c.jsonl")
+        run = Campaign(scenarios, name="c", results_dir=run_dir).run()
+        assert run.cache_misses == len(dropped or range(self.N))
+        data = (run_dir / "c.jsonl").read_bytes()
+        manifest = (run_dir / "c.manifest.json").read_bytes()
+        ends = _line_ends(data)
+        assert synced == [ends[k] for k in synced_lines]
+
+        executed = []
+
+        def counting(spec):
+            executed.append(spec.content_hash())
+            return execute_run(spec)
+
+        monkeypatch.setattr(campaign_module, "execute_run", counting)
+        every = {r.spec.content_hash() for r in clean.records}
+        # Cut 0 stands for a loss before the first fsync took everything
+        # (the truncating open itself); a prefix short of the first window
+        # resumes like any killed one, which the kill battery covers.
+        cut_dir = tmp_path / "cut"
+        for cut in [0] + [p for p in ends if p >= synced[0]]:
+            cut_dir.mkdir()
+            (cut_dir / "c.manifest.json").write_bytes(manifest)
+            (cut_dir / "c.jsonl").write_bytes(data[:cut])
+            held, torn, _ = load_partial_records(cut_dir / "c.jsonl")
+            assert torn == 0
+            executed.clear()
+            resumed = Campaign(scenarios, name="c",
+                               results_dir=cut_dir).run(resume=True)
+            assert resumed.resumed == len(held)
+            assert sorted(executed) == \
+                   sorted(every - {r.spec.content_hash() for r in held})
+            assert _strip((cut_dir / "c.jsonl").read_text()) == \
+                   _strip(clean.jsonl_path.read_text())
+            shutil.rmtree(cut_dir)

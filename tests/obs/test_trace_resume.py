@@ -1,12 +1,15 @@
 """Trace streams across kill/resume: durable events, zero duplication.
 
-The event stream rides the same writer as the records, one fsync per
-event, so a crash costs at most the final (torn) event; on ``--resume`` the torn
-tail is truncated, completed-run events survive, replayed records emit
+The event stream rides the same writer as the records (every event
+flushed whole, fsynced once per 64 events and at close), so a crash
+costs at most the final (torn) event; on ``--resume`` the torn tail is
+truncated, completed-run events survive, replayed records emit
 *nothing*, and only the genuinely re-executed specs append new spans.
 The invariant checked throughout: exactly one ``run`` span per spec
 hash, no matter how many times the campaign died on the way.
 """
+
+import os
 
 import pytest
 
@@ -127,3 +130,28 @@ class TestResumeNoDuplication:
         counters = result.metrics["counters"]
         assert counters["runs_resumed"] == 4
         assert counters["runs_started"] == 2  # only the re-executed tail
+
+
+class TestEventStreamSyncs:
+    def test_fsynced_once_per_64_events_plus_an_unsynced_tail(
+            self, tmp_path, monkeypatch):
+        ev_path = tmp_path / "c.events.jsonl"
+        lines_at_fsync = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if ev_path.exists() and os.path.samestat(os.fstat(fd),
+                                                     os.stat(ev_path)):
+                lines_at_fsync.append(ev_path.read_bytes().count(b"\n"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        Campaign(_grid(30), name="c", results_dir=tmp_path,
+                 use_cache=False).run(trace=True)
+        events = ev_path.read_bytes().count(b"\n")
+        assert events > 2 * 64
+        # Every event is a fresh line: fresh // 64 + (1 if a tail is unsynced).
+        tail = 1 if events % 64 else 0
+        assert len(lines_at_fsync) == events // 64 + tail
+        assert lines_at_fsync == \
+               [64 * (k + 1) for k in range(events // 64)] + [events] * tail

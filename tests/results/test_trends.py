@@ -1,6 +1,7 @@
 """The trend ledger: durability, series selection, the regression rule."""
 
 import json
+import os
 
 import pytest
 
@@ -50,6 +51,24 @@ def test_append_writes_canonical_lines_into_a_new_directory(tmp_path):
     append_point(ledger, _point(3.0))
     assert ledger.read_text() == "".join(
         json.dumps(_point(v), sort_keys=True) + "\n" for v in (2.0, 3.0))
+
+
+def test_each_append_fsyncs_its_point_before_returning(tmp_path, monkeypatch):
+    # The ledger's writer lives for one point, so the group-commit window
+    # never holds a point back: its close fsyncs the line, once, before
+    # append_point returns.
+    ledger = trends_path(tmp_path)
+    lines_at_fsync = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        lines_at_fsync.append(ledger.read_bytes().count(b"\n"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    for appended in range(1, 4):
+        append_point(ledger, _point(float(appended)))
+        assert lines_at_fsync == list(range(1, appended + 1))
 
 
 def test_load_missing_ledger_is_empty(tmp_path):
