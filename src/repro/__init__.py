@@ -31,17 +31,13 @@ from scratch, everything the paper builds on it:
 * the **fluent API** (:mod:`repro.api`): ``Session`` chains the whole
   pipeline (graphs → protocol → faults → executor → run → aggregate →
   gate) and produces records identical to hand-wired campaigns;
-* the **benchmark harness** (:mod:`repro.bench`): four registered
-  optimized/naive benchmark pairs (``kind="benchmark"``), one timing/RSS
-  harness with stable JSON reports (``python -m repro bench`` →
-  ``BENCH_PR4.json``), and a gate against a frozen bench baseline that
-  pins each case's digest and each pair's speedup floor;
 * the **observability layer** (:mod:`repro.obs`): a span tracer on the
   engine's monotonic timebase streaming crash-durable
   ``<name>.events.jsonl`` telemetry, always-on campaign metrics
   (counters/gauges/histograms, Prometheus-renderable), live progress
   reporting, and the ``repro trace`` / ``repro stats`` readers — off by
-  default and provably free (the ``trace-overhead`` benchmark pins it);
+  default and provably free (the ``trace-overhead`` speedup floor in
+  ``tests/bench/test_speedup_floors.py`` pins it);
 * the **campaign service** (:mod:`repro.serve`): a zero-dependency asyncio
   HTTP/JSON daemon (``python -m repro serve``) with a durable, restart-
   recoverable job store, priority admission with backpressure, a

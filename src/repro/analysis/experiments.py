@@ -1,4 +1,4 @@
-"""One harness function per experiment ID (see DESIGN.md §6).
+"""One harness function per experiment ID (see DESIGN.md §10).
 
 Every function is deterministic given its arguments (generators are seeded)
 and cheap enough for a laptop; the default parameters are the ones quoted in

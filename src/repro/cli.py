@@ -18,16 +18,13 @@ Usage::
     python -m repro diff results-a/smoke.jsonl results-b/smoke.jsonl
     python -m repro baseline freeze results/smoke.jsonl --name smoke
     python -m repro baseline check results/smoke.jsonl benchmarks/baselines/smoke.json
-    python -m repro bench --json                   # perf suite -> BENCH_PR4.json
-    python -m repro bench --gate benchmarks/baselines/bench.json  # exit 1 on regression
     python -m repro serve --root serve-data        # the campaign service daemon
     python -m repro submit smoke --shards 2        # submit a job over HTTP
     python -m repro jobs                           # list the daemon's jobs
     python -m repro job j000001 --follow           # follow one to completion
 
 Exit codes: 0 success, 1 gate/domain failure (``diff`` found
-differences, ``baseline check`` failed, ``bench --gate`` regressed —
-including a trend regression from ``--trends``, ``merge`` found
+differences, ``baseline check`` failed, ``merge`` found
 incomplete shards — retry after resuming them, ``report`` pointed at a
 missing/empty records file or found a trend regression with ``--trend``,
 ``submit`` refused by a full queue — retry later, ``job`` landed
@@ -168,31 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="relative bit-count tolerance (default: 0 = exact)")
     p_check.add_argument("--json", action="store_true", help="emit the verdict as JSON")
 
-    p_bench = sub.add_parser(
-        "bench", help="run the registered benchmark suite (kind 'benchmark')")
-    p_bench.add_argument("benchmarks", nargs="*", metavar="NAME",
-                         help="benchmark names (default: the whole suite; "
-                         "see `repro list --kind benchmark`)")
-    p_bench.add_argument("--scale", type=float, default=1.0, metavar="F",
-                         help="input-size multiplier applied to every "
-                         "benchmark (default: 1.0)")
-    p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                         help="timed repetitions per benchmark (default: 3)")
-    p_bench.add_argument("--output", default=None, metavar="PATH",
-                         help="where to write the JSON report "
-                         "(default: BENCH_PR4.json; '-' disables)")
-    p_bench.add_argument("--freeze", default=None, metavar="PATH",
-                         help="also freeze this run as a bench baseline at PATH")
-    p_bench.add_argument("--gate", default=None, metavar="BASELINE",
-                         help="check the run against a frozen bench baseline "
-                         "(exit 1 on regression)")
-    p_bench.add_argument("--trends", default=None, metavar="LEDGER",
-                         help="append each benchmark's p95 wall seconds to "
-                         "this trend ledger and fail (exit 1) when one rose "
-                         "for three consecutive comparable runs")
-    p_bench.add_argument("--json", action="store_true",
-                         help="emit the report (and gate verdict) as JSON")
-
     p_trace = sub.add_parser(
         "trace", help="analyze a campaign's events.jsonl: phase breakdown, "
         "critical path, slowest runs")
@@ -293,7 +265,6 @@ _KIND_HEADINGS = {
     "protocol": "protocols",
     "experiment": "experiments",
     "campaign": "campaigns",
-    "benchmark": "benchmarks",
     "span": "trace spans",
 }
 
@@ -535,21 +506,18 @@ def _report_trend(args, records_path, spec_hashes, bits):
 _SHOWN_FAILURES = 20
 
 
-def _print_failures(failures: list) -> None:
-    for failure in failures[:_SHOWN_FAILURES]:
-        print(f"  FAIL [{failure.kind}] {failure.key}: {failure.detail}")
-    if len(failures) > _SHOWN_FAILURES:
-        print(f"  ... and {len(failures) - _SHOWN_FAILURES} more (use --json)")
-
-
 def _print_verdict(title: str, verdict: Any, *, as_json: bool = False) -> int:
-    """The one rendering of a pin verdict (``diff``, ``baseline check``, ``bench --gate``)."""
+    """The one rendering of a pin verdict (``diff``, ``baseline check``)."""
     if as_json:
         print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
     else:
         print(f"{title}: {verdict.runs_checked} runs, "
               f"{len(verdict.failures)} failure(s)")
-        _print_failures(verdict.failures)
+        failures = verdict.failures
+        for failure in failures[:_SHOWN_FAILURES]:
+            print(f"  FAIL [{failure.kind}] {failure.key}: {failure.detail}")
+        if len(failures) > _SHOWN_FAILURES:
+            print(f"  ... and {len(failures) - _SHOWN_FAILURES} more (use --json)")
         print("passed" if verdict.passed else "FAILED")
     return 0 if verdict.passed else 1
 
@@ -577,96 +545,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     verdict = check(records, args.baseline, bits_tolerance=args.bits_tolerance)
     return _print_verdict(f"baseline check {args.baseline}", verdict,
                           as_json=args.json)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        DEFAULT_OUTPUT,
-        check_suite,
-        freeze_suite,
-        run_suite,
-        write_suite,
-    )
-
-    report = run_suite(args.benchmarks or None, scale=args.scale,
-                       repeats=args.repeats)
-    output = DEFAULT_OUTPUT if args.output is None else args.output
-    written = None
-    if str(output) != "-":
-        written = write_suite(report, output)
-    if args.freeze:
-        freeze_suite(report, args.freeze)
-
-    verdict = check_suite(report, args.gate) if args.gate is not None else None
-    trend_failures = []
-    if args.trends is not None:
-        trend_failures = _bench_trends(args.trends, report)
-        if verdict is not None:
-            # Fold trajectory failures into the gate verdict so one
-            # structured verdict carries both kinds of regression.
-            verdict.failures.extend(trend_failures)
-
-    if args.json:
-        payload = dict(report)
-        if verdict is not None:
-            payload["gate"] = verdict.to_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = []
-        for name in report["suite"]:
-            entry = report["results"][name]
-            rows.append([
-                name, entry["ops"], entry["bits"],
-                entry["wall_seconds"]["mean"], entry["ops_per_second"],
-            ])
-        print(format_table(
-            f"bench suite — {len(rows)} benchmark(s), scale "
-            f"{report['scale']}, {report['repeats']} repeat(s)",
-            ["benchmark", "ops", "bits", "mean s", "ops/s"], rows,
-        ))
-        for name, ratio in sorted(report["speedups"].items()):
-            print(f"  speedup {name}: {ratio}x vs {name}-naive")
-        if written is not None:
-            print(f"  report -> {written}")
-        if args.freeze:
-            print(f"  baseline -> {args.freeze}")
-        if verdict is not None:
-            _print_verdict(f"gate {verdict.baseline_name}", verdict)
-        else:
-            _print_failures(trend_failures)
-    failures = verdict.failures if verdict is not None else trend_failures
-    return 1 if failures else 0
-
-
-def _bench_trends(ledger: str, report: dict):
-    """Append this run's per-benchmark p95 points and check each series.
-
-    Returns the (possibly empty) list of trend
-    :class:`~repro.results.baseline.CheckFailure` entries.
-    """
-    from repro.results.baseline import CheckFailure
-    from repro.results.trends import (
-        DEFAULT_WINDOW, append_point, bench_point, bench_trend_key,
-        load_points, regressed, series,
-    )
-
-    failures = []
-    key = bench_trend_key(report["suite"], report["scale"])
-    points = load_points(ledger)
-    for name in report["suite"]:
-        p95 = report["results"][name]["wall_seconds"]["p95"]
-        prior = series(points, kind="bench", key=key, name=name,
-                       metric="wall_p95_seconds")
-        append_point(ledger, bench_point(key=key, name=name,
-                                         wall_p95_seconds=p95))
-        values = prior + [p95]
-        if regressed(values):
-            tail = values[-(DEFAULT_WINDOW + 1):]
-            failures.append(CheckFailure(
-                "trend", name,
-                f"wall p95 seconds rose {DEFAULT_WINDOW} consecutive "
-                f"comparable runs: {tail}"))
-    return failures
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -868,7 +746,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "diff": _cmd_diff,
     "baseline": _cmd_baseline,
-    "bench": _cmd_bench,
     "trace": _cmd_trace,
     "stats": _cmd_stats,
     "serve": _cmd_serve,

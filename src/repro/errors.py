@@ -27,7 +27,6 @@ __all__ = [
     "SchemaError",
     "BaselineError",
     "StoreError",
-    "BenchError",
     "ShardError",
     "ShardIncomplete",
     "ObsError",
@@ -155,11 +154,6 @@ class StoreError(ResultsError):
     """Raised by the trend ledger (:mod:`repro.results.trends`): a
     malformed ``trends.jsonl`` entry anywhere but the torn tail, or a
     point asked of a campaign with no records."""
-
-
-class BenchError(ReproError):
-    """Raised by the benchmark harness (:mod:`repro.bench`) on bad suite
-    arguments or a missing/malformed bench baseline."""
 
 
 class ShardError(ProtocolError):

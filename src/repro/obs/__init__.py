@@ -9,7 +9,7 @@ The observability substrate for the whole execution stack (DESIGN.md §8):
   events), so traces survive ``kill -9``.  Off by default and provably
   free: the ambient default is :data:`NULL_TRACER`, whose every
   operation is a constant-time no-op (pinned by the ``trace-overhead``
-  benchmark).
+  speedup floor).
 * :mod:`repro.obs.metrics` — counters / gauges / streaming histograms,
   snapshotted into :class:`~repro.engine.campaign.CampaignResult`, the
   shard manifest, ``<name>.metrics.json``, and the event stream.

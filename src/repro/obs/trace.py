@@ -25,8 +25,9 @@ Three design rules keep tracing honest:
   ``kill -9`` tears at most one line.
 * **Off means free.**  :data:`NULL_TRACER` is the ambient default; its
   ``span()`` returns one reusable no-op context manager and every emit is
-  a constant-time early return.  The ``trace-overhead`` benchmark pins
-  this under a ``min_speedup`` floor.
+  a constant-time early return.  The ``trace-overhead`` floor of
+  ``tests/bench/test_speedup_floors.py`` pins this: untraced must run
+  at least 0.9x as fast as traced.
 
 Ambient use (the ``obs.span(...)`` form)::
 
@@ -265,7 +266,7 @@ class NullTracer:
 
     This is the ambient default, so instrumentation sites cost one
     attribute load and a falsy check when tracing is off — the overhead
-    contract the ``trace-overhead`` benchmark pins.
+    contract the ``trace-overhead`` speedup floor pins.
     """
 
     enabled = False

@@ -2,7 +2,7 @@
 
 The paper's pipeline is *build a graph, run a one-round protocol under a
 referee, measure bits*; this package is where the pluggable pieces of that
-pipeline are named.  Six typed registries cover the six kinds:
+pipeline are named.  Five typed registries cover the five kinds:
 
 ========================  ===========================================  =====================
 kind                      what the factory builds                      registered by
@@ -11,7 +11,6 @@ kind                      what the factory builds                      registere
 ``protocol``              ``(n, **params) -> OneRoundProtocol``        ``repro/protocols/*.py``, ``repro/sketching/*.py``
 ``experiment``            ``(**params) -> (title, headers, rows)``     ``repro.analysis.experiments``
 ``campaign``              ``() -> list[Scenario]``                     ``repro.engine.campaign``
-``benchmark``             ``(**params) -> BenchCase``                  ``repro.bench.builtin``
 ``span``                  ``() -> tuple[str, ...]`` (attr keys)        ``repro.obs.taxonomy``
 ========================  ===========================================  =====================
 
@@ -53,7 +52,6 @@ __all__ = [
     "PROTOCOL",
     "EXPERIMENT",
     "CAMPAIGN",
-    "BENCHMARK",
     "SPAN",
     "KINDS",
     "register",
@@ -100,12 +98,6 @@ CAMPAIGN: Registry = Registry(
     modules=("repro.engine.campaign",),
 )
 
-#: The benchmark registry: ``(**params) -> repro.bench.BenchCase``.
-BENCHMARK: Registry = Registry(
-    "benchmark",
-    modules=("repro.bench.builtin",),
-)
-
 #: The trace-span taxonomy: ``() -> tuple[str, ...]`` (the span's attr keys).
 SPAN: Registry = Registry(
     "span",
@@ -116,7 +108,7 @@ SPAN: Registry = Registry(
 #: kind key -> registry, in catalog order.
 KINDS: dict[str, Registry] = {
     r.kind: r
-    for r in (GRAPH_FAMILY, PROTOCOL, EXPERIMENT, CAMPAIGN, BENCHMARK, SPAN)
+    for r in (GRAPH_FAMILY, PROTOCOL, EXPERIMENT, CAMPAIGN, SPAN)
 }
 
 

@@ -15,9 +15,8 @@ machine-detectable instead of eyeballed.
   a fresh run against it, or :func:`~repro.results.baseline.diff_campaigns`
   two campaigns run by run.  Both return one
   :class:`~repro.results.baseline.BaselineCheck` verdict (a list of
-  ``CheckFailure``), keyed on spec content hash and built by the one pin
-  comparison :func:`~repro.results.baseline.compare_pins` that the bench
-  gate also uses; CI turns it into an exit code.
+  ``CheckFailure``), keyed on spec content hash and built by one pin
+  comparison; CI turns it into an exit code.
 
 CLI: ``python -m repro report <file.jsonl>``, ``python -m repro diff <a> <b>``,
 ``python -m repro baseline freeze|check`` (all with ``--json``).
@@ -54,7 +53,6 @@ from repro.results.baseline import (
     BaselineCheck,
     CheckFailure,
     check,
-    compare_pins,
     diff_campaigns,
     freeze,
     load_baseline,
@@ -86,7 +84,6 @@ __all__ = [
     "load_baseline",
     "CheckFailure",
     "BaselineCheck",
-    "compare_pins",
     "check",
     "diff_campaigns",
 ]

@@ -8,8 +8,7 @@ an exit code: a changed digest means the protocol now computes something
 else; a grown bit count means a message got bigger than the paper's bound
 justified; a missing run means the campaign grid silently shrank.
 :func:`diff_campaigns` is the same check with a second campaign as the
-baseline, and the bench gate (:func:`repro.bench.check_suite`) runs its
-pinned table through the same :func:`compare_pins`.
+baseline.
 
 Baselines deliberately contain no timing — they must be reproducible on
 any machine (the engine's determinism contract, DESIGN.md §2).
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import BaselineError, SchemaError
@@ -33,7 +32,6 @@ __all__ = [
     "load_baseline",
     "CheckFailure",
     "BaselineCheck",
-    "compare_pins",
     "check",
     "diff_campaigns",
 ]
@@ -126,10 +124,10 @@ def load_baseline(source: str | pathlib.Path | Mapping) -> dict:
 
 @dataclass(frozen=True)
 class CheckFailure:
-    """One violated pin: a run, a benchmark, a speedup floor or a trend."""
+    """One violated pin of one run."""
 
-    kind: str        # "missing-run" | "extra-run" | "result" | "bits" | ...
-    key: str         # spec content hash, or a benchmark name
+    kind: str        # "missing-run" | "extra-run" | "result" | "bits"
+    key: str         # spec content hash
     detail: str
 
     def to_dict(self) -> dict:
@@ -138,7 +136,7 @@ class CheckFailure:
 
 @dataclass
 class BaselineCheck:
-    """The one verdict of ``check``, ``diff`` and the bench gate — what CI gates on."""
+    """The one verdict of ``check`` and ``diff`` — what CI gates on."""
 
     baseline_name: str
     runs_checked: int
@@ -159,53 +157,6 @@ class BaselineCheck:
         }
 
 
-def compare_pins(
-    expected: Mapping[str, Mapping],
-    actual: Mapping[str, Mapping],
-    *,
-    exact: Sequence[str],
-    bits: Sequence[str] = (),
-    bits_tolerance: float = 0.0,
-    what: str = "run",
-    label: Callable[[Mapping], str] | None = None,
-) -> list[CheckFailure]:
-    """The one keyed pin comparison behind ``check``, ``diff`` and the bench gate.
-
-    Both tables map a key to a flat entry.  Keys only ``expected`` has fail
-    as ``missing-<what>``, keys only ``actual`` has as ``extra-<what>`` (a
-    silently grown grid is as suspicious as a shrunken one).  Per shared
-    key, the ``exact`` fields must be equal (``result`` failures) and the
-    ``bits`` fields within the relative ``bits_tolerance``
-    (``|new - old| <= tol * max(old, 1)``; ``bits`` failures).  ``label``
-    names a missing or extra entry in its detail line.
-    """
-    def named(entry: Mapping) -> str:
-        return f"{what} {label(entry)}" if label else what
-
-    failures = [
-        CheckFailure(f"missing-{what}", key,
-                     f"baseline {named(expected[key])} not present")
-        for key in sorted(expected.keys() - actual.keys())
-    ]
-    failures += [
-        CheckFailure(f"extra-{what}", key,
-                     f"{named(actual[key])} has no baseline entry (re-freeze?)")
-        for key in sorted(actual.keys() - expected.keys())
-    ]
-    for key in sorted(expected.keys() & actual.keys()):
-        e, a = expected[key], actual[key]
-        for name in exact:
-            if a[name] != e[name]:
-                failures.append(CheckFailure(
-                    "result", key, f"{name}: expected {e[name]!r}, got {a[name]!r}"))
-        for name in bits:
-            if abs(a[name] - e[name]) > bits_tolerance * max(abs(e[name]), 1):
-                failures.append(CheckFailure(
-                    "bits", key,
-                    f"{name}: expected {e[name]} ± {bits_tolerance:.0%}, got {a[name]}"))
-    return failures
-
-
 def _run_label(entry: Mapping) -> str:
     return (f"{entry.get('scenario')}/{entry.get('family')}/n={entry.get('n')}/"
             f"seed={entry.get('seed')}")
@@ -214,16 +165,44 @@ def _run_label(entry: Mapping) -> str:
 def _check_records(
     name: str, expected: Mapping, records: Iterable[Mapping], bits_tolerance: float
 ) -> BaselineCheck:
+    """The one keyed pin comparison behind ``check`` and ``diff``.
+
+    Both tables map a spec content hash to a flat entry.  Runs only
+    ``expected`` has fail as ``missing-run``, runs only ``records`` has as
+    ``extra-run`` (a silently grown grid is as suspicious as a shrunken
+    one).  Per shared run, the pinned fields must be equal (``result``
+    failures) and the bit counts within the relative ``bits_tolerance``
+    (``|new - old| <= tol * max(old, 1)``; ``bits`` failures).
+    """
     if bits_tolerance < 0:
         raise SchemaError(f"bits_tolerance must be >= 0, got {bits_tolerance}")
     actual = _by_hash(records, label="checked campaign")
+    failures = [
+        CheckFailure("missing-run", key,
+                     f"baseline run {_run_label(expected[key])} not present")
+        for key in sorted(expected.keys() - actual.keys())
+    ]
+    failures += [
+        CheckFailure("extra-run", key,
+                     f"run {_run_label(actual[key])} has no baseline entry (re-freeze?)")
+        for key in sorted(actual.keys() - expected.keys())
+    ]
+    for key in sorted(expected.keys() & actual.keys()):
+        e, a = expected[key], actual[key]
+        for pin in _PINNED_FIELDS:
+            if a[pin] != e[pin]:
+                failures.append(CheckFailure(
+                    "result", key, f"{pin}: expected {e[pin]!r}, got {a[pin]!r}"))
+        for pin in _BIT_FIELDS:
+            if abs(a[pin] - e[pin]) > bits_tolerance * max(abs(e[pin]), 1):
+                failures.append(CheckFailure(
+                    "bits", key,
+                    f"{pin}: expected {e[pin]} ± {bits_tolerance:.0%}, got {a[pin]}"))
     return BaselineCheck(
         baseline_name=name,
         runs_checked=len(actual),
         bits_tolerance=bits_tolerance,
-        failures=compare_pins(expected, actual, exact=_PINNED_FIELDS,
-                              bits=_BIT_FIELDS, bits_tolerance=bits_tolerance,
-                              label=_run_label),
+        failures=failures,
     )
 
 
@@ -233,7 +212,7 @@ def check(
     *,
     bits_tolerance: float = 0.0,
 ) -> BaselineCheck:
-    """Verify a fresh campaign against a frozen baseline (see :func:`compare_pins`).
+    """Verify a fresh campaign against a frozen baseline (see :func:`_check_records`).
 
     Runs are keyed on the *physical* spec content hash, so scenario labels
     and file order never matter.

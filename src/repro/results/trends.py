@@ -2,24 +2,24 @@
 
 A frozen baseline answers "is this run worse than the pin?"; it cannot
 answer "has p95 been creeping up for three releases?".  The trend ledger
-closes that gap: every gated bench run (``repro bench --gate --trends``),
-every ``repro report --trend`` and every merged serve job appends one
-*point* per metric source to an append-only
+closes that gap: every ``repro report --trend`` and every merged serve
+job appends one *point* per campaign to an append-only
 ``<results_dir>/trends.jsonl``, and the gates read the series back and
 fail on trajectories, not just point regressions.  The daemon also
 publishes each job's point as ``trend_*`` gauges on ``/metrics``.
 
 A point is one canonical-JSON line::
 
-    {"trend_version": 1, "kind": "bench" | "campaign",
+    {"trend_version": 1, "kind": "campaign",
      "key": "<content hash of what makes runs comparable>",
-     "name": "<benchmark or campaign name>",
+     "name": "<campaign name>",
      "metrics": {"<metric>": <number>, ...}}
 
-``key`` is a *content* hash — the sorted benchmark names + scale for a
-bench suite, the manifest's spec-hash list for a campaign — so a series
-only ever chains runs that measured the same thing; edit the grid or the
-suite and the series starts fresh instead of comparing apples to oranges.
+``key`` is a *content* hash of the manifest's spec-hash list, so a
+series only ever chains runs that measured the same thing; edit the grid
+and the series starts fresh instead of comparing apples to oranges.
+Older ledgers also hold ``kind: "bench"`` points from the retired
+``bench --trends`` gate; they still load, but nothing writes them now.
 
 The file shares the durability contract of the shard streams, and
 :func:`append_point` fsyncs its one line before it returns (the
@@ -58,10 +58,8 @@ __all__ = [
     "load_points",
     "series",
     "regressed",
-    "bench_trend_key",
     "campaign_trend_key",
     "campaign_point",
-    "bench_point",
 ]
 
 TREND_VERSION = 1
@@ -78,6 +76,7 @@ _POINT_FIELDS: dict[str, tuple[type, ...]] = {
     "metrics": (dict,),
 }
 
+#: ``"bench"`` is read-only: older ledgers hold such points, nothing writes them.
 _KINDS = ("bench", "campaign")
 
 
@@ -177,30 +176,9 @@ def regressed(values: Sequence[float], *, window: int = DEFAULT_WINDOW) -> bool:
     return all(b > a for a, b in zip(tail, tail[1:]))
 
 
-def bench_trend_key(names: Iterable[str], scale: float) -> str:
-    """Content key for a bench suite: same benches + scale ⇒ same series."""
-    payload = json.dumps(
-        {"names": sorted(names), "scale": scale}, sort_keys=True
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def campaign_trend_key(spec_hashes: Sequence[str]) -> str:
     """Content key for a campaign grid: same specs ⇒ same series."""
     return hashlib.sha256("\n".join(spec_hashes).encode()).hexdigest()[:16]
-
-
-def bench_point(
-    *, key: str, name: str, wall_p95_seconds: float
-) -> dict:
-    """The ledger entry for one benchmark of one gated suite run."""
-    return {
-        "trend_version": TREND_VERSION,
-        "kind": "bench",
-        "key": key,
-        "name": name,
-        "metrics": {"wall_p95_seconds": wall_p95_seconds},
-    }
 
 
 def campaign_point(

@@ -70,6 +70,26 @@ class TestUsageErrors:
         assert "usage:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bench"],
+        ["bench", "--gate", "benchmarks/baselines/bench.json"],
+        ["list", "--kind", "benchmark"],
+    ])
+    def test_removed_bench_surfaces_are_usage_errors(self, argv):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestReportPaths:
     def test_report_missing_file(self, capsys, tmp_path):
@@ -231,14 +251,6 @@ class TestOneErrorPolicy:
         assert main(verb.split() + [str(bad)] + other) == 2
         err = capsys.readouterr().err
         assert "bad.jsonl:1: not valid JSON" in err and "Traceback" not in err
-
-    def test_bench_gate_on_non_utf8_baseline(self, capsys, tmp_path):
-        bad = tmp_path / "bench.json"
-        bad.write_bytes(NOT_UTF8)
-        assert main(["bench", "bits-pack", "--scale", "0.1", "--repeats", "1",
-                     "--output", "-", "--gate", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert "is not valid JSON" in err and "Traceback" not in err
 
     def test_submit_follow_when_the_daemon_goes_away(self, capsys,
                                                      monkeypatch):

@@ -24,8 +24,8 @@ class TestCli:
     def test_list_json_is_the_catalog(self, capsys):
         assert main(["list", "--json"]) == 0
         catalog = json.loads(capsys.readouterr().out)
-        assert set(catalog) == {"benchmark", "campaign", "experiment",
-                                "graph_family", "protocol", "span"}
+        assert set(catalog) == {"campaign", "experiment", "graph_family",
+                                "protocol", "span"}
         assert "EXP-T5" in catalog["experiment"]
         assert "smoke" in catalog["campaign"]
         deg = catalog["protocol"]["degeneracy"]

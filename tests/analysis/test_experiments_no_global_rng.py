@@ -2,8 +2,8 @@
 
 The experiments' draws come from seeded generators and dedicated
 ``random.Random`` instances, so running one must leave the global
-sequence exactly where it found it (the engine and the bench harness
-carry the same guard).
+sequence exactly where it found it (the engine and the speedup-floor
+pairs carry the same guard).
 """
 
 import random

@@ -183,8 +183,8 @@ class TestLazyLoading:
 class TestGlobalRegistries:
     def test_catalog_covers_all_kinds_sorted(self):
         catalog = registry.catalog()
-        assert list(catalog) == ["benchmark", "campaign", "experiment",
-                                 "graph_family", "protocol", "span"]
+        assert list(catalog) == ["campaign", "experiment", "graph_family",
+                                 "protocol", "span"]
         for entries in catalog.values():
             assert list(entries) == sorted(entries)
             for meta in entries.values():

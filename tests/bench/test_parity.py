@@ -6,8 +6,8 @@ contract in ``tests/api/test_session.py``:
 * micro — optimized packing loops produce values identical to the
   plain reference implementations on fuzzed inputs (the AGM sketch
   codec has its own suite, ``tests/sketching/test_agm_parity.py``);
-* benchmark pairs — every ``<name>``/``<name>-naive`` twin in the builtin
-  suite reports the same deterministic digest;
+* speedup-floor pairs — both sides of each pair hit one pinned digest
+  (``tests/bench/test_speedup_floors.py``);
 * campaign — the ``smoke`` campaign (which exercises the AGM sketch path
   end to end) still matches the frozen pre-optimization baseline
   ``benchmarks/baselines/smoke.json``, digest for digest and bit for bit.
@@ -20,7 +20,6 @@ import random
 import pytest
 
 from repro.api import Session
-from repro.bench import run_suite
 from repro.bits.writer import BitWriter
 from repro.results.baseline import check as baseline_check
 from repro.sketching.l0sampler import L0Sampler, L0SamplerParams
@@ -55,19 +54,6 @@ class TestMicroParity:
         with pytest.raises(Exception, match="does not fit"):
             writer.write_many([(1, 1), (9, 2)])
         assert writer.to_int() == (0b101, 3)  # rejected batch wrote nothing
-
-
-class TestBenchmarkPairParity:
-    def test_every_naive_twin_digests_identically(self):
-        report = run_suite(
-            ["l0-update", "l0-update-naive", "bits-pack", "bits-pack-naive"],
-            scale=0.1, repeats=1,
-        )
-        results = report["results"]
-        for name in ("l0-update", "bits-pack"):
-            assert results[name]["digest"] == results[f"{name}-naive"]["digest"], name
-            assert results[name]["ops"] == results[f"{name}-naive"]["ops"]
-            assert results[name]["bits"] == results[f"{name}-naive"]["bits"]
 
 
 SMOKE_BASELINE = pathlib.Path(__file__).parents[2] / "benchmarks" / "baselines" / "smoke.json"

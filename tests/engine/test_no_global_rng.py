@@ -10,6 +10,8 @@ stream shifts the sequence and fails the test.
 
 import random
 
+import pytest
+
 from repro.engine import Campaign, FaultSpec, Scenario, SerialExecutor, execute_run
 from repro.graphs.generators import random_tree
 from repro.model import Message, Referee
@@ -31,7 +33,8 @@ def _assert_untouched(expected):
         "global random state was consumed or reseeded"
 
 
-def test_engine_campaign_run_leaves_global_rng_alone(tmp_path):
+@pytest.mark.parametrize("trace", [False, True])
+def test_engine_campaign_run_leaves_global_rng_alone(tmp_path, trace):
     expected = _expected_sequence()
     scenarios = [
         Scenario(name="forest", family="random_forest", sizes=(12,),
@@ -43,7 +46,8 @@ def test_engine_campaign_run_leaves_global_rng_alone(tmp_path):
                  protocol="forest", seeds=(0,),
                  faults=FaultSpec(drop=0.3, duplicate=0.3, flip=0.3, seed=2)),
     ]
-    Campaign(scenarios, name="hygiene", results_dir=tmp_path).run(SerialExecutor())
+    Campaign(scenarios, name="hygiene", results_dir=tmp_path).run(
+        SerialExecutor(), trace=trace)
     _assert_untouched(expected)
 
 

@@ -171,7 +171,7 @@ class TestNullTracer:
 
     def test_null_span_is_one_shared_object(self):
         # The off-path allocates nothing per call — the overhead contract
-        # the trace-overhead benchmark pins.
+        # the trace-overhead speedup floor pins.
         t = NullTracer()
         assert t.span("a") is t.span("b")
 

@@ -1,5 +1,4 @@
-"""CLI surface for the trend ledger: ``report --trend`` and the bench
-trend gate.
+"""CLI surface for the trend ledger: ``report --trend``.
 
 Exit-code convention: 0 success, 1 domain failure (trend regression,
 campaign with nothing to report), 2 usage error.  Errors are messages,
@@ -14,7 +13,6 @@ from repro.cli import main
 from repro.results.trends import (
     TREND_VERSION,
     append_point,
-    bench_trend_key,
     campaign_trend_key,
     load_points,
     trends_path,
@@ -64,6 +62,48 @@ class TestReportTrend:
         assert "TREND REGRESSION" in out.out or "regress" in out.out.lower()
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize("offsets,code", [((3, 2, 1), 1), ((0, 0, 0), 0)],
+                             ids=["climb", "flat"])
+    def test_legacy_bench_point_changes_no_verdict(self, campaign_dir, capsys,
+                                                   offsets, code):
+        # Ledgers written by the retired `bench --trends` gate hold
+        # kind "bench" points between campaign points; they must load and
+        # leave the campaign series, its verdict and exit code as they were.
+        ledger = trends_path(campaign_dir)
+        records = campaign_dir / "smoke.jsonl"
+        assert main(["report", str(records), "--trend", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        key = payload["trend"]["key"]
+        real = payload["trend"]["metrics"]["max_message_bits_p95"]
+        campaign = [{"trend_version": TREND_VERSION, "kind": "campaign",
+                     "key": key, "name": "smoke",
+                     "metrics": {"max_message_bits_p95": real - offset}}
+                    for offset in offsets]
+        bench = {"trend_version": TREND_VERSION, "kind": "bench",
+                 "key": "0123456789abcdef", "name": "l0-update",
+                 "metrics": {"wall_p95_seconds": 0.0125}}
+        outcomes = []
+        for points in (campaign, campaign[:2] + [bench] + campaign[2:]):
+            ledger.unlink()
+            for point in points:
+                append_point(ledger, point)
+            outcomes.append((main(["report", str(records), "--trend"]),
+                             capsys.readouterr()))
+        (plain_code, plain), (legacy_code, legacy) = outcomes
+        assert plain_code == legacy_code == code
+        assert legacy.out == plain.out
+        assert legacy.err == plain.err == ""
+        assert [p["kind"] for p in load_points(ledger)] == \
+            ["campaign", "campaign", "bench", "campaign", "campaign"]
+
+    def test_report_trend_unreadable_ledger_is_usage_error(self, campaign_dir,
+                                                           capsys):
+        trends_path(campaign_dir).write_text("not json\n" * 2)
+        assert main(["report", str(campaign_dir / "smoke.jsonl"),
+                     "--trend"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+
     def test_report_missing_records_is_clean_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "smoke.jsonl")]) == 1
         err = capsys.readouterr().err
@@ -77,48 +117,6 @@ class TestReportTrend:
         err = capsys.readouterr().err
         assert "nothing to report" in err
         assert "Traceback" not in err
-
-
-class TestBenchTrendGate:
-    BENCH = ["bench", "l0-update", "--scale", "0.05", "--repeats", "1"]
-
-    def test_first_gated_run_starts_a_series(self, tmp_path, capsys):
-        ledger = tmp_path / "trends.jsonl"
-        assert main(self.BENCH + ["--output", "-",
-                                  "--trends", str(ledger)]) == 0
-        points = load_points(ledger)
-        assert [p["name"] for p in points] == ["l0-update"]
-        assert points[0]["kind"] == "bench"
-        assert points[0]["key"] == bench_trend_key(["l0-update"], 0.05)
-
-    def test_injected_three_run_climb_fails_the_gate(self, tmp_path, capsys):
-        # Acceptance criterion: a synthetic p95 regression spanning three
-        # prior runs makes `repro bench --trends` exit 1 — any real wall
-        # time extends a 1e-9 → 3e-9 climb.
-        ledger = tmp_path / "trends.jsonl"
-        key = bench_trend_key(["l0-update"], 0.05)
-        for v in (1e-9, 2e-9, 3e-9):
-            append_point(ledger, {
-                "trend_version": TREND_VERSION, "kind": "bench",
-                "key": key, "name": "l0-update",
-                "metrics": {"wall_p95_seconds": v},
-            })
-        capsys.readouterr()
-        assert main(self.BENCH + ["--output", "-",
-                                  "--trends", str(ledger)]) == 1
-        out = capsys.readouterr()
-        assert "trend" in (out.out + out.err).lower()
-        assert "Traceback" not in out.err
-        # The failing run still recorded its point (ledger is append-only
-        # history, not a gate artifact).
-        assert len(load_points(ledger)) == 4
-
-    def test_unreadable_ledger_is_usage_error(self, tmp_path, capsys):
-        ledger = tmp_path / "trends.jsonl"
-        ledger.write_text("not json\n" * 2)
-        assert main(self.BENCH + ["--output", "-",
-                                  "--trends", str(ledger)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_campaign_trend_key_separates_grids():

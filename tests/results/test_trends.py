@@ -11,8 +11,6 @@ from repro.results.trends import (
     DEFAULT_WINDOW,
     TREND_VERSION,
     append_point,
-    bench_point,
-    bench_trend_key,
     campaign_point,
     campaign_trend_key,
     load_points,
@@ -140,25 +138,18 @@ def test_regressed_custom_window():
         regressed([1.0, 2.0], window=0)
 
 
-def test_bench_trend_key_is_order_insensitive_content_hash():
-    key = bench_trend_key(["b", "a"], 1.0)
-    assert key == bench_trend_key(["a", "b"], 1.0)
-    assert key != bench_trend_key(["a", "b"], 2.0)
-    assert key != bench_trend_key(["a"], 1.0)
-    assert len(key) == 16
-
-
 def test_campaign_trend_key_depends_on_specs():
     key = campaign_trend_key(["h1", "h2"])
     assert key != campaign_trend_key(["h1", "h3"])
     assert len(key) == 16
 
 
-def test_bench_point_shape():
-    point = validate_point(bench_point(key="k", name="l0-update",
-                                       wall_p95_seconds=0.5))
-    assert point["kind"] == "bench"
-    assert point["metrics"] == {"wall_p95_seconds": 0.5}
+def test_legacy_bench_point_still_validates():
+    # `bench --trends` wrote these before it was retired; nothing writes
+    # them now, but older ledgers must keep loading
+    legacy = {"trend_version": 1, "kind": "bench", "key": "k",
+              "name": "l0-update", "metrics": {"wall_p95_seconds": 0.5}}
+    assert validate_point(legacy) == legacy
 
 
 def _bits(*values):

@@ -7,10 +7,9 @@ the paths documented to skip unreadable files skip it.
 
 import pytest
 
-from repro.bench.harness import load_bench_baseline
 from repro.engine import builtin_campaign
 from repro.engine.shard import ShardManifest, read_done_marker
-from repro.errors import BaselineError, BenchError, ObsError, SchemaError, ShardError
+from repro.errors import BaselineError, ObsError, SchemaError, ShardError
 from repro.obs.metrics import load_metrics_file
 from repro.results.baseline import load_baseline
 from repro.results.records import iter_records
@@ -28,13 +27,11 @@ NOT_UTF8 = b"\xff\xfe not utf-8\n"
      SchemaError, r"c\.jsonl:1: not valid JSON"),
     ("smoke.json", lambda d, p: load_baseline(p),
      BaselineError, "not valid JSON"),
-    ("bench.json", lambda d, p: load_bench_baseline(p),
-     BenchError, "not valid JSON"),
     ("c.metrics.json", lambda d, p: load_metrics_file(p),
      ObsError, "not valid JSON"),
     ("jobs/j000001/job.json", lambda d, p: JobStore(d).recover(), None, None),
-], ids=["manifest", "done-marker", "records", "baseline", "bench-baseline",
-        "metrics", "job-store"])
+], ids=["manifest", "done-marker", "records", "baseline", "metrics",
+        "job-store"])
 def test_non_utf8_file_is_a_domain_error(tmp_path, filename, load, error, match):
     path = tmp_path / filename
     path.parent.mkdir(parents=True, exist_ok=True)
