@@ -42,6 +42,18 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
 
+    def test_help_lists_no_bench_verb(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "baseline" in out
+        assert "bench" not in out.replace("baseline", "")
+
+    def test_list_json_has_no_benchmark_kind(self, capsys):
+        assert main(["list", "--json"]) == 0
+        catalog = json.loads(capsys.readouterr().out)
+        assert list(catalog) == ["campaign", "experiment", "graph_family",
+                                 "protocol", "span"]
+
     def test_subcommand_help_exits_zero(self, capsys):
         assert main(["report", "--help"]) == 0
         assert "--by" in capsys.readouterr().out

@@ -213,6 +213,11 @@ class TestGlobalRegistries:
         with pytest.raises(RegistryError, match="unknown registry kind"):
             registry.registry_for("flavour")
 
+    def test_retired_benchmark_kind_is_unknown(self):
+        assert "benchmark" not in registry.kinds()
+        with pytest.raises(RegistryError, match="known: graph_family, protocol"):
+            registry.registry_for("benchmark")
+
     def test_scenario_unknown_names_suggest(self):
         from repro.engine import Scenario
 

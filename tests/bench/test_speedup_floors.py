@@ -16,7 +16,9 @@ Inputs come from :func:`~repro.sketching.field.splitmix64` chains, never
 the global ``random`` module, so every op's ``(ops, bits, digest)`` is a
 pure function of the code.  Both members of a pair must hit the same
 pinned triple: a changed digest means an optimization changed *what* is
-computed, not just how fast.
+computed, not just how fast.  Each pair also takes a ``variant``: variant
+0 builds the pinned inputs, and the others build fresh inputs on which
+the two sides must still agree.
 
 A floor is ``reference_min / optimized_min`` over :data:`REPEATS` timed
 repeats of each side in one process.  The two sides are interleaved, and
@@ -86,18 +88,18 @@ def _digest(payload: Any) -> str:
 # --------------------------------------------------------------------- #
 
 
-def _l0_inputs() -> list[tuple[Bank, list[tuple[int, int]]]]:
+def _l0_inputs(seed: int) -> list[tuple[Bank, list[tuple[int, int]]]]:
     """A splitmix-derived update stream over a one-round bank, in node-sized pieces.
 
     Each piece holds ``n - 1`` updates, a node's largest degree, so its
     counters fit the bank's fixed-width fields.
     """
     n = 96
-    bank = derive_bank(n, _SEED, n, 1)
+    bank = derive_bank(n, seed, n, 1)
     m = bank.params[0].m
     count = 4000
     updates = []
-    x = _SEED
+    x = seed
     for _ in range(count):
         x = splitmix64(x)
         updates.append((x % m, 1 if x & 1 else -1))
@@ -124,8 +126,8 @@ def _reference_encode(streams: list[tuple[Bank, list[tuple[int, int]]]]) -> Mess
     return Message.from_writer(writer)
 
 
-def _l0_pair(_tmp_path):
-    streams = _l0_inputs()
+def _l0_pair(_tmp_path, variant):
+    streams = _l0_inputs(_SEED ^ variant)
     ops = sum(len(updates) for _, updates in streams)
 
     def side(encode_streams):
@@ -142,10 +144,10 @@ def _l0_pair(_tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def _pack_fields() -> list[tuple[int, int]]:
+def _pack_fields(seed: int) -> list[tuple[int, int]]:
     """A sketch-message-shaped field stream: (w0, w1, 61)-bit triples."""
     fields = []
-    x = _SEED ^ 0x5
+    x = seed ^ 0x5
     for i in range(3000):
         x = splitmix64(x)
         width = (12, 24, 61)[i % 3]
@@ -153,8 +155,8 @@ def _pack_fields() -> list[tuple[int, int]]:
     return fields
 
 
-def _bits_pair(_tmp_path):
-    fields = _pack_fields()
+def _bits_pair(_tmp_path, variant):
+    fields = _pack_fields(_SEED ^ (variant << 8))
 
     def packed(writer):
         return len(fields), len(writer), _digest(writer.to_bytes().hex())
@@ -180,12 +182,12 @@ def _bits_pair(_tmp_path):
 _AGG_POLLS = 16  # summary polls per simulated campaign
 
 
-def _store_records() -> list[dict]:
+def _store_records(seed: int) -> list[dict]:
     """A splitmix-derived synthetic campaign, schema-shaped and JSON-able."""
     protocols = ("forest", "spanning_tree", "degeneracy")
     families = ("random_forest", "path")
     records = []
-    x = _SEED
+    x = seed
     for i in range(600):
         x = splitmix64(x)
         a = x
@@ -218,10 +220,10 @@ def _store_records() -> list[dict]:
     return records
 
 
-def _aggregate_pair(_tmp_path):
+def _aggregate_pair(_tmp_path, variant):
     """The campaign's records land in chunks; every ``/summary`` poll
     answers with fresh groups."""
-    records = _store_records()
+    records = _store_records(_SEED ^ variant)
     size = max(1, len(records) // _AGG_POLLS)
     chunks = [records[i:i + size] for i in range(0, len(records), size)]
 
@@ -247,7 +249,7 @@ def _aggregate_pair(_tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def _trace_pair(tmp_path):
+def _trace_pair(tmp_path, variant):
     """The same persisted forest campaign, untraced and fully traced.
 
     Each run overwrites the previous streams in place.  The digest covers
@@ -256,7 +258,8 @@ def _trace_pair(tmp_path):
     """
     def side(name, trace):
         session = (Session(name)
-                   .graphs("random_forest", n=20, seeds=tuple(range(6)))
+                   .graphs("random_forest", n=20,
+                           seeds=tuple(range(6 * variant, 6 * variant + 6)))
                    .protocol("forest")
                    .persist(tmp_path, use_cache=False)
                    .trace(trace))
@@ -284,7 +287,7 @@ _PAIRS = {
 @pytest.fixture(params=sorted(_PAIRS))
 def pair(request, tmp_path):
     """``(name, optimized, reference)``: two zero-argument ops on shared inputs."""
-    return (request.param, *_PAIRS[request.param](tmp_path))
+    return (request.param, *_PAIRS[request.param](tmp_path, 0))
 
 
 def test_every_pair_has_a_floor_and_two_pins():
@@ -301,6 +304,15 @@ def test_both_sides_hit_the_pin_and_leave_global_rng_alone(pair):
     assert reference() == PINS[f"{name}-naive"]
     assert [random.random() for _ in range(8)] == expected, \
         "global random state was consumed or reseeded"
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_PAIRS))
+def test_both_sides_agree_off_the_pinned_inputs(name, variant, tmp_path):
+    optimized, reference = _PAIRS[name](tmp_path, variant)
+    fresh = optimized()
+    assert fresh == reference()
+    assert fresh != PINS[name]
 
 
 def measured_ratio(optimized, reference) -> float:

@@ -126,3 +126,92 @@ class TestCheck:
         payload = json.loads(json.dumps(check(records, path).to_dict()))
         assert payload["passed"] is False
         assert payload["failures"][0]["kind"] == "result"
+
+
+class TestPinComparison:
+    """Each pin of ``check`` on its own: which field, which kind, which run."""
+
+    @pytest.mark.parametrize("field, drifted", [
+        ("status", "violation"),
+        ("output_kind", "decision"),
+        ("output_digest", "drifted"),
+        ("exact", None),
+    ])
+    def test_each_pinned_field_is_one_result_failure(
+        self, tmp_path, make_record, field, drifted
+    ):
+        records = _records(make_record)
+        path = freeze(records, "b", baselines_dir=tmp_path)
+        expected = records[1]["result"][field]
+        records[1]["result"][field] = drifted
+        [failure] = check(records, path, bits_tolerance=1.0).failures
+        assert failure.kind == "result"
+        assert summarize_campaign(records)["by_hash"][failure.key]["seed"] == 1
+        assert failure.detail == f"{field}: expected {expected!r}, got {drifted!r}"
+
+    @pytest.mark.parametrize("field, base, allowed", [
+        ("max_message_bits", 20, 2),      # 10% of 20
+        ("total_message_bits", 300, 30),  # 10% of 300
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("past", [False, True])
+    def test_bit_tolerance_is_symmetric_and_inclusive(
+        self, tmp_path, make_record, field, base, allowed, sign, past
+    ):
+        records = _records(make_record)
+        path = freeze(records, "b", baselines_dir=tmp_path)
+        assert records[0]["result"][field] == base
+        records[0]["result"][field] = base + sign * (allowed + past)
+        verdict = check(records, path, bits_tolerance=0.1)
+        if not past:
+            assert verdict.passed
+            return
+        [failure] = verdict.failures
+        assert failure.kind == "bits"
+        assert failure.detail == (f"{field}: expected {base} ± 10%, "
+                                  f"got {base + sign * (allowed + 1)}")
+
+    @pytest.mark.parametrize("kind", ["missing-run", "extra-run"])
+    def test_missing_and_extra_details_name_the_run(self, tmp_path, make_record, kind):
+        records = _records(make_record)
+        odd = make_record(seed=7, family="path", n=8, scenario="grid", digest="o")
+        grid = records + [odd]
+        if kind == "missing-run":
+            path = freeze(grid, "b", baselines_dir=tmp_path)
+            checked = records
+        else:
+            path = freeze(records, "b", baselines_dir=tmp_path)
+            checked = grid
+        [failure] = check(checked, path).failures
+        assert failure.kind == kind
+        assert "grid/path/n=8/seed=7" in failure.detail
+
+    def test_failures_list_missing_then_extra_then_pins_each_sorted(
+        self, tmp_path, make_record
+    ):
+        records = [make_record(seed=s, digest=f"d{s}") for s in range(6)]
+        path = freeze(records[:4], "b", baselines_dir=tmp_path)
+        checked = copy.deepcopy(records[2:])
+        for record in checked[:2]:
+            record["result"]["output_digest"] = "drifted"
+        failures = check(checked, path).failures
+        kinds = [f.kind for f in failures]
+        assert kinds == ["missing-run"] * 2 + ["extra-run"] * 2 + ["result"] * 2
+        for kind in set(kinds):
+            keys = [f.key for f in failures if f.kind == kind]
+            assert keys == sorted(keys)
+
+    def test_one_run_fails_each_of_its_drifted_pins(self, tmp_path, make_record):
+        records = _records(make_record)
+        path = freeze(records, "b", baselines_dir=tmp_path)
+        records[0]["result"]["output_digest"] = "drifted"
+        records[0]["result"]["total_message_bits"] += 1
+        failures = check(records, path).failures
+        assert [f.kind for f in failures] == ["result", "bits"]
+        assert failures[0].key == failures[1].key
+
+    def test_negative_tolerance_rejected(self, tmp_path, make_record):
+        records = _records(make_record)
+        path = freeze(records, "b", baselines_dir=tmp_path)
+        with pytest.raises(SchemaError, match="bits_tolerance"):
+            check(records, path, bits_tolerance=-0.1)

@@ -152,6 +152,19 @@ def test_legacy_bench_point_still_validates():
     assert validate_point(legacy) == legacy
 
 
+def test_legacy_ledger_loads_bench_and_campaign_points_in_order(tmp_path):
+    ledger = trends_path(tmp_path)
+    points = [_point(1.0, kind="campaign"), _point(2.0), _point(3.0, kind="campaign")]
+    ledger.write_text("".join(json.dumps(p, sort_keys=True) + "\n" for p in points))
+    assert load_points(ledger) == points
+
+
+def test_series_keeps_legacy_bench_points_out_of_campaign_series():
+    points = [_point(1.0, kind="campaign"), _point(50.0), _point(2.0, kind="campaign")]
+    assert series(points, kind="campaign", key="k", name="b",
+                  metric="wall_p95_seconds") == [1.0, 2.0]
+
+
 def _bits(*values):
     stats = RunningStats()
     for value in values:
