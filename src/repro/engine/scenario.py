@@ -256,8 +256,7 @@ class RunSpec:
 def output_digest(output: Any) -> tuple[str, str]:
     """``(kind, digest)`` of a global-phase output, stable across processes."""
     if isinstance(output, LabeledGraph):
-        body = f"{output.n};" + ";".join(f"{u},{v}" for u, v in output.edges())
-        return "graph", hashlib.sha256(body.encode()).hexdigest()[:16]
+        return "graph", hashlib.sha256(output.edge_text().encode()).hexdigest()[:16]
     if isinstance(output, bool):
         return "bool", str(output)
     body = repr(output)

@@ -287,23 +287,33 @@ def random_k_degenerate(n: int, k: int, seed: int | None = None, *, exact: bool 
     when ``exact`` is true, a random subset otherwise).  The insertion order
     reversed is a valid Definition-2 elimination order, so degeneracy <= k
     by construction.
+
+    The adjacency sets are filled directly and adopted in one
+    ``LabeledGraph._from_adjacency`` call: a new vertex's picks are
+    distinct earlier vertices, so every edge is new and none is a loop.
     """
     if k < 0:
         raise GraphError(f"k must be >= 0, got {k}")
+    if n < 0:
+        raise InvalidVertexError(f"n must be >= 0, got {n}")
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    g = LabeledGraph(n)
+    adj: list[set[int]] = [set() for _ in range(n + 1)]
+    m = 0
     placed: list[int] = []
     for v in order:
         if placed:
             want = min(k, len(placed))
             if not exact:
                 want = rng.randint(0, want)
-            for u in rng.sample(placed, want):
-                g.add_edge(v, u)
+            picks = rng.sample(placed, want)
+            adj[v].update(picks)
+            for u in picks:
+                adj[u].add(v)
+            m += want
         placed.append(v)
-    return g
+    return LabeledGraph._from_adjacency(n, adj, m)
 
 
 def apollonian(n: int, seed: int | None = None) -> LabeledGraph:

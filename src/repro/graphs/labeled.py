@@ -112,6 +112,18 @@ class LabeledGraph:
         """The edge set as a frozenset of sorted pairs."""
         return frozenset(self.edges())
 
+    def edge_text(self) -> str:
+        """``"n;u,v;..."``: ``n``, then every edge in :meth:`edges` order.
+
+        The canonical text that graph output digests hash, built in one
+        comprehension with each ID formatted once.
+        """
+        names = [str(v) for v in range(self._n + 1)]
+        return f"{self._n};" + ";".join([
+            f"{names[u]},{names[v]}"
+            for u, nbrs in enumerate(self._adj) for v in sorted(nbrs) if u < v
+        ])
+
     def neighborhood_mask(self, v: int) -> int:
         """``N(v)`` as an integer bitmask (bit ``i`` set iff ``i in N(v)``)."""
         self._check(v)

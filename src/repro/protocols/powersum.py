@@ -7,7 +7,9 @@ with ``A`` the Vandermonde-like matrix ``A[p][i] = i^p`` and ``x̄`` the
 0/1 incidence vector of ``N`` — the explicit sums below compute exactly that
 product.  Serialized fixed-width, ``b_p <= n^{p+1}`` takes ``(p+1)·w`` bits
 with ``w = ceil(log2(n+1))``, so the message costs ``O(k² log n)`` bits
-(Lemma 2).
+(Lemma 2).  :func:`encode_powersum_message` packs the ``k+2`` fields into
+one integer with fixed shifts (widths ``w, w, 2w, ..., (k+1)w``, MSB
+first), the layout the decoder slices back out at fixed offsets.
 
 **Decoding (Theorem 4 / Corollary 1).**  Wright's theorem: equal power sums
 ``p = 1..k`` force equal multisets, so for ``deg(x) = d <= k`` the first
@@ -39,8 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.bits.sizing import id_width
-from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, GraphError
+from repro.errors import CodecError, DecodeError, GraphError
 from repro.model.message import Message
 
 __all__ = [
@@ -95,15 +96,38 @@ def powersum_message_bits(n: int, k: int) -> int:
 
 
 def encode_powersum_message(n: int, k: int, i: int, neighborhood: frozenset[int]) -> Message:
-    """Serialize Algorithm 3's tuple for node ``i``; all widths derive from ``(n, k)``."""
+    """Serialize Algorithm 3's tuple for node ``i``; all widths derive from ``(n, k)``.
+
+    The fields ``i, deg, b_1..b_k`` (widths ``w, w, 2w, ..., (k+1)w``) fold
+    MSB first into one int, each shifted in by its fixed width: the exact
+    layout :func:`decode_powersum_messages` slices back out.  The sums are
+    computed inline, as :func:`compute_power_sums` does.  A field that is
+    negative or too wide for its width raises
+    :class:`~repro.errors.CodecError`, as ``BitWriter.write_bits`` would.
+    """
     w = id_width(n)
-    writer = BitWriter()
-    writer.write_many(
-        [(i, w), (len(neighborhood), w)]
-        + [(b, (p + 1) * w)
-           for p, b in enumerate(compute_power_sums(neighborhood, k), start=1)]
-    )
-    return Message.from_writer(writer)
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
+    sums = [0] * k
+    for x in neighborhood:
+        xp = 1
+        for p in range(k):
+            xp *= x
+            sums[p] += xp
+    degree = len(neighborhood)
+    if i < 0 or i >> w:
+        raise CodecError(f"vertex ID {i} does not fit in {w} bits")
+    if degree >> w:
+        raise CodecError(f"degree {degree} does not fit in {w} bits")
+    acc = (i << w) | degree
+    nbits = width = 2 * w
+    for b in sums:  # b_p is (p+1)·w bits wide
+        if b < 0 or b >> width:
+            raise CodecError(f"power sum {b} does not fit in {width} bits")
+        acc = (acc << width) | b
+        nbits += width
+        width += w
+    return Message(acc, nbits)
 
 
 def _sum_fields(w: int, k: int, top: int) -> list[tuple[int, int]]:
