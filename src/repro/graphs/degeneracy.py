@@ -32,64 +32,43 @@ def degeneracy_ordering(g: LabeledGraph) -> tuple[int, list[int]]:
     neighbours *not yet removed* at its turn, which matches Definition 2
     read right-to-left (the paper's ``r_1..r_n`` is our order reversed).
     """
-    n = g.n
-    if n == 0:
-        return 0, []
-    deg = [0] * (n + 1)
-    max_deg = 0
-    for v in g.vertices():
-        deg[v] = g.degree(v)
-        max_deg = max(max_deg, deg[v])
-    buckets: list[set[int]] = [set() for _ in range(max_deg + 1)]
-    for v in g.vertices():
-        buckets[deg[v]].add(v)
-    removed = [False] * (n + 1)
-    order: list[int] = []
-    k = 0
-    cursor = 0
-    for _ in range(n):
-        while not buckets[cursor]:
-            cursor += 1
-        v = buckets[cursor].pop()
-        k = max(k, cursor)
-        removed[v] = True
-        order.append(v)
-        for w in g.neighbors(v):
-            if not removed[w]:
-                buckets[deg[w]].discard(w)
-                deg[w] -= 1
-                buckets[deg[w]].add(w)
-        # degree of some neighbour may have dropped below the cursor
-        cursor = max(0, cursor - 1)
-    return k, order
+    core = _peel(g)
+    return max(core.values(), default=0), list(core)
 
 
 def core_numbers(g: LabeledGraph) -> dict[int, int]:
     """Core number of each vertex (max k such that v lies in the k-core)."""
-    n = g.n
+    return _peel(g)
+
+
+def _peel(g: LabeledGraph) -> dict[int, int]:
+    """Matula–Beck: ``{vertex: core number}`` in removal order.
+
+    Repeatedly removes a vertex of minimum current degree from degree
+    buckets; a vertex's core number is the largest minimum degree met up
+    to its removal.
+    """
     core: dict[int, int] = {}
-    if n == 0:
+    if g.n == 0:
         return core
     deg = {v: g.degree(v) for v in g.vertices()}
-    max_deg = max(deg.values(), default=0)
-    buckets: list[set[int]] = [set() for _ in range(max_deg + 1)]
+    buckets: list[set[int]] = [set() for _ in range(max(deg.values()) + 1)]
     for v, d in deg.items():
         buckets[d].add(v)
-    removed = set()
     current = 0
     cursor = 0
-    for _ in range(n):
+    for _ in range(g.n):
         while not buckets[cursor]:
             cursor += 1
         v = buckets[cursor].pop()
         current = max(current, cursor)
         core[v] = current
-        removed.add(v)
         for w in g.neighbors(v):
-            if w not in removed:
+            if w not in core:
                 buckets[deg[w]].discard(w)
                 deg[w] -= 1
                 buckets[deg[w]].add(w)
+        # degree of some neighbour may have dropped below the cursor
         cursor = max(0, cursor - 1)
     return core
 

@@ -15,6 +15,14 @@ elimination order is *discovered* by the referee, never transmitted.
 The recognition variant is the paper's closing remark of Section III: reject
 iff the pruning process ever finds no vertex of degree ≤ k.
 
+:func:`prune_decode` is the one Algorithm-4 loop in the package.  Section
+III.E (:mod:`~repro.protocols.generalized_degeneracy`) runs it with its
+co-side rule on: when no vertex of degree ≤ k is left, a vertex of current
+co-degree ``|R|−1−d ≤ k`` decodes its co-neighbourhood from
+``T_p − x^p − b_p``, with ``T_p = Σ_{w∈R} w^p`` kept over the remaining
+set ``R``, and its neighbours are ``R`` minus those and ``x``; the step then
+goes on as above.  With the rule off the loop is Theorem 5's unchanged.
+
 Complexity: the messages are unpacked in one batch
 (:func:`~repro.protocols.powersum.decode_powersum_messages`: one length
 check and ``k + 2`` fixed-offset slices per message).  With a min-degree
@@ -41,6 +49,7 @@ from repro.model.message import Message
 from repro.model.protocol import DecisionProtocol, ReconstructionProtocol
 from repro.protocols.powersum import (
     PowerSumLookupTable,
+    compute_power_sums,
     decode_neighborhood_newton,
     decode_powersum_messages,
     encode_powersum_message,
@@ -56,13 +65,17 @@ def prune_decode(
     records: list[tuple[int, int, list[int]]],
     *,
     table: PowerSumLookupTable | None = None,
+    complement: bool = False,
 ) -> LabeledGraph:
-    """The Algorithm-4 loop, shared by reconstruction and recognition.
+    """The Algorithm-4 loop, shared by Theorem 5 and Section III.E.
 
     ``records`` is a list of ``[vertex, degree, power_sums]`` triples (power
     sums as a mutable list); it is consumed destructively.  Raises
     :class:`RecognitionFailure` when no vertex of degree ≤ k remains while
     vertices are unpruned, and :class:`DecodeError` on inconsistent sums.
+
+    ``complement`` turns on Section III.E's co-side rule
+    (:func:`_prune_co_side`) for when the degree worklist is empty.
     """
     state: dict[int, tuple[int, list[int]]] = {}
     for vertex, degree, sums in records:
@@ -81,6 +94,7 @@ def prune_decode(
     # worklist of currently-prunable vertices; membership re-checked on pop
     worklist = [v for v, (d, _) in state.items() if d <= k]
     remaining = set(state)
+    totals = list(compute_power_sums(remaining, k)) if complement else []
     while remaining:
         x = None
         while worklist:
@@ -89,38 +103,43 @@ def prune_decode(
                 x = cand
                 break
         if x is None:
-            raise RecognitionFailure(
-                f"no vertex of degree <= {k} remains: graph degeneracy exceeds {k}",
-                stuck_vertices=frozenset(remaining),
-            )
-        degree, sums = state[x]
-        if table is not None:
-            nbrs = table.lookup_partial(degree, tuple(sums))
-        elif degree == 0:
-            nbrs = ()
-        elif degree == 1:
-            nbrs = (sums[0],)
-        elif degree == 2:
-            # roots (p1 ± r)/2 of x² - p1·x + (p1² - p2)/2; a square disc
-            # has r ≡ p1 (mod 2), anything else takes the reference path.
-            # A frozenset built in ascending order, as the reference
-            # returns it: its iteration order sets the worklist order, and
-            # so the outcome on corrupt input.
-            p1 = sums[0]
-            disc = 2 * sums[1] - p1 * p1
-            r = math.isqrt(disc) if disc > 0 else 0
-            if r and r * r == disc:
-                nbrs = frozenset(((p1 - r) // 2, (p1 + r) // 2))
-            else:
-                nbrs = decode_neighborhood_newton(2, sums, n)
-        else:
-            nbrs = decode_neighborhood_newton(degree, sums, n)
-        for v in nbrs:
-            if v == x or v not in remaining:
-                raise DecodeError(
-                    f"vertex {x} decoded neighbours {sorted(nbrs)} outside the remaining graph"
+            if not complement:
+                raise RecognitionFailure(
+                    f"no vertex of degree <= {k} remains: graph degeneracy exceeds {k}",
+                    stuck_vertices=frozenset(remaining),
                 )
+            x, nbrs = _prune_co_side(n, k, state, remaining, totals)
+        else:
+            degree, sums = state[x]
+            if table is not None:
+                nbrs = table.lookup_partial(degree, tuple(sums))
+            elif degree == 0:
+                nbrs = ()
+            elif degree == 1:
+                nbrs = (sums[0],)
+            elif degree == 2:
+                # roots (p1 ± r)/2 of x² - p1·x + (p1² - p2)/2; a square disc
+                # has r ≡ p1 (mod 2), anything else takes the reference path.
+                # A frozenset built in ascending order, as the reference
+                # returns it: its iteration order sets the worklist order, and
+                # so the outcome on corrupt input.
+                p1 = sums[0]
+                disc = 2 * sums[1] - p1 * p1
+                r = math.isqrt(disc) if disc > 0 else 0
+                if r and r * r == disc:
+                    nbrs = frozenset(((p1 - r) // 2, (p1 + r) // 2))
+                else:
+                    nbrs = decode_neighborhood_newton(2, sums, n)
+            else:
+                nbrs = decode_neighborhood_newton(degree, sums, n)
+            for v in nbrs:
+                if v == x or v not in remaining:
+                    raise DecodeError(
+                        f"vertex {x} decoded neighbours {sorted(nbrs)} outside the remaining graph"
+                    )
         remaining.discard(x)
+        if complement:
+            totals = [t - x**p for p, t in enumerate(totals, start=1)]
         adj[x].update(nbrs)
         m += len(nbrs)
         for v in nbrs:
@@ -141,6 +160,43 @@ def prune_decode(
             if d_v - 1 <= k:
                 worklist.append(v)
     return LabeledGraph._from_adjacency(n, adj, m)
+
+
+def _prune_co_side(
+    n: int,
+    k: int,
+    state: dict[int, tuple[int, list[int]]],
+    remaining: set[int],
+    totals: list[int],
+) -> tuple[int, set[int]]:
+    """Section III.E's rule: some ``x`` of current co-degree ≤ k, and its neighbours.
+
+    ``totals`` holds ``T_p = Σ_{w∈R} w^p`` over the remaining set ``R``, so
+    ``x``'s co-sums are ``T_p − x^p − b_p``; ``O(|R|)`` work.
+    """
+    last = len(remaining) - 1
+    for x in remaining:
+        degree, sums = state[x]
+        if last - degree <= k:
+            break
+    else:
+        raise RecognitionFailure(
+            f"no vertex of degree or co-degree <= {k} remains: "
+            f"generalized degeneracy exceeds {k}",
+            stuck_vertices=frozenset(remaining),
+        )
+    if degree > last:
+        raise DecodeError(
+            f"vertex {x} has current degree {degree} but only {last} other "
+            f"vertices remain: corrupt messages"
+        )
+    co_sums = [t - x**p - b for p, (t, b) in enumerate(zip(totals, sums), start=1)]
+    co = decode_neighborhood_newton(last - degree, co_sums, n)
+    if x in co or not co <= remaining:
+        raise DecodeError(
+            f"vertex {x} decoded co-neighbours {sorted(co)} outside the remaining graph"
+        )
+    return x, remaining - co - {x}
 
 
 class DegeneracyReconstructionProtocol(ReconstructionProtocol):

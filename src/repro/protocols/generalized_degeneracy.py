@@ -11,11 +11,16 @@ widths; the referee unpacks the first part with
 :func:`~repro.protocols.powersum.decode_powersum_messages` and slices the
 co-sums at the same fixed offsets.
 
-The referee's pruning now fires on either side: a vertex whose *current*
-degree is ≤ k decodes its neighbourhood from ``b``; one whose current
-co-degree is ≤ k decodes its co-neighbourhood from ``b̄`` and takes the
-complement within the remaining vertex set.  Removal updates both vectors:
-neighbours lose ``x^p`` from ``b``; non-neighbours lose it from ``b̄``.
+The co-sums carry nothing of their own: with ``S_p = Σ_{w≤n} w^p``, node
+``i`` sends ``b̄_p = S_p − i^p − b_p``.  The referee checks exactly that
+for every message (a mismatch is a :class:`~repro.errors.DecodeError`),
+then drops the co-sums and runs Algorithm 4's one pruning loop,
+:func:`~repro.protocols.degeneracy_reconstruction.prune_decode`, with its
+co-side rule on: once no vertex of current degree ≤ k remains, a vertex
+of current co-degree ≤ k decodes its co-neighbourhood from
+``T_p − x^p − b_p``, where ``T_p`` sums ``w^p`` over the remaining
+vertices, and its neighbours are the rest of the remaining set.  Removal
+updates only the neighbours' ``b`` and the ``k`` totals ``T_p``.
 
 This reconstructs e.g. complements of forests — dense graphs far outside
 plain bounded degeneracy.
@@ -25,14 +30,14 @@ from __future__ import annotations
 
 from repro.bits.sizing import id_width
 from repro.bits.writer import BitWriter
-from repro.errors import DecodeError, GraphError, RecognitionFailure
+from repro.errors import DecodeError, GraphError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import ReconstructionProtocol, require_one_message_per_vertex
+from repro.protocols.degeneracy_reconstruction import prune_decode
 from repro.protocols.powersum import (
     _sum_fields,
     compute_power_sums,
-    decode_neighborhood_newton,
     decode_powersum_messages,
     encode_powersum_message,
     powersum_message_bits,
@@ -45,39 +50,23 @@ __all__ = ["GeneralizedDegeneracyProtocol", "generalized_degeneracy"]
 def generalized_degeneracy(g: LabeledGraph) -> int:
     """The smallest k admitting a Section III.E ordering (ground truth helper).
 
-    Greedy is exact here for the same reason as for plain degeneracy: if any
-    valid ordering exists for value k, always-prune-a-currently-valid-vertex
-    cannot get stuck (pruning preserves the property that the suffix of the
-    witness ordering remains valid).  Computed by binary search over greedy
-    feasibility, ``O(n² log n)`` adjacency-set work per probe.
+    One greedy pass: repeatedly delete a vertex minimising ``min(d, |R|-1-d)``
+    over the remaining set ``R`` and return the largest value met.  Exact,
+    because deleting vertices never raises a vertex's degree or co-degree:
+    a vertex valid now stays valid, so taking the cheapest one never hurts.
+    ``O(n²)`` dictionary work.
     """
-    lo, hi = 0, max(0, g.n - 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _greedy_feasible(g, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _greedy_feasible(g: LabeledGraph, k: int) -> bool:
-    remaining = set(g.vertices())
     deg = {v: g.degree(v) for v in g.vertices()}
-    while remaining:
-        size = len(remaining)
-        pick = None
-        for v in remaining:
-            if deg[v] <= k or (size - 1 - deg[v]) <= k:
-                pick = v
-                break
-        if pick is None:
-            return False
-        remaining.discard(pick)
-        for w in g.neighbors(pick):
-            if w in remaining:
-                deg[w] -= 1
-    return True
+    k = 0
+    while deg:
+        last = len(deg) - 1
+        x = min(deg, key=lambda v: min(deg[v], last - deg[v]))
+        k = max(k, min(deg[x], last - deg[x]))
+        del deg[x]
+        for v in g.neighbors(x):
+            if v in deg:
+                deg[v] -= 1
+    return k
 
 
 class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
@@ -105,7 +94,7 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
         )
 
     # ------------------------------------------------------------------ #
-    # global phase: two-sided pruning
+    # global phase: check the co-sums, then Algorithm 4 on either side
     # ------------------------------------------------------------------ #
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
@@ -125,60 +114,15 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
         records = decode_powersum_messages(
             n, k, [Message(msg.acc >> co_bits, head_bits) for msg in messages]
         )
+        # the co-sums are derived, b̄_p = S_p - i^p - b_p: check and drop them
+        totals = compute_power_sums(set(range(1, n + 1)), k)
         co_fields = _sum_fields(w, k, co_bits)
-        state: dict[int, tuple[int, list[int], list[int]]] = {}
-        for (v, d, b), msg in zip(records, messages):
-            if v in state:
-                raise DecodeError(f"bad or duplicate vertex ID {v}")
-            state[v] = (d, b, [(msg.acc >> s) & m for s, m in co_fields])
-
-        h = LabeledGraph(n)
-        remaining = set(state)
-        while remaining:
-            size = len(remaining)
-            x = None
-            use_complement = False
-            for v in remaining:
-                d = state[v][0]
-                if d <= k:
-                    x = v
-                    break
-                if size - 1 - d <= k:
-                    x = v
-                    use_complement = True
-                    break
-            if x is None:
-                raise RecognitionFailure(
-                    f"generalized degeneracy exceeds {k}",
-                    stuck_vertices=frozenset(remaining),
-                )
-            d, b, bc = state[x]
-            if use_complement:
-                co_nbrs = decode_neighborhood_newton(size - 1 - d, tuple(bc), n)
-                nbrs = remaining - co_nbrs - {x}
-            else:
-                nbrs = decode_neighborhood_newton(d, tuple(b), n)
-            if x in nbrs or not nbrs <= remaining:
-                raise DecodeError(f"vertex {x} decoded neighbours outside the remaining graph")
-            remaining.discard(x)
-            for v in remaining:
-                d_v, b_v, bc_v = state[v]
-                if d_v == 0 and v in nbrs:
-                    raise DecodeError(
-                        f"vertex {x} names vertex {v} as a neighbour, but "
-                        f"vertex {v} has current degree 0: corrupt messages"
-                    )
-                target = b_v if v in nbrs else bc_v
-                xp = 1
-                for p in range(k):
-                    xp *= x
-                    target[p] -= xp
-                    if target[p] < 0:
-                        raise DecodeError(f"negative power sum at vertex {v}: corrupt messages")
-                if v in nbrs:
-                    h.add_edge(x, v)
-                    state[v] = (d_v - 1, b_v, bc_v)
-        return h
+        for (v, _, b), msg in zip(records, messages):
+            if [(msg.acc >> s) & m for s, m in co_fields] != [
+                t - v**p - b_p for p, (t, b_p) in enumerate(zip(totals, b), start=1)
+            ]:
+                raise DecodeError(f"vertex {v} sent co-sums other than S_p - {v}^p - b_p")
+        return prune_decode(n, k, records, complement=True)
 
 
 

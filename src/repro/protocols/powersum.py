@@ -328,6 +328,8 @@ def decode_neighborhood_newton(
     """
     if degree == 0:
         return frozenset()
+    if degree < 0:
+        raise DecodeError(f"cannot decode negative degree {degree}")
     if degree > len(power_sums):
         raise DecodeError(
             f"cannot decode degree {degree} from only {len(power_sums)} power sums"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bits import id_width
 from repro.errors import DecodeError, GraphError, RecognitionFailure
 from repro.graphs import LabeledGraph, degeneracy
 from repro.graphs.generators import (
@@ -120,11 +121,12 @@ class TestCorruptMessages:
 
         p = GeneralizedDegeneracyProtocol(1)
         messages = self.c4_with_isolated_vertex_messages(p)
-        # vertex 1 claims degree 1 with b_1 = 1: its only neighbour is itself
+        # vertex 1 claims degree 1 with b_1 = 1: its only neighbour is
+        # itself; the co-sum 13 = S_1 - 1 - b_1 is consistent with that
         w = BitWriter()
-        w.write_many([(1, 3), (1, 3), (1, 6), (0, 6)])
+        w.write_many([(1, 3), (1, 3), (1, 6), (13, 6)])
         messages[0] = Message.from_writer(w)
-        with pytest.raises(DecodeError, match="vertex 1 decoded neighbours outside"):
+        with pytest.raises(DecodeError, match=r"vertex 1 decoded neighbours \[1\] outside"):
             p.global_(5, messages)
 
     def test_degree_above_n_minus_1_rejected_at_unpack(self):
@@ -138,6 +140,54 @@ class TestCorruptMessages:
         w.write_many([(1, 3), (7, 3), (0, 6), (0, 6)])
         messages[0] = Message.from_writer(w)
         with pytest.raises(DecodeError, match="decoded degree 7 exceeds n-1 = 4"):
+            p.global_(5, messages)
+
+    def test_degree_above_remaining_vertices_rejected(self):
+        from repro.bits import BitWriter
+        from repro.model import Message
+
+        p = GeneralizedDegeneracyProtocol(1)
+        g = LabeledGraph(4)
+        messages = [p.local(4, v, g.neighbors(v)) for v in g.vertices()]
+        # vertex 1 claims degree 2 with consistent sums (b_1 = 0, b̄_1 =
+        # 10 - 1 - 0); once 2, 3 and 4 are pruned its co-degree is -2
+        w = BitWriter()
+        w.write_many([(1, 3), (2, 3), (0, 6), (9, 6)])
+        messages[0] = Message.from_writer(w)
+        with pytest.raises(
+            DecodeError, match="vertex 1 has current degree 2 but only 0 other vertices remain"
+        ):
+            p.global_(4, messages)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("g", [
+        LabeledGraph(5, [(2, 3), (3, 4), (4, 5), (5, 2)]),
+        LabeledGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]).complement(),
+    ], ids=["c4-plus-isolated", "complement-of-p6"])
+    def test_every_co_sum_bit_flip_rejected(self, g, k):
+        from repro.model import Message
+
+        p = GeneralizedDegeneracyProtocol(k)
+        messages = p.message_vector(g)
+        co_bits = messages[0].bits // 2 - id_width(g.n)
+        for v, msg in enumerate(messages):
+            for pos in range(co_bits):
+                corrupt = list(messages)
+                corrupt[v] = Message(msg.acc ^ (1 << pos), msg.bits)
+                with pytest.raises(DecodeError, match=f"vertex {v + 1} sent co-sums other than"):
+                    p.global_(g.n, corrupt)
+
+    def test_consistent_lie_whose_co_neighbourhood_names_itself(self):
+        # G = 13, 14, 23, 24 on five vertices; vertex 1 sends the message of
+        # neighbourhood {3, 5}: its co-sums match its sums, but once 5 is
+        # pruned its co-sum is 1 + 2 + 3 + 4 - 1 - (3 + 5) = 1, itself
+        p = GeneralizedDegeneracyProtocol(1)
+        g = LabeledGraph(5, [(1, 3), (1, 4), (2, 3), (2, 4)])
+        messages = p.message_vector(g)
+        messages[0] = p.local(5, 1, frozenset({3, 5}))
+        with pytest.raises(
+            DecodeError, match=r"vertex 1 decoded co-neighbours \[1\] outside the remaining graph"
+        ):
             p.global_(5, messages)
 
     def test_neighbour_of_current_degree_0_named(self):

@@ -114,6 +114,10 @@ class TestNewtonDecode:
     def test_zero_degree(self):
         assert decode_neighborhood_newton(0, (0, 0), 5) == frozenset()
 
+    def test_negative_degree_named(self):
+        with pytest.raises(DecodeError, match="cannot decode negative degree -2"):
+            decode_neighborhood_newton(-2, (3,), 5)
+
 
 class TestMessageCodec:
     @pytest.mark.parametrize("n,k", [(10, 1), (10, 3), (100, 2), (1000, 4)])
