@@ -34,71 +34,48 @@ enforces this), so a campaign's JSONL is byte-stable modulo timing across
 backends, machines, and worker schedules.
 """
 
-from repro.engine.executor import (
-    EXECUTOR_KINDS,
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    default_jobs,
-    make_executor,
-)
-from repro.engine.faults import FaultCounters, FaultInjector, FaultSpec
-from repro.engine.scenario import (
-    RunRecord,
-    RunSpec,
-    Scenario,
-    execute_run,
-    output_digest,
-)
-from repro.engine.campaign import (
-    Campaign,
-    CampaignResult,
-    builtin_campaign,
-    load_campaign,
-)
-from repro.engine.shard import (
-    MANIFEST_VERSION,
-    JsonlStreamWriter,
-    ShardManifest,
-    load_partial_records,
-    manifest_path,
-    merge_shards,
-    shard_done_path,
-    shard_of,
-    shard_specs,
-    shard_stream_path,
-)
+import importlib
+from typing import Any
+
+#: Bumped whenever record semantics change, so stale cache entries miss.
+#: v2: records carry a top-level ``spec_version`` stamp (repro.results
+#: validates against it and migrates v1 streams on load).  It lives here,
+#: not in :mod:`~repro.engine.scenario` (which re-exports it), so the read
+#: side can check a record's version without loading the engine.
+SPEC_VERSION = 2
+
+#: Lazy export map (PEP 562): public name -> defining module.  `import
+#: repro.engine` loads nothing else; each submodule loads on first use.
+_LAZY = {
+    name: module
+    for module, names in {
+        "repro.engine.executor": (
+            "Executor", "SerialExecutor", "ThreadPoolExecutor", "ProcessPoolExecutor",
+            "EXECUTOR_KINDS", "default_jobs", "make_executor"),
+        "repro.engine.faults": ("FaultSpec", "FaultInjector", "FaultCounters"),
+        "repro.engine.scenario": (
+            "Scenario", "RunSpec", "RunRecord", "execute_run", "output_digest"),
+        "repro.engine.campaign": (
+            "Campaign", "CampaignResult", "builtin_campaign", "load_campaign"),
+        "repro.engine.shard": (
+            "MANIFEST_VERSION", "JsonlStreamWriter", "ShardManifest",
+            "load_partial_records", "manifest_path", "merge_shards",
+            "shard_done_path", "shard_of", "shard_specs", "shard_stream_path"),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_LAZY)
 
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "EXECUTOR_KINDS",
-    "default_jobs",
-    "make_executor",
-    "FaultSpec",
-    "FaultInjector",
-    "FaultCounters",
-    "Scenario",
-    "RunSpec",
-    "RunRecord",
-    "execute_run",
-    "output_digest",
-    "Campaign",
-    "CampaignResult",
-    "builtin_campaign",
-    "load_campaign",
-    "MANIFEST_VERSION",
-    "JsonlStreamWriter",
-    "ShardManifest",
-    "load_partial_records",
-    "manifest_path",
-    "merge_shards",
-    "shard_done_path",
-    "shard_of",
-    "shard_specs",
-    "shard_stream_path",
-]
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # cache: __getattr__ runs once per name
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -171,7 +171,9 @@ class SerialExecutor(Executor):
 class _PooledExecutor(Executor):
     """Shared plumbing for the two concurrent.futures-backed executors."""
 
-    _pool_factory: Callable[..., concurrent.futures.Executor]
+    #: The ``concurrent.futures`` pool class, looked up when the first pool
+    #: is made, so a serial campaign never imports ``multiprocessing``.
+    _pool_class: str
 
     def __init__(self, jobs: int | None = None) -> None:
         if jobs is not None and jobs < 1:
@@ -181,7 +183,8 @@ class _PooledExecutor(Executor):
 
     def _ensure_pool(self) -> concurrent.futures.Executor:
         if self._pool is None:
-            self._pool = type(self)._pool_factory(max_workers=self.jobs)
+            self._pool = getattr(concurrent.futures, self._pool_class)(
+                max_workers=self.jobs)
         return self._pool
 
     def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
@@ -203,7 +206,7 @@ class ThreadPoolExecutor(_PooledExecutor):
     """Thread-backed executor (GIL-bound for pure-Python local functions)."""
 
     kind = "thread"
-    _pool_factory = concurrent.futures.ThreadPoolExecutor
+    _pool_class = "ThreadPoolExecutor"
 
 
 class ProcessPoolExecutor(_PooledExecutor):
@@ -215,7 +218,7 @@ class ProcessPoolExecutor(_PooledExecutor):
     """
 
     kind = "process"
-    _pool_factory = concurrent.futures.ProcessPoolExecutor
+    _pool_class = "ProcessPoolExecutor"
 
 
 #: CLI-selectable backends by name.

@@ -37,6 +37,7 @@ from repro.errors import FrugalityViolation, ProtocolError, ReproError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.protocol import OneRoundProtocol
 from repro.model.referee import Referee, RunReport, monotonic_clock
+from repro.engine import SPEC_VERSION  # re-exported; defined in the package init
 from repro.engine.faults import FaultCounters, FaultSpec
 
 __all__ = [
@@ -47,11 +48,6 @@ __all__ = [
     "output_digest",
     "SPEC_VERSION",
 ]
-
-#: Bumped whenever record semantics change, so stale cache entries miss.
-#: v2: records carry a top-level ``spec_version`` stamp (repro.results
-#: validates against it and migrates v1 streams on load).
-SPEC_VERSION = 2
 
 Params = tuple[tuple[str, Any], ...]
 
@@ -108,6 +104,10 @@ class Scenario:
             )
         if not self.sizes:
             raise ProtocolError(f"scenario {self.name!r}: sizes must be non-empty")
+        if min(self.sizes) < 0:
+            raise ProtocolError(
+                f"scenario {self.name!r}: sizes must be >= 0, got {min(self.sizes)}"
+            )
         if not self.seeds:
             raise ProtocolError(f"scenario {self.name!r}: seeds must be non-empty")
 

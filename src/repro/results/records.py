@@ -6,7 +6,8 @@ validator (unknown keys and wrong types are rejected — ``True`` is not an
 ``int`` here), a version migrator for streams written by older engines, and
 streaming iteration so a million-record file is never loaded whole.
 
-The schema is pinned to :data:`repro.engine.scenario.SPEC_VERSION`.  A
+The schema is pinned to :data:`repro.engine.SPEC_VERSION`, which the
+package init defines so that reading records loads no engine module.  A
 record without a ``spec_version`` stamp is a v1 stream; :func:`migrate_record`
 upgrades it in memory.  A record from a *newer* engine fails loudly instead
 of being silently misread.
@@ -23,7 +24,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
 from repro.errors import SchemaError
-from repro.engine.scenario import SPEC_VERSION, RunSpec
+from repro.engine import SPEC_VERSION
 
 __all__ = [
     "RECORD_VERSION",
@@ -210,8 +211,8 @@ def validate_record(record: Mapping[str, Any], *, where: str = "record") -> dict
     _check_params(spec["protocol_params"], "spec.protocol_params", where)
     if spec["faults"] is not None:
         _check_mapping(spec["faults"], _FAULT_SPEC_FIELDS, "spec.faults", where)
-    if spec["n"] < 1:
-        raise SchemaError(f"{where}: spec.n must be >= 1, got {spec['n']}")
+    if spec["n"] < 0:
+        raise SchemaError(f"{where}: spec.n must be >= 0, got {spec['n']}")
 
     result = record["result"]
     _check_mapping(result, _RESULT_FIELDS, "result", where)
@@ -302,6 +303,8 @@ def spec_content_hash(spec: Mapping[str, Any]) -> str:
     The alignment key of :mod:`repro.results.baseline`: two campaigns match
     runs on the physical spec, not on file order or scenario labels.
     """
+    from repro.engine.scenario import RunSpec  # lazy: a plain `report` hashes no spec
+
     return RunSpec.from_dict(spec).content_hash()
 
 

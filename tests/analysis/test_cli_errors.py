@@ -235,6 +235,50 @@ class TestBaselinePaths:
 NOT_UTF8 = b"\xff\xfe not utf-8\n"
 
 
+class TestEmptyGraphRecords:
+    """n = 0 runs are ordinary records for every results verb."""
+
+    @staticmethod
+    def _spec(tmp_path, sizes):
+        spec = tmp_path / "zero.json"
+        spec.write_text(json.dumps({"name": "zero", "scenarios": [{
+            "name": "z", "family": "random_k_degenerate", "sizes": sizes,
+            "protocol": "degeneracy", "family_params": {"k": 2},
+            "protocol_params": {"k": 2}, "seeds": [0, 1]}]}))
+        return str(spec)
+
+    def test_report_diff_and_baseline_read_n_zero(self, capsys, tmp_path):
+        spec = self._spec(tmp_path, [0, 3])
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["campaign", spec, "--results-dir", str(out),
+                         "--no-progress", "--no-cache"]) == 0
+        records = load_records(a / "zero.jsonl")
+        assert [r["spec"]["n"] for r in records] == [0, 0, 3, 3]
+        assert all(r["result"]["status"] == "ok" and r["result"]["exact"]
+                   for r in records)
+        capsys.readouterr()
+
+        assert main(["report", str(a / "zero.jsonl"), "--json"]) == 0
+        groups = json.loads(capsys.readouterr().out)["groups"]
+        assert [(g["group"]["n"], g["runs"], g["bits_per_k2_log_n"] is None)
+                for g in groups] == [(0, 2, True), (3, 2, False)]
+        assert main(["diff", str(a / "zero.jsonl"), str(b / "zero.jsonl")]) == 0
+        assert capsys.readouterr().out.endswith("0 failure(s)\npassed\n")
+        assert main(["baseline", "freeze", str(a / "zero.jsonl"), "--name", "zero",
+                     "--dir", str(tmp_path)]) == 0
+        assert main(["baseline", "check", str(b / "zero.jsonl"),
+                     str(tmp_path / "zero.json")]) == 0
+        assert capsys.readouterr().out.endswith("passed\n")
+
+    def test_negative_size_is_refused(self, capsys, tmp_path):
+        assert main(["campaign", self._spec(tmp_path, [-1]), "--results-dir",
+                     str(tmp_path / "r"), "--no-progress"]) == 2
+        err = capsys.readouterr().err
+        assert "sizes must be >= 0, got -1" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "zero.jsonl").exists()
+
+
 class TestOneErrorPolicy:
     """``main()`` maps a ReproError or an OSError to one ``error:`` line
     and exit 2, lets a BrokenPipeError through, and leaves every other

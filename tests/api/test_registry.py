@@ -179,6 +179,67 @@ class TestLazyLoading:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    #: Packages (with their submodules) the read side must not load.
+    ENGINE_SIDE = (
+        "repro.engine.executor", "repro.engine.campaign", "repro.engine.shard",
+        "repro.engine.scenario", "repro.engine.faults", "repro.model",
+        "repro.graphs", "repro.obs", "concurrent.futures", "multiprocessing",
+    )
+
+    def _assert_not_loaded(self, setup: str) -> None:
+        code = (
+            f"import sys\n{setup}\n"
+            f"heavy = [m for m in sys.modules for p in {self.ENGINE_SIDE!r}"
+            " if m == p or m.startswith(p + '.')]\n"
+            "assert not heavy, heavy\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_import_repro_results_loads_no_engine(self):
+        self._assert_not_loaded("import repro.results")
+
+    def test_report_verb_loads_no_engine(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["campaign", "smoke", "--results-dir", str(tmp_path),
+                     "--no-progress"]) == 0
+        capsys.readouterr()
+        records = str(tmp_path / "smoke.jsonl")
+        self._assert_not_loaded(
+            "import contextlib, io, repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    assert repro.cli.main(['report', {records!r}]) == 0\n"
+            "assert ' runs by ' in out.getvalue()"
+        )
+
+    def test_import_engine_campaign_loads_no_multiprocessing(self):
+        code = (
+            "import sys, repro.engine.campaign\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_engine_exports_resolve_lazily(self):
+        """Each `repro.engine.__all__` name is its defining module's object."""
+        code = (
+            "import importlib, sys, repro.engine as e\n"
+            "assert 'repro.engine.executor' not in sys.modules\n"
+            "for name in e.__all__:\n"
+            "    value, home = getattr(e, name), importlib.import_module(e._LAZY[name])\n"
+            "    assert value is getattr(home, name) and name in home.__all__, name\n"
+            "    assert getattr(value, '__module__', home.__name__) == home.__name__\n"
+            "    assert name in dir(e), name\n"
+            "from repro.engine import scenario\n"
+            "assert e.SPEC_VERSION is scenario.SPEC_VERSION == 2\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_unknown_engine_name_raises_attribute_error(self):
+        import repro.engine
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            repro.engine.Nope  # noqa: B018
+
 
 class TestGlobalRegistries:
     def test_catalog_covers_all_kinds_sorted(self):

@@ -44,6 +44,11 @@ class TestScenario:
         with pytest.raises(ProtocolError, match="seeds"):
             _scenario(seeds=())
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ProtocolError, match="sizes must be >= 0, got -1"):
+            _scenario(sizes=(3, -1))
+        assert _scenario(sizes=(0, 3)).sizes == (0, 3)
+
     def test_expand_order_sizes_major(self):
         specs = list(_scenario().expand())
         assert [(s.n, s.seed) for s in specs] == [(12, 0), (12, 1), (16, 0), (16, 1)]

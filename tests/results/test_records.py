@@ -57,6 +57,13 @@ class TestValidate:
         with pytest.raises(SchemaError, match="missing key result.output_digest"):
             validate_record(record)
 
+    def test_empty_graph_accepted_negative_n_rejected(self, record):
+        record["spec"]["n"] = 0
+        assert validate_record(record)["spec"]["n"] == 0
+        record["spec"]["n"] = -1
+        with pytest.raises(SchemaError, match="spec.n must be >= 0, got -1"):
+            validate_record(record)
+
     def test_wrong_type_rejected(self, record):
         record["spec"]["n"] = "twelve"
         with pytest.raises(SchemaError, match="spec.n must be int"):
