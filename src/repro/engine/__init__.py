@@ -35,6 +35,8 @@ backends, machines, and worker schedules.
 """
 
 import importlib
+import json
+from collections.abc import Mapping
 from typing import Any
 
 #: Bumped whenever record semantics change, so stale cache entries miss.
@@ -43,6 +45,26 @@ from typing import Any
 #: not in :mod:`~repro.engine.scenario` (which re-exports it), so the read
 #: side can check a record's version without loading the engine.
 SPEC_VERSION = 2
+
+
+def spec_content_hash(spec: Mapping[str, Any]) -> str:
+    """Content hash of a spec dict in :meth:`RunSpec.to_dict` form.
+
+    The sha256 of ``{"v": SPEC_VERSION, "spec": <spec without "scenario">}``
+    dumped with sorted keys and compact separators, cut to 24 hex digits.
+    :meth:`RunSpec.content_hash` and the read side (:mod:`repro.results`)
+    both call this, so a stored record's spec hashes to its run's cache key
+    without loading the engine.  The record validator requires every spec
+    and fault key, so a stored spec dict is already in canonical form.
+    """
+    import hashlib  # deferred: `repro report` hashes no spec
+
+    physical = {key: value for key, value in spec.items() if key != "scenario"}
+    payload = json.dumps(
+        {"v": SPEC_VERSION, "spec": physical}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+
 
 #: Lazy export map (PEP 562): public name -> defining module.  `import
 #: repro.engine` loads nothing else; each submodule loads on first use.

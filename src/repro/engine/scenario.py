@@ -27,7 +27,6 @@ global ``random`` state, so identical specs yield identical
 from __future__ import annotations
 
 import hashlib
-import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -37,7 +36,7 @@ from repro.errors import FrugalityViolation, ProtocolError, ReproError
 from repro.graphs.labeled import LabeledGraph
 from repro.model.protocol import OneRoundProtocol
 from repro.model.referee import Referee, RunReport, monotonic_clock
-from repro.engine import SPEC_VERSION  # re-exported; defined in the package init
+from repro.engine import SPEC_VERSION, spec_content_hash  # defined in the package init
 from repro.engine.faults import FaultCounters, FaultSpec
 
 __all__ = [
@@ -243,12 +242,7 @@ class RunSpec:
         cached = self.__dict__.get("_content_hash")
         if cached is not None:
             return cached
-        physical = self.to_dict()
-        physical.pop("scenario")
-        payload = json.dumps(
-            {"v": SPEC_VERSION, "spec": physical}, sort_keys=True, separators=(",", ":")
-        )
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:24]
+        digest = spec_content_hash(self.to_dict())
         object.__setattr__(self, "_content_hash", digest)
         return digest
 

@@ -70,10 +70,13 @@ import pathlib
 import tempfile
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError, ShardError, ShardIncomplete
-from repro.engine.scenario import SPEC_VERSION, RunRecord, RunSpec
+from repro.engine import SPEC_VERSION
+
+if TYPE_CHECKING:  # `report --trend` appends through this module, so no scenario at import
+    from repro.engine.scenario import RunRecord, RunSpec
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -502,6 +505,8 @@ def load_partial_records(
     terminator-less tail is re-run rather than trusted: recomputation is
     deterministic, so only the ``timing`` sidecar can differ.
     """
+    from repro.engine.scenario import RunRecord
+
     return scan_partial_lines(
         path,
         lambda raw: RunRecord.from_json_dict(json.loads(raw.decode())),

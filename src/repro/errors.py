@@ -15,7 +15,6 @@ __all__ = [
     "CodecError",
     "GraphError",
     "InvalidVertexError",
-    "NotInFamilyError",
     "ProtocolError",
     "FrugalityViolation",
     "DecodeError",
@@ -59,10 +58,6 @@ class GraphError(ReproError):
 
 class InvalidVertexError(GraphError):
     """Raised when a vertex ID is outside ``1..n`` or an edge is invalid."""
-
-
-class NotInFamilyError(GraphError):
-    """Raised when a graph violates a family precondition (e.g. degeneracy > k)."""
 
 
 class ProtocolError(ReproError):

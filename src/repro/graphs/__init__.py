@@ -26,16 +26,13 @@ from repro.graphs.degeneracy import (
     degeneracy,
     degeneracy_ordering,
     core_numbers,
-    is_k_degenerate,
 )
-from repro.graphs.io import to_graph6, from_graph6
 from repro.graphs.invariants import treewidth_exact, treewidth_upper_bound
 from repro.graphs.properties import (
     has_triangle,
     has_square,
     girth,
     diameter,
-    eccentricities,
     is_connected,
     connected_components,
     is_bipartite,
@@ -44,19 +41,15 @@ from repro.graphs.properties import (
 
 __all__ = [
     "LabeledGraph",
-    "to_graph6",
-    "from_graph6",
     "treewidth_exact",
     "treewidth_upper_bound",
     "degeneracy",
     "degeneracy_ordering",
     "core_numbers",
-    "is_k_degenerate",
     "has_triangle",
     "has_square",
     "girth",
     "diameter",
-    "eccentricities",
     "is_connected",
     "connected_components",
     "is_bipartite",

@@ -14,7 +14,7 @@ the capacity bound they are compared against.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations
 
@@ -23,14 +23,11 @@ from repro.graphs.labeled import LabeledGraph
 
 __all__ = [
     "labeled_graph_count",
-    "connected_graph_count",
     "labeled_tree_count",
     "labeled_forest_count",
     "bipartite_fixed_parts_count",
     "enumerate_labeled_graphs",
-    "count_graphs_satisfying",
     "count_square_free",
-    "count_triangle_free",
     "frugal_capacity_bits",
     "zarankiewicz_lower_bound",
     "MAX_ENUM_N",
@@ -45,30 +42,6 @@ def labeled_graph_count(n: int) -> int:
     if n < 0:
         raise GraphError(f"n must be >= 0, got {n}")
     return 1 << math.comb(n, 2)
-
-
-@lru_cache(maxsize=None)
-def _connected_counts_up_to(n: int) -> tuple[int, ...]:
-    """Bottom-up table of connected labelled graph counts C(0..n)."""
-    counts = [1, 1]
-    for m in range(2, n + 1):
-        total = labeled_graph_count(m)
-        for k in range(1, m):
-            total -= math.comb(m - 1, k - 1) * counts[k] * labeled_graph_count(m - k)
-        counts.append(total)
-    return tuple(counts[: n + 1])
-
-
-def connected_graph_count(n: int) -> int:
-    """Number of connected labelled graphs (OEIS A001187) via the standard recurrence.
-
-    ``C(n) = 2^C(n,2) - Σ_{k=1}^{n-1} binom(n-1, k-1) C(k) 2^C(n-k, 2)``
-    (split off the component of vertex 1).  Computed bottom-up so large n
-    does not recurse.
-    """
-    if n < 0:
-        raise GraphError(f"n must be >= 0, got {n}")
-    return _connected_counts_up_to(n)[n]
 
 
 def labeled_tree_count(n: int) -> int:
@@ -134,11 +107,6 @@ def enumerate_labeled_graphs(n: int) -> Iterator[LabeledGraph]:
         yield LabeledGraph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
-def count_graphs_satisfying(n: int, predicate: Callable[[LabeledGraph], bool]) -> int:
-    """Exhaustively count labelled graphs on ``n`` vertices satisfying ``predicate``."""
-    return sum(1 for g in enumerate_labeled_graphs(n) if predicate(g))
-
-
 def _pair_bit_columns(n: int) -> tuple[list[tuple[int, int]], list[int], int]:
     """All graphs on ``n`` vertices as edge columns, one big int per edge.
 
@@ -155,7 +123,7 @@ def _pair_bit_columns(n: int) -> tuple[list[tuple[int, int]], list[int], int]:
     """
     pairs = list(combinations(range(1, n + 1), 2))
     total = 1 << len(pairs)
-    nbytes = total // 8  # callers have n >= 3, so every period fits whole
+    nbytes = total // 8  # the caller has n >= 4, so every period fits whole
     cols = []
     for e in range(len(pairs)):
         if e < 3:
@@ -197,22 +165,6 @@ def count_square_free(n: int) -> int:
                 ones ^= x
         has_square |= twos
     return total - has_square.bit_count()
-
-
-def count_triangle_free(n: int) -> int:
-    """Exact number of labelled triangle-free graphs on ``n <= MAX_ENUM_N`` vertices."""
-    if n < 0:
-        raise GraphError(f"n must be >= 0, got {n}")
-    if n > MAX_ENUM_N:
-        raise GraphError(f"exact triangle-free count limited to n <= {MAX_ENUM_N}")
-    if n < 3:
-        return labeled_graph_count(n)
-    pairs, cols, total = _pair_bit_columns(n)
-    eidx = {p: i for i, p in enumerate(pairs)}
-    has_triangle = 0
-    for a, b, c in combinations(range(1, n + 1), 3):
-        has_triangle |= cols[eidx[(a, b)]] & cols[eidx[(b, c)]] & cols[eidx[(a, c)]]
-    return total - has_triangle.bit_count()
 
 
 def frugal_capacity_bits(n: int, k_const: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.graphs.labeled import LabeledGraph
 
-__all__ = ["degeneracy", "degeneracy_ordering", "core_numbers", "is_k_degenerate"]
+__all__ = ["degeneracy", "degeneracy_ordering", "core_numbers"]
 
 
 def degeneracy(g: LabeledGraph) -> int:
@@ -71,8 +71,3 @@ def _peel(g: LabeledGraph) -> dict[int, int]:
         # degree of some neighbour may have dropped below the cursor
         cursor = max(0, cursor - 1)
     return core
-
-
-def is_k_degenerate(g: LabeledGraph, k: int) -> bool:
-    """Whether ``g`` has degeneracy at most ``k``."""
-    return degeneracy(g) <= k

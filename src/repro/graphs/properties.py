@@ -23,7 +23,6 @@ __all__ = [
     "has_square",
     "girth",
     "diameter",
-    "eccentricities",
     "is_connected",
     "connected_components",
     "is_bipartite",
@@ -92,15 +91,6 @@ def _bfs_depths(g: LabeledGraph, root: int) -> dict[int, int]:
                 depth[w] = depth[u] + 1
                 q.append(w)
     return depth
-
-
-def eccentricities(g: LabeledGraph) -> dict[int, float]:
-    """Eccentricity of every vertex; ``math.inf`` when the graph is disconnected."""
-    ecc: dict[int, float] = {}
-    for v in g.vertices():
-        depth = _bfs_depths(g, v)
-        ecc[v] = max(depth.values()) if len(depth) == g.n else math.inf
-    return ecc
 
 
 def diameter(g: LabeledGraph) -> float:

@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from repro.registry import register
 
-__all__ = ["SPAN_NAMES"]
-
-#: Every span name the engine can emit, in tree order.
-SPAN_NAMES = ("campaign", "shard", "run", "setup", "local", "referee", "global")
+__all__: list[str] = []
 
 
 @register("campaign", kind="span", capabilities=("engine",), params={},

@@ -21,9 +21,7 @@ The paper's positive results and baselines:
 """
 
 from repro.protocols.powersum import (
-    PowerSumRecord,
     encode_powersum_message,
-    decode_powersum_message,
     decode_powersum_messages,
     newton_identities,
     decode_neighborhood_newton,
@@ -38,7 +36,6 @@ from repro.protocols.generalized_degeneracy import GeneralizedDegeneracyProtocol
 from repro.protocols.bounded_degree import BoundedDegreeProtocol
 from repro.protocols.partition_connectivity import PartitionConnectivityProtocol
 from repro.protocols.adaptive_query import AdaptiveQueryReconstruction
-from repro.protocols.estimation import DegeneracyEstimationProtocol
 from repro.protocols.trivial import (
     EmptyProtocol,
     IdEchoProtocol,
@@ -47,9 +44,7 @@ from repro.protocols.trivial import (
 )
 
 __all__ = [
-    "PowerSumRecord",
     "encode_powersum_message",
-    "decode_powersum_message",
     "decode_powersum_messages",
     "newton_identities",
     "decode_neighborhood_newton",
@@ -62,7 +57,6 @@ __all__ = [
     "BoundedDegreeProtocol",
     "PartitionConnectivityProtocol",
     "AdaptiveQueryReconstruction",
-    "DegeneracyEstimationProtocol",
     "EmptyProtocol",
     "IdEchoProtocol",
     "FullAdjacencyProtocol",

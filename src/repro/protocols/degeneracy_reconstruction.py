@@ -25,9 +25,11 @@ goes on as above.  With the rule off the loop is Theorem 5's unchanged.
 
 Complexity: the messages are unpacked in one batch
 (:func:`~repro.protocols.powersum.decode_powersum_messages`: one length
-check and ``k + 2`` fixed-offset slices per message).  With a min-degree
-worklist the loop body is then ``O(decode + k·deg)``: the check that the
-decoded neighbours are still unpruned is ``O(k)`` set probes, and each
+check and ``k + 2`` fixed-offset slices per message).  The worklist is a
+LIFO stack of vertices of current degree ≤ k (any such vertex may go next,
+so no priority queue is kept), and the loop body is then
+``O(decode + k·deg)``: the check that the decoded neighbours are still
+unpruned is ``O(k)`` set probes, and each
 edge goes straight into the output's adjacency sets, which become one
 :class:`~repro.graphs.labeled.LabeledGraph` at the end.  Degrees 0, 1 and
 2 decode inline in ``O(1)`` big-int operations (``p_1`` itself, or

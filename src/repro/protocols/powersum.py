@@ -16,9 +16,8 @@ first), the layout the decoder slices back out at fixed offsets.
 ``d`` power sums determine ``N`` uniquely.  The referee first unpacks
 every message with :func:`decode_powersum_messages`: the widths derive from
 ``(n, k)`` once per batch, each message gets one exact-length check, and
-the fields are sliced out of its payload at fixed offsets from the low end
-(:func:`decode_powersum_message` is the one-message form).  Two decoders
-then recover neighbourhoods from the sums:
+the fields are sliced out of its payload at fixed offsets from the low end.
+Two decoders then recover neighbourhoods from the sums:
 
 * :func:`decode_neighborhood_newton` — Newton's identities convert power
   sums to elementary symmetric polynomials (exact integer arithmetic), and
@@ -37,7 +36,6 @@ rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from repro.bits.sizing import id_width
@@ -45,10 +43,8 @@ from repro.errors import CodecError, DecodeError, GraphError
 from repro.model.message import Message
 
 __all__ = [
-    "PowerSumRecord",
     "compute_power_sums",
     "encode_powersum_message",
-    "decode_powersum_message",
     "decode_powersum_messages",
     "powersum_message_bits",
     "newton_identities",
@@ -56,20 +52,6 @@ __all__ = [
     "decode_neighborhood_newton",
     "PowerSumLookupTable",
 ]
-
-
-@dataclass(frozen=True)
-class PowerSumRecord:
-    """The decoded content of one Algorithm-3 message: ``(ID, deg, b_1..b_k)``."""
-
-    vertex: int
-    degree: int
-    power_sums: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        """The protocol parameter this record was encoded with."""
-        return len(self.power_sums)
 
 
 def compute_power_sums(neighborhood: frozenset[int] | set[int], k: int) -> tuple[int, ...]:
@@ -179,12 +161,6 @@ def decode_powersum_messages(
             raise DecodeError(f"decoded degree {degree} exceeds n-1 = {n - 1}")
         records.append((vertex, degree, [(acc >> s) & m for s, m in fields]))
     return records
-
-
-def decode_powersum_message(n: int, k: int, msg: Message) -> PowerSumRecord:
-    """Parse one Algorithm-3 message back into a record; strict framing."""
-    ((vertex, degree, sums),) = decode_powersum_messages(n, k, [msg])
-    return PowerSumRecord(vertex=vertex, degree=degree, power_sums=tuple(sums))
 
 
 def newton_identities(power_sums: tuple[int, ...] | list[int]) -> list[int]:

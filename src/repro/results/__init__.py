@@ -35,7 +35,6 @@ from repro.results.records import (
     migrate_record,
     spec_content_hash,
     validate_record,
-    write_records,
 )
 from repro.results.aggregate import (
     DEFAULT_AXES,
@@ -65,7 +64,6 @@ __all__ = [
     "migrate_record",
     "iter_records",
     "load_records",
-    "write_records",
     "canonical_line",
     "spec_content_hash",
     "index_by_spec_hash",

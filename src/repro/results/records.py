@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
 from repro.errors import SchemaError
-from repro.engine import SPEC_VERSION
+from repro.engine import SPEC_VERSION, spec_content_hash  # the hash is re-exported
 
 __all__ = [
     "RECORD_VERSION",
@@ -33,7 +33,6 @@ __all__ = [
     "migrate_record",
     "iter_records",
     "load_records",
-    "write_records",
     "canonical_line",
     "spec_content_hash",
     "index_by_spec_hash",
@@ -278,34 +277,6 @@ def load_records(path: str | pathlib.Path, *, migrate: bool = True) -> list[dict
 def canonical_line(record: Mapping[str, Any]) -> str:
     """The canonical byte form of one record (sorted keys, no trailing space)."""
     return json.dumps(record, sort_keys=True)
-
-
-def write_records(
-    path: str | pathlib.Path, records: Iterable[Mapping[str, Any]]
-) -> pathlib.Path:
-    """Validate and write records as canonical JSONL; returns the path.
-
-    The inverse of :func:`load_records`: ``write_records(p, load_records(p))``
-    reproduces the engine's bytes (the engine also writes ``sort_keys``).
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for i, record in enumerate(records, start=1):
-            validated = validate_record(record, where=f"{path.name}:{i}")
-            fh.write(canonical_line(validated) + "\n")
-    return path
-
-
-def spec_content_hash(spec: Mapping[str, Any]) -> str:
-    """Content hash of a record's ``spec`` section (see ``RunSpec.content_hash``).
-
-    The alignment key of :mod:`repro.results.baseline`: two campaigns match
-    runs on the physical spec, not on file order or scenario labels.
-    """
-    from repro.engine.scenario import RunSpec  # lazy: a plain `report` hashes no spec
-
-    return RunSpec.from_dict(spec).content_hash()
 
 
 def index_by_spec_hash(

@@ -44,7 +44,6 @@ from repro.sketching.l0sampler import L0Sampler, L0SamplerParams
 from repro.sketching.connectivity import (
     AGMConnectivityProtocol,
     SketchReport,
-    sketch_spanning_forest,
 )
 from repro.sketching.multiround_conn import MultiRoundSketchConnectivity
 from repro.sketching.bipartiteness import SketchBipartitenessProtocol, BipartitenessReport
@@ -63,6 +62,5 @@ __all__ = [
     "L0SamplerParams",
     "AGMConnectivityProtocol",
     "SketchReport",
-    "sketch_spanning_forest",
     "MultiRoundSketchConnectivity",
 ]

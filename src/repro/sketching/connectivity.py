@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import DecisionProtocol, require_one_message_per_vertex
 from repro.sketching.agm import (
@@ -51,7 +50,6 @@ from repro.registry import register
 __all__ = [
     "AGMConnectivityProtocol",
     "SketchReport",
-    "sketch_spanning_forest",
     "edge_index",
     "edge_pair",
     "incidence_updates",
@@ -131,12 +129,6 @@ class AGMConnectivityProtocol(DecisionProtocol):
             sampler_failures=failures,
             bits_per_node=max((msg.bits for msg in messages), default=0),
         )
-
-
-def sketch_spanning_forest(g: LabeledGraph, seed: int = 0) -> SketchReport:
-    """Convenience: run the full protocol on ``g`` and return the report."""
-    protocol = AGMConnectivityProtocol(seed=seed)
-    return protocol.decode_and_solve(g.n, protocol.message_vector(g))
 
 
 @register("agm_connectivity", kind="protocol",

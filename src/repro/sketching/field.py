@@ -16,7 +16,6 @@ from __future__ import annotations
 __all__ = [
     "MERSENNE61",
     "fadd",
-    "fsub",
     "fmul",
     "fpow",
     "splitmix64",
@@ -29,11 +28,6 @@ MERSENNE61 = (1 << 61) - 1
 def fadd(a: int, b: int) -> int:
     """Addition mod 2^61 - 1."""
     return (a + b) % MERSENNE61
-
-
-def fsub(a: int, b: int) -> int:
-    """Subtraction mod 2^61 - 1."""
-    return (a - b) % MERSENNE61
 
 
 def fmul(a: int, b: int) -> int:

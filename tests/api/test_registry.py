@@ -1,5 +1,6 @@
 """The registry core: registration, aliases, suggestions, lazy loading."""
 
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -186,11 +187,11 @@ class TestLazyLoading:
         "repro.graphs", "repro.obs", "concurrent.futures", "multiprocessing",
     )
 
-    def _assert_not_loaded(self, setup: str) -> None:
+    def _assert_not_loaded(self, setup: str, allowed: tuple[str, ...] = ()) -> None:
         code = (
             f"import sys\n{setup}\n"
             f"heavy = [m for m in sys.modules for p in {self.ENGINE_SIDE!r}"
-            " if m == p or m.startswith(p + '.')]\n"
+            f" if (m == p or m.startswith(p + '.')) and m not in {allowed!r}]\n"
             "assert not heavy, heavy\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
@@ -210,6 +211,34 @@ class TestLazyLoading:
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             f"    assert repro.cli.main(['report', {records!r}]) == 0\n"
             "assert ' runs by ' in out.getvalue()"
+        )
+
+    @pytest.fixture()
+    def smoke_records(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["campaign", "smoke", "--results-dir", str(tmp_path),
+                     "--no-progress"]) == 0
+        capsys.readouterr()
+        return str(tmp_path / "smoke.jsonl")
+
+    @pytest.mark.parametrize("verb", ["diff", "baseline check", "report --trend"])
+    def test_spec_hashing_verbs_load_no_scenario(self, verb, smoke_records, tmp_path):
+        """These verbs key records by spec hash; the hash lives in the
+        package init, so they load no engine submodule (the trend ledger
+        appends through the shard writer, which loads no scenario)."""
+        baseline = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "baselines" / "smoke.json"
+        argv, allowed = {
+            "diff": (["diff", smoke_records, smoke_records], ()),
+            "baseline check": (["baseline", "check", smoke_records, str(baseline)], ()),
+            "report --trend": (["report", smoke_records, "--trends",
+                                str(tmp_path / "trends.jsonl")], ("repro.engine.shard",)),
+        }[verb]
+        self._assert_not_loaded(
+            "import contextlib, io, repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert repro.cli.main({argv!r}) == 0\n",
+            allowed,
         )
 
     def test_import_engine_campaign_loads_no_multiprocessing(self):

@@ -7,14 +7,10 @@ import sys
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs import is_connected
 from repro.graphs.counting import (
     MAX_ENUM_N,
     bipartite_fixed_parts_count,
-    connected_graph_count,
-    count_graphs_satisfying,
     count_square_free,
-    count_triangle_free,
     enumerate_labeled_graphs,
     frugal_capacity_bits,
     labeled_forest_count,
@@ -22,18 +18,16 @@ from repro.graphs.counting import (
     labeled_tree_count,
     zarankiewicz_lower_bound,
 )
-from repro.graphs.properties import girth, has_square, has_triangle
+from repro.graphs.properties import girth, has_square
+
+
+def _brute_count(n, predicate):
+    return sum(1 for g in enumerate_labeled_graphs(n) if predicate(g))
 
 
 class TestClosedForms:
     def test_labeled_graph_count(self):
         assert [labeled_graph_count(n) for n in range(5)] == [1, 1, 2, 8, 64]
-
-    def test_connected_graph_count_oeis_a001187(self):
-        # 1, 1, 1, 4, 38, 728, 26704, 1866256, ...
-        assert [connected_graph_count(n) for n in range(8)] == [
-            1, 1, 1, 4, 38, 728, 26704, 1866256,
-        ]
 
     def test_tree_count_cayley(self):
         assert [labeled_tree_count(n) for n in range(1, 7)] == [1, 1, 3, 16, 125, 1296]
@@ -51,16 +45,11 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("count", [
         labeled_graph_count,
-        connected_graph_count,
         labeled_tree_count,
         labeled_forest_count,
         bipartite_fixed_parts_count,
         pytest.param(lambda n: list(enumerate_labeled_graphs(n)), id="enumerate_labeled_graphs"),
-        pytest.param(
-            lambda n: count_graphs_satisfying(n, is_connected), id="count_graphs_satisfying"
-        ),
         count_square_free,
-        count_triangle_free,
         pytest.param(lambda n: frugal_capacity_bits(n, 1.0), id="frugal_capacity_bits"),
         zarankiewicz_lower_bound,
     ])
@@ -77,36 +66,25 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             list(enumerate_labeled_graphs(MAX_ENUM_N + 1))
 
-    def test_connected_count_matches_recurrence(self):
-        for n in range(1, 6):
-            assert count_graphs_satisfying(n, is_connected) == connected_graph_count(n)
-
     def test_forest_count_matches_enumeration(self):
         for n in range(1, 6):
-            forests = count_graphs_satisfying(n, lambda g: girth(g) == math.inf)
+            forests = _brute_count(n, lambda g: girth(g) == math.inf)
             assert forests == labeled_forest_count(n)
 
 
 class TestVectorizedCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_square_free_matches_bruteforce(self, n):
-        expected = count_graphs_satisfying(n, lambda g: not has_square(g))
+        expected = _brute_count(n, lambda g: not has_square(g))
         assert count_square_free(n) == expected
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_triangle_free_matches_bruteforce(self, n):
-        expected = count_graphs_satisfying(n, lambda g: not has_triangle(g))
-        assert count_triangle_free(n) == expected
 
     def test_square_free_n6(self):
         # cross-check the vectorized path on the largest cheap instance
-        assert count_square_free(6) == count_graphs_satisfying(6, lambda g: not has_square(g))
+        assert count_square_free(6) == _brute_count(6, lambda g: not has_square(g))
 
     def test_guards(self):
         with pytest.raises(GraphError):
             count_square_free(MAX_ENUM_N + 1)
-        with pytest.raises(GraphError):
-            count_triangle_free(MAX_ENUM_N + 1)
 
 
 class TestCapacityBound:
@@ -140,7 +118,6 @@ class TestCapacityBound:
 
 
 SQUARE_FREE_PINS = [1, 1, 2, 8, 54, 548, 7984, 163440]  # n = 7 is OEIS A006786
-TRIANGLE_FREE_PINS = [1, 1, 2, 7, 41, 388, 5789, 133501]  # n = 7 is OEIS A006785
 
 
 class TestExhaustivePins:
@@ -148,9 +125,6 @@ class TestExhaustivePins:
 
     def test_square_free_pins(self):
         assert [count_square_free(n) for n in range(MAX_ENUM_N + 1)] == SQUARE_FREE_PINS
-
-    def test_triangle_free_pins(self):
-        assert [count_triangle_free(n) for n in range(MAX_ENUM_N + 1)] == TRIANGLE_FREE_PINS
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_bit_columns_are_edge_indicators(self, n):
@@ -166,9 +140,9 @@ class TestExhaustivePins:
         """The counter is stdlib-only: it runs where ``import numpy`` fails."""
         code = (
             "import sys; sys.modules['numpy'] = None\n"
-            "from repro.graphs.counting import count_square_free, count_triangle_free\n"
-            "print(count_square_free(7), count_triangle_free(7))"
+            "from repro.graphs.counting import count_square_free\n"
+            "print(count_square_free(7))"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
-        assert out.stdout.split() == [str(SQUARE_FREE_PINS[7]), str(TRIANGLE_FREE_PINS[7])]
+        assert out.stdout.split() == [str(SQUARE_FREE_PINS[7])]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import LabeledGraph, core_numbers, degeneracy, degeneracy_ordering, is_k_degenerate
+from repro.graphs import LabeledGraph, core_numbers, degeneracy, degeneracy_ordering
 from repro.graphs.generators import (
     apollonian,
     complete_graph,
@@ -66,12 +66,6 @@ class TestOrderingValidity:
         assert ordering_is_valid(g, k, order)
         # minimality: networkx agrees on the value
         assert k == max(nx.core_number(g.to_networkx()).values(), default=0)
-
-    def test_is_k_degenerate(self):
-        g = cycle_graph(5)
-        assert not is_k_degenerate(g, 1)
-        assert is_k_degenerate(g, 2)
-        assert is_k_degenerate(g, 3)
 
 
 class TestCoreNumbers:

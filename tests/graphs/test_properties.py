@@ -12,7 +12,6 @@ from repro.graphs import (
     bipartition,
     connected_components,
     diameter,
-    eccentricities,
     girth,
     has_square,
     has_triangle,
@@ -129,10 +128,6 @@ class TestDiameter:
             assert diameter(g) == nx.diameter(nxg)
         else:
             assert diameter(g) == math.inf
-
-    def test_eccentricities_connected(self):
-        g = path_graph(4)
-        assert eccentricities(g) == {1: 3, 2: 2, 3: 2, 4: 3}
 
 
 class TestConnectivity:

@@ -69,7 +69,7 @@ class TestMessageVectorNeedsSenderIds:
         remove that property (swap two nodes' IDs inside the payloads) and the
         decode visibly breaks or yields a different labelled graph."""
         from repro.graphs.generators import random_tree
-        from repro.protocols.powersum import decode_powersum_message, encode_powersum_message
+        from repro.protocols.powersum import decode_powersum_messages, encode_powersum_message
 
         g = random_tree(10, seed=8)
         protocol = DegeneracyReconstructionProtocol(1)
@@ -79,7 +79,8 @@ class TestMessageVectorNeedsSenderIds:
         swapped[0], swapped[5] = swapped[5], swapped[0]
         assert protocol.global_(g.n, swapped) == g
         # but forging vertex 1's message as if sent by vertex 2 breaks the vector
-        rec = decode_powersum_message(g.n, 1, msgs[0])
+        [(vertex, _, _)] = decode_powersum_messages(g.n, 1, [msgs[0]])
+        assert vertex == 1
         forged = encode_powersum_message(g.n, 1, 2, g.neighbors(1))
         with pytest.raises(DecodeError):
             protocol.global_(g.n, [forged] + list(msgs[1:]))

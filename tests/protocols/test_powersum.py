@@ -13,7 +13,6 @@ from repro.protocols.powersum import (
     PowerSumLookupTable,
     compute_power_sums,
     decode_neighborhood_newton,
-    decode_powersum_message,
     decode_powersum_messages,
     encode_powersum_message,
     integer_roots_of_monic,
@@ -124,11 +123,10 @@ class TestMessageCodec:
     def test_encode_decode_roundtrip(self, n, k):
         nbhd = frozenset(range(2, 2 + min(k, n - 1)))
         msg = encode_powersum_message(n, k, 1, nbhd)
-        rec = decode_powersum_message(n, k, msg)
-        assert rec.vertex == 1
-        assert rec.degree == len(nbhd)
-        assert rec.power_sums == compute_power_sums(nbhd, k)
-        assert rec.k == k
+        [(vertex, degree, sums)] = decode_powersum_messages(n, k, [msg])
+        assert vertex == 1
+        assert degree == len(nbhd)
+        assert tuple(sums) == compute_power_sums(nbhd, k)
 
     @pytest.mark.parametrize("n,k", [(16, 1), (64, 2), (256, 3), (1024, 3), (1024, 5),
                                      (4096, 3)])
@@ -149,7 +147,7 @@ class TestMessageCodec:
 
     def test_malformed_message_raises(self):
         with pytest.raises(DecodeError):
-            decode_powersum_message(10, 2, Message(0, 3))
+            decode_powersum_messages(10, 2, [Message(0, 3)])
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_one_bit_short_or_long_raises(self, extra):
@@ -157,7 +155,7 @@ class TestMessageCodec:
         msg = encode_powersum_message(10, 2, 1, frozenset({2, 3}))
         framed = Message(msg.acc >> 1 if extra < 0 else msg.acc << 1, msg.bits + extra)
         with pytest.raises(DecodeError, match="malformed power-sum message"):
-            decode_powersum_message(10, 2, framed)
+            decode_powersum_messages(10, 2, [framed])
         with pytest.raises(DecodeError, match="malformed power-sum message"):
             decode_powersum_messages(10, 2, [msg, framed])
 
@@ -173,15 +171,15 @@ class TestMessageCodec:
                 raise TypeError("reader bug")
 
         with pytest.raises(TypeError, match="reader bug"):
-            decode_powersum_message(10, 2, BrokenMessage(msg.acc, msg.bits))
+            decode_powersum_messages(10, 2, [BrokenMessage(msg.acc, msg.bits)])
 
     def test_batch_matches_single_decodes(self):
         n, k = 50, 3
         nbhds = [frozenset(), frozenset({7}), frozenset({1, 50}), frozenset({2, 3, 49})]
         msgs = [encode_powersum_message(n, k, i, nb) for i, nb in enumerate(nbhds, start=1)]
         batch = decode_powersum_messages(n, k, msgs)
-        singles = [decode_powersum_message(n, k, m) for m in msgs]
-        assert batch == [(r.vertex, r.degree, list(r.power_sums)) for r in singles]
+        singles = [rec for m in msgs for rec in decode_powersum_messages(n, k, [m])]
+        assert batch == singles
         assert [tuple(sums) for _, _, sums in batch] == [compute_power_sums(nb, k) for nb in nbhds]
 
     def test_empty_batch(self):
@@ -200,7 +198,7 @@ class TestMessageCodec:
         w.write_bits(0, 4)
         w.write_bits(0, 8)
         with pytest.raises(DecodeError, match="vertex ID"):
-            decode_powersum_message(10, 1, Message.from_writer(w))
+            decode_powersum_messages(10, 1, [Message.from_writer(w)])
 
     def test_bad_degree_raises(self):
         from repro.bits import BitWriter
@@ -210,7 +208,7 @@ class TestMessageCodec:
         w.write_bits(15, 4)  # degree 15 > n-1 = 9
         w.write_bits(0, 8)
         with pytest.raises(DecodeError, match="degree"):
-            decode_powersum_message(10, 1, Message.from_writer(w))
+            decode_powersum_messages(10, 1, [Message.from_writer(w)])
 
 
 class TestLookupTable:

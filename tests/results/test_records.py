@@ -1,10 +1,12 @@
 """Schema validator, migrator, and streaming record I/O."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.engine import Scenario
+from repro import registry
+from repro.engine import RunSpec, Scenario
 from repro.engine.scenario import SPEC_VERSION, execute_run
 from repro.errors import SchemaError
 from repro.results import (
@@ -15,7 +17,6 @@ from repro.results import (
     migrate_record,
     spec_content_hash,
     validate_record,
-    write_records,
 )
 
 
@@ -134,14 +135,13 @@ class TestMigrate:
 
 class TestStreamIO:
     def test_roundtrip_is_byte_stable(self, tmp_path, record):
-        path = write_records(tmp_path / "c.jsonl", [record])
-        first = path.read_bytes()
-        write_records(path, load_records(path))
-        assert path.read_bytes() == first
-        assert first.decode().strip() == canonical_line(record)
+        path = tmp_path / "c.jsonl"
+        path.write_text(canonical_line(record) + "\n")
+        assert [canonical_line(r) for r in load_records(path)] == [canonical_line(record)]
 
     def test_iter_is_lazy(self, tmp_path, record):
-        path = write_records(tmp_path / "c.jsonl", [record, record, record])
+        path = tmp_path / "c.jsonl"
+        path.write_text(3 * (canonical_line(record) + "\n"))
         it = iter_records(path)
         assert next(it)["spec"]["family"] == "random_forest"
 
@@ -176,11 +176,6 @@ class TestStreamIO:
         with pytest.raises(SchemaError, match="spec_version"):
             load_records(path, migrate=False)
 
-    def test_write_validates(self, tmp_path, record):
-        record["result"]["status"] = "fine"
-        with pytest.raises(SchemaError):
-            write_records(tmp_path / "c.jsonl", [record])
-
 
 class TestSpecHash:
     def test_matches_engine_content_hash(self, record):
@@ -192,3 +187,27 @@ class TestSpecHash:
         relabeled = json.loads(json.dumps(record["spec"]))
         relabeled["scenario"] = "other-name"
         assert spec_content_hash(relabeled) == spec_content_hash(record["spec"])
+
+    #: ``(specs, digest)`` of each builtin campaign's spec hashes in grid
+    #: order: the digest is the first 16 hex digits of the sha256 of the
+    #: hashes joined by newlines.
+    CAMPAIGN_HASH_PINS = {
+        "smoke": (8, "fb4567a1437dff22"),
+        "faults": (54, "50409c3c622c9dab"),
+        "degeneracy-sweep": (36, "1887e6e1d5cedc71"),
+        "connectivity-sweep": (96, "73884219c19cf4c7"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CAMPAIGN_HASH_PINS))
+    def test_stored_dict_hashes_like_its_runspec(self, name):
+        """The read side hashes a stored spec dict with no RunSpec; it must
+        give every builtin spec its pinned RunSpec hash."""
+        specs = [spec for scenario in registry.CAMPAIGN.get(name)()
+                 for spec in scenario.expand()]
+        hashes = [spec.content_hash() for spec in specs]
+        for spec, digest in zip(specs, hashes):
+            stored = json.loads(json.dumps(spec.to_dict()))  # as a stream holds it
+            assert spec_content_hash(stored) == digest
+            assert RunSpec.from_dict(stored).content_hash() == digest
+        pin = hashlib.sha256("\n".join(hashes).encode()).hexdigest()[:16]
+        assert (len(hashes), pin) == self.CAMPAIGN_HASH_PINS[name]

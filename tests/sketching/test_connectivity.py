@@ -17,7 +17,6 @@ from repro.model import MultiRoundReferee, Referee, log2_ceil
 from repro.sketching import (
     AGMConnectivityProtocol,
     MultiRoundSketchConnectivity,
-    sketch_spanning_forest,
 )
 from repro.sketching.connectivity import edge_index, edge_pair
 
@@ -98,7 +97,8 @@ class TestOneRoundConnectivity:
 
     def test_report_forest_is_spanning_when_connected(self):
         g = random_tree(18, seed=7)
-        report = sketch_spanning_forest(g, seed=2)
+        protocol = AGMConnectivityProtocol(seed=2)
+        report = protocol.decode_and_solve(g.n, protocol.message_vector(g))
         assert report.connected
         # the reported forest's edges are genuine and span
         forest = LabeledGraph(g.n, report.forest_edges)
@@ -109,7 +109,9 @@ class TestOneRoundConnectivity:
     def test_report_pins_the_boruvka_forest(self):
         """The exact forest and message size for one fixed tree and seed,
         so a sketch change that alters what Borůvka recovers shows here."""
-        report = sketch_spanning_forest(random_tree(28, seed=3), seed=1)
+        g = random_tree(28, seed=3)
+        protocol = AGMConnectivityProtocol(seed=1)
+        report = protocol.decode_and_solve(g.n, protocol.message_vector(g))
         assert report.connected
         assert report.bits_per_node == 9840
         assert report.forest_edges == (

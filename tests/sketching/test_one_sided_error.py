@@ -16,9 +16,9 @@ from repro import registry
 from repro.graphs import connected_components
 from repro.model import MultiRoundReferee
 from repro.sketching import (
+    AGMConnectivityProtocol,
     MultiRoundSketchConnectivity,
     SketchBipartitenessProtocol,
-    sketch_spanning_forest,
 )
 from repro.sketching.bipartiteness import double_cover_components
 
@@ -41,7 +41,8 @@ def test_split_inputs_are_never_reported_connected(n):
     for graph_seed, sketch_seed in itertools.product(GRAPH_SEEDS, SKETCH_SEEDS):
         g = _split(n, graph_seed)
         assert len(connected_components(g)) == 2
-        one_round = sketch_spanning_forest(g, seed=sketch_seed)
+        protocol = AGMConnectivityProtocol(seed=sketch_seed)
+        one_round = protocol.decode_and_solve(n, protocol.message_vector(g))
         assert one_round.connected is False, (graph_seed, sketch_seed)
         assert len(one_round.forest_edges) <= n - 2
         streamed = MultiRoundReferee().run(MultiRoundSketchConnectivity(seed=sketch_seed), g)

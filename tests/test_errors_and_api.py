@@ -11,7 +11,6 @@ from repro.errors import (
     FrugalityViolation,
     GraphError,
     InvalidVertexError,
-    NotInFamilyError,
     ProtocolError,
     RecognitionFailure,
     RegistryError,
@@ -24,7 +23,7 @@ from repro.errors import (
 class TestHierarchy:
     @pytest.mark.parametrize("exc", [
         BitstreamError, CodecError, GraphError, ProtocolError, SketchFailure,
-        BitstreamUnderflow, InvalidVertexError, NotInFamilyError,
+        BitstreamUnderflow, InvalidVertexError,
         FrugalityViolation, DecodeError, RecognitionFailure,
         RegistryError, UnknownRegistryEntry,
     ])
