@@ -18,7 +18,7 @@ from repro.graphs.counting import (
     labeled_tree_count,
     zarankiewicz_lower_bound,
 )
-from repro.graphs.properties import girth, has_square
+from repro.graphs.properties import girth, has_square, is_connected
 
 
 def _brute_count(n, predicate):
@@ -65,6 +65,23 @@ class TestEnumeration:
     def test_enumerate_guard(self):
         with pytest.raises(GraphError):
             list(enumerate_labeled_graphs(MAX_ENUM_N + 1))
+
+    @pytest.mark.parametrize("n", range(MAX_ENUM_N))
+    def test_enumerates_every_graph_once(self, n):
+        edge_sets = {g.edge_set() for g in enumerate_labeled_graphs(n)}
+        assert len(edge_sets) == labeled_graph_count(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_bipartite_fixed_parts_matches_enumeration(self, n):
+        """Theorem 3's family: every edge joins {1..n/2} to {n/2+1..n}."""
+        half = n // 2
+        expected = _brute_count(n, lambda g: all(u <= half < v for u, v in g.edges()))
+        assert bipartite_fixed_parts_count(n) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tree_count_matches_enumeration(self, n):
+        trees = _brute_count(n, lambda g: g.m == n - 1 and is_connected(g))
+        assert trees == labeled_tree_count(n)
 
     def test_forest_count_matches_enumeration(self):
         for n in range(1, 6):
