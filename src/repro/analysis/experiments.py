@@ -42,7 +42,7 @@ from repro.graphs.generators import (
     star_graph,
     torus_2d,
 )
-from repro.model import FrugalityAuditor, MultiRoundReferee, Referee, log2_ceil
+from repro.model import MultiRoundReferee, Referee, log2_ceil
 from repro.protocols import (
     DegeneracyReconstructionProtocol,
     DegreeProtocol,

@@ -10,7 +10,9 @@ blocks.  :meth:`Campaign.run`:
    (:func:`~repro.engine.shard.durable_records`: the streams *are* the
    cache).  Hits match by content hash, which covers the spec and
    :data:`~repro.engine.scenario.SPEC_VERSION`; streams whose manifest
-   names another ``SPEC_VERSION`` are never read.  Old ``cache/``
+   names another ``SPEC_VERSION`` are never read.  A hit whose stored
+   spec equals the requesting one is written back as its stored line,
+   with only the ``cached`` flag set.  Old ``cache/``
    directories from earlier versions are ignored, not read or deleted;
 3. fans the misses out through any :class:`~repro.engine.executor.Executor`;
 4. streams every record, in deterministic spec order, to
@@ -41,7 +43,6 @@ fixed ``bench`` load that the process-pool speedup test times.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import pathlib
@@ -81,6 +82,29 @@ __all__ = [
     "builtin_campaign",
     "load_campaign",
 ]
+
+#: How every line :class:`~repro.engine.shard.JsonlStreamWriter` writes
+#: starts: keys are sorted, so ``cached`` comes first.
+_FRESH, _CACHED = b'{"cached": false', b'{"cached": true'
+
+
+def _replayed_line(record: RunRecord, line: bytes, spec: RunSpec) -> bytes:
+    """Restamp a cache hit for ``spec``, mark it cached, return its line.
+
+    The stored line is kept, with its flag set, when its spec equals
+    ``spec`` (label included) and it begins with the flag; otherwise
+    the record is serialized again (DESIGN.md §7).
+    """
+    same = record.spec == spec
+    # The hash covers only the physical run; restamp the requesting spec
+    # so the emitted record carries this campaign's provenance.
+    record.spec = spec
+    record.cached = True
+    if same and line.startswith(_FRESH):
+        return _CACHED + line[len(_FRESH):]
+    if same and line.startswith(_CACHED):
+        return line
+    return json.dumps(record.to_json_dict(), sort_keys=True).encode()
 
 
 @dataclass
@@ -277,7 +301,7 @@ class Campaign:
         executor: Executor,
         stream_path: pathlib.Path | None,
         *,
-        cache: Mapping[str, RunRecord],
+        cache: Mapping[str, tuple[RunRecord, bytes]],
         resume: bool = False,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         metrics: MetricsRegistry | None = None,
@@ -291,8 +315,12 @@ class Campaign:
         writer's close (which precedes the done marker) fsyncs any
         unsynced tail, so a crash tears at most the final line.
         Pending specs found in ``cache`` (a
-        :func:`~repro.engine.shard.durable_records` index) are replayed
-        instead of executed.  With ``resume``,
+        :func:`~repro.engine.shard.durable_records` index of
+        ``(record, stored line)``) are replayed instead of executed: a
+        hit whose stored spec equals the requesting one, label included,
+        writes the stored line's bytes back with only its leading
+        ``"cached"`` flag set, and any other hit is restamped with the
+        requesting spec and serialized again (DESIGN.md §7).  With ``resume``,
         every durable record of an interrupted stream whose spec is still
         in the grid is replayed instead of re-executed — matched by
         content hash, so completed work survives scenario reordering and
@@ -340,15 +368,13 @@ class Campaign:
 
         pending = [s for s, h in zip(specs, order) if h not in durable]
         slots: list[RunRecord | None] = []
+        lines: list[bytes | None] = []  # each hit's line, as it is written
         for spec in pending:
-            hit = cache.get(spec.content_hash())
+            hit, line = cache.get(spec.content_hash(), (None, None))
             if hit is not None:
-                # The hash covers only the physical run; restamp the
-                # requesting spec so the emitted record carries this
-                # campaign's provenance.
-                hit.spec = spec
-                hit.cached = True
+                line = _replayed_line(hit, line, spec)
             slots.append(hit)
+            lines.append(line)
         misses = [s for s, r in zip(pending, slots) if r is None]
         miss_iter = executor.imap_observed(execute_run, misses)
 
@@ -356,7 +382,7 @@ class Campaign:
         if stream_path is not None:
             writer = JsonlStreamWriter(stream_path, append=resume)
         try:
-            for spec, record in zip(pending, slots):
+            for spec, record, line in zip(pending, slots, lines):
                 t_land = monotonic_clock()
                 worker = busy = None
                 fresh = record is None
@@ -376,7 +402,9 @@ class Campaign:
                             error=f"{type(exc).__name__}: {exc}",
                         )
                         metrics.inc("worker_crashes")
-                        if isinstance(exc, concurrent.futures.BrokenExecutor):
+                        from concurrent.futures import BrokenExecutor
+
+                        if isinstance(exc, BrokenExecutor):
                             # The pool itself died (a worker was killed,
                             # ran out of memory, ...): the task's own code
                             # never got to raise, so wrap with the context
@@ -397,7 +425,7 @@ class Campaign:
                     if fresh:
                         writer.write(record.to_json_dict())
                     else:
-                        writer.write_replayed(record.to_json_dict())
+                        writer.write_replayed(line)
                 self._observe_record(
                     record, tracer, metrics,
                     t_land, monotonic_clock() - t_land, worker, busy,
@@ -498,10 +526,10 @@ class Campaign:
                 "lives there); pass results_dir= or drop trace=True"
             )
         specs = self.specs()
-        cache: dict[str, RunRecord] = {}
+        cache: dict[str, tuple[RunRecord, bytes]] = {}
         if self.use_cache:
             cache = durable_records(
-                self.results_dir, {s.content_hash() for s in specs}
+                self.results_dir, {s: s.content_hash() for s in specs}
             )
 
         reporter: ProgressReporter | None

@@ -22,16 +22,18 @@ output deterministic regardless of completion order.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import threading
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from typing import Any, TypeVar
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.errors import ProtocolError
+
+if TYPE_CHECKING:  # imported when the first pool is made
+    import concurrent.futures
 
 __all__ = [
     "Executor",
@@ -172,7 +174,8 @@ class _PooledExecutor(Executor):
     """Shared plumbing for the two concurrent.futures-backed executors."""
 
     #: The ``concurrent.futures`` pool class, looked up when the first pool
-    #: is made, so a serial campaign never imports ``multiprocessing``.
+    #: is made, so a serial campaign imports neither ``concurrent.futures``
+    #: nor ``multiprocessing``.
     _pool_class: str
 
     def __init__(self, jobs: int | None = None) -> None:
@@ -183,6 +186,8 @@ class _PooledExecutor(Executor):
 
     def _ensure_pool(self) -> concurrent.futures.Executor:
         if self._pool is None:
+            import concurrent.futures
+
             self._pool = getattr(concurrent.futures, self._pool_class)(
                 max_workers=self.jobs)
         return self._pool

@@ -190,6 +190,12 @@ class RunSpec:
     shuffle_delivery: bool = False
     faults: FaultSpec | None = None
 
+    def __hash__(self) -> int:
+        # Equal specs agree on these fields, so this is consistent with
+        # ``==``; it skips the params, which may hold unhashable values a
+        # run then records as its error.
+        return hash((self.scenario, self.family, self.n, self.seed, self.protocol))
+
     def build_graph(self) -> LabeledGraph:
         """Instantiate the input graph from the family registry."""
         return registry.GRAPH_FAMILY.get(self.family)(

@@ -69,7 +69,7 @@ import os
 import pathlib
 import tempfile
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError, ShardError, ShardIncomplete
@@ -373,8 +373,8 @@ class JsonlStreamWriter:
 
     :meth:`write` flushes its line and fsyncs once every
     ``_SYNC_EVERY`` (64) fresh lines, which makes every earlier line
-    durable too.  :meth:`write_replayed` is for a record that was already
-    durable (a cache hit): its line is flushed whole but does not count
+    durable too.  :meth:`write_replayed` is for a line that was already
+    durable (a cache hit): it is flushed whole but does not count
     toward the window.  :meth:`close` fsyncs once if any line is still
     unsynced.  Every line reaches the file in one flush, so a killed
     process tears *at most the final line* — the invariant
@@ -386,13 +386,13 @@ class JsonlStreamWriter:
     def __init__(self, path: str | pathlib.Path, *, append: bool = False) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a" if append else "w")
+        self._fh = self.path.open("ab" if append else "wb")
         self.written = 0
         self._fresh = 0  # fresh lines since the last fsync
         self._unsynced = False  # any line, fresh or replayed, since then
 
-    def _append(self, record: Mapping[str, Any]) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+    def _append(self, line: bytes) -> None:
+        self._fh.write(line + b"\n")
         self._fh.flush()
         self.written += 1
         self._unsynced = True
@@ -405,15 +405,16 @@ class JsonlStreamWriter:
     def write(self, record: Mapping[str, Any]) -> None:
         """Append one canonical (sorted-keys) record line; every 64th
         fresh line since the last fsync syncs the stream."""
-        self._append(record)
+        # JSON is dumped with ensure_ascii, so the line is plain ASCII.
+        self._append(json.dumps(record, sort_keys=True).encode())
         self._fresh += 1
         if self._fresh >= _SYNC_EVERY:
             self._sync()
 
-    def write_replayed(self, record: Mapping[str, Any]) -> None:
-        """Append the same canonical line as :meth:`write`, flushed but
+    def write_replayed(self, line: bytes) -> None:
+        """Append one already-serialized line (no newline), flushed but
         not counted toward the window; the next fsync syncs it."""
-        self._append(record)
+        self._append(line)
 
     def close(self) -> None:
         if self._fh.closed:
@@ -515,9 +516,9 @@ def load_partial_records(
 
 
 def durable_records(
-    results_dir: str | pathlib.Path, wanted: set[str]
-) -> dict[str, RunRecord]:
-    """The run cache: every durable record under ``results_dir`` for ``wanted``.
+    results_dir: str | pathlib.Path, grid: Mapping[RunSpec, str]
+) -> dict[str, tuple[RunRecord, bytes]]:
+    """The run cache: every durable record under ``results_dir`` for ``grid``.
 
     The record streams already are an append-only, single-writer log of
     every finished run (every line flushed whole, fsynced in groups of
@@ -527,12 +528,25 @@ def durable_records(
     manifest that does not load, names another campaign than its file,
     or was written at another :data:`SPEC_VERSION` is skipped, and so is
     a stream corrupt mid-stream; their specs simply recompute.  A torn
-    tail drops only that record.  Only hashes in ``wanted`` (the grid
-    being run) are kept, so memory is bounded by the grid, not by
-    everything in a shared results directory.
+    tail drops only that record.
+
+    ``grid`` maps each spec being run to its content hash.  A stored spec
+    equal to one of them (label included) takes that hash, since equal
+    fields hash equally; any other stored spec is hashed.  Only records
+    whose hash is in the grid are kept, so memory is bounded by the
+    grid, not by everything in a shared results directory.  Each maps
+    its hash to ``(record, line)``: ``line`` is the stored line's bytes
+    (no newline), cut from the stream's one read, so a cache hit can be
+    written back without serializing it again.
     """
+    from repro.engine.scenario import RunRecord
+
+    def parse(raw: bytes) -> tuple[RunRecord, bytes]:
+        return RunRecord.from_json_dict(json.loads(raw.decode())), raw
+
     results_dir = pathlib.Path(results_dir)
-    found: dict[str, RunRecord] = {}
+    wanted = set(grid.values())
+    found: dict[str, tuple[RunRecord, bytes]] = {}
     suffix = ".manifest.json"
     for path in sorted(results_dir.glob(f"*{suffix}")):
         name = path.name[: -len(suffix)]
@@ -549,13 +563,13 @@ def durable_records(
         ])
         for stream in streams:
             try:
-                records, _torn, _good = load_partial_records(stream)
+                lines, _torn, _good = scan_partial_lines(stream, parse)
             except ShardError:
                 continue
-            for record in records:
-                h = record.spec.content_hash()
+            for record, raw in lines:
+                h = grid.get(record.spec) or record.spec.content_hash()
                 if h in wanted:
-                    found[h] = record
+                    found[h] = (record, raw)
     return found
 
 

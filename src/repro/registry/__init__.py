@@ -71,17 +71,19 @@ GRAPH_FAMILY: Registry = Registry(
 )
 
 #: The protocol registry: ``(n, **protocol_params) -> OneRoundProtocol``.
+#: Each name maps to its owning module, so a campaign that names only
+#: ``degeneracy`` imports no sketching code.
 PROTOCOL: Registry = Registry(
     "protocol",
-    modules=(
-        "repro.protocols.degeneracy_reconstruction",
-        "repro.protocols.forest",
-        "repro.protocols.generalized_degeneracy",
-        "repro.protocols.bounded_degree",
-        "repro.protocols.trivial",
-        "repro.sketching.connectivity",
-        "repro.sketching.bipartiteness",
-    ),
+    owners={
+        "degeneracy": "repro.protocols.degeneracy_reconstruction",
+        "forest": "repro.protocols.forest",
+        "generalized_degeneracy": "repro.protocols.generalized_degeneracy",
+        "bounded_degree": "repro.protocols.bounded_degree",
+        "full_adjacency": "repro.protocols.trivial",
+        "agm_connectivity": "repro.sketching.connectivity",
+        "sketch_bipartiteness": "repro.sketching.bipartiteness",
+    },
     context_params=1,  # (n,)
 )
 

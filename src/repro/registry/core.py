@@ -13,13 +13,15 @@ entry as a difflib suggestion.
 Lazy loading: a registry is constructed with the list of modules that own
 its registrations and imports them only on first use, so importing the
 registry layer (or any single consumer) never drags in every protocol
-implementation eagerly.  Loading is idempotent and thread-safe — pooled
-executors may resolve specs from worker threads concurrently.
+implementation eagerly.  A registry may also map names to their owning
+module (``owners``): looking up such a name imports that module alone,
+while enumeration, membership and unknown or alias lookups load them all.
+Loading is idempotent and thread-safe — pooled executors may resolve
+specs from worker threads concurrently.
 """
 
 from __future__ import annotations
 
-import difflib
 import importlib
 import inspect
 import threading
@@ -97,6 +99,9 @@ class Registry(Generic[T]):
         Human phrase used in error messages (``"graph family"``).
     modules:
         Modules that own this kind's registrations; imported on first use.
+    owners:
+        ``name -> module`` for names one module registers: resolving such
+        a name imports only its module.  Its modules join ``modules``.
     context_params:
         How many leading positional parameters of every factory are
         engine-supplied context (families take ``(n, seed, …)``, protocol
@@ -109,11 +114,13 @@ class Registry(Generic[T]):
         *,
         label: str | None = None,
         modules: Sequence[str] = (),
+        owners: Mapping[str, str] | None = None,
         context_params: int = 0,
     ) -> None:
         self.kind = kind
         self.label = label or kind.replace("_", " ")
-        self._modules = tuple(modules)
+        self.owners = dict(owners or {})
+        self._modules = tuple(dict.fromkeys((*modules, *self.owners.values())))
         self._context_params = context_params
         self._entries: dict[str, RegistryEntry[T]] = {}
         self._aliases: dict[str, str] = {}
@@ -230,7 +237,10 @@ class Registry(Generic[T]):
 
     def resolve(self, name: str) -> str:
         """Canonical name for ``name`` (resolving aliases), or raise."""
-        self._ensure_loaded()
+        if name not in self._entries and name in self.owners:
+            importlib.import_module(self.owners[name])  # that module alone
+        if name not in self._entries:
+            self._ensure_loaded()
         if name in self._entries:
             return name
         if name in self._aliases:
@@ -249,6 +259,8 @@ class Registry(Generic[T]):
 
     def unknown(self, name: str) -> UnknownRegistryEntry:
         """The error for a failed lookup, with a difflib suggestion."""
+        import difflib  # deferred: only a failed lookup needs it
+
         known = self.names()
         close = difflib.get_close_matches(name, known + tuple(self._aliases), n=1)
         suggestion = close[0] if close else None

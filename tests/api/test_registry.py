@@ -1,5 +1,6 @@
 """The registry core: registration, aliases, suggestions, lazy loading."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -260,6 +261,61 @@ class TestLazyLoading:
             "    assert name in dir(e), name\n"
             "from repro.engine import scenario\n"
             "assert e.SPEC_VERSION is scenario.SPEC_VERSION == 2\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_protocol_owner_map_matches_the_registrations(self):
+        """Each mapped name loads alone, from exactly its module, and the
+        map covers every registered protocol."""
+        owners = registry.PROTOCOL.owners
+        assert set(owners) == set(registry.PROTOCOL.names())
+        for name, module in owners.items():
+            assert registry.PROTOCOL.entry(name).module == module
+        code = (
+            "import sys, repro.registry as r\n"
+            f"for name, module in {owners!r}.items():\n"
+            "    assert r.PROTOCOL.resolve(name) == name\n"
+            "    assert module in sys.modules, module\n"
+            "    assert r.PROTOCOL._entries[name].module == module, name\n"
+            "    assert not r.PROTOCOL._loaded, name\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_serial_campaign_loads_only_the_protocols_it_names(self, tmp_path):
+        spec = tmp_path / "deg.json"
+        spec.write_text(json.dumps({"name": "deg", "scenarios": [
+            {"name": "d", "family": "random_k_degenerate", "sizes": [12],
+             "protocol": "degeneracy", "seeds": [0, 1],
+             "family_params": {"k": 2}, "protocol_params": {"k": 2}},
+            {"name": "f", "family": "random_forest", "sizes": [12],
+             "protocol": "forest", "seeds": [0, 1]},
+        ]}))
+        argv = ["campaign", str(spec), "--results-dir", str(tmp_path / "r"),
+                "--executor", "serial", "--no-progress"]
+        code = (
+            "import contextlib, io, sys, repro.cli\n"
+            "for _ in range(2):  # cold, then every run a cache hit\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert repro.cli.main({argv!r}) == 0\n"
+            "heavy = [m for m in sys.modules if m.startswith('repro.sketching')"
+            " or m.split('.')[0] == 'logging' or m.startswith('concurrent')]\n"
+            "assert not heavy, heavy\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_unknown_protocol_suggests_over_the_full_list(self):
+        code = (
+            "from repro.engine import Scenario\n"
+            "from repro.errors import UnknownRegistryEntry\n"
+            "for typo, near in (('agm_conectivity', 'agm_connectivity'),"
+            " ('degenracy', 'degeneracy')):\n"
+            "    try:\n"
+            "        Scenario(name='s', family='path', sizes=(8,), protocol=typo)\n"
+            "    except UnknownRegistryEntry as exc:\n"
+            "        assert exc.suggestion == near, exc\n"
+            "        assert len(exc.known) == 7 and 'sketch_bipartiteness' in exc.known\n"
+            "    else:\n"
+            "        raise AssertionError(typo)\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 

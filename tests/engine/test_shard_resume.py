@@ -342,9 +342,9 @@ def _replay_setup(run_dir, scenarios, dropped):
 
 
 class TestReplayRun:
-    """A re-run mixing cache hits (``write_replayed``: flushed, outside
-    the fsync window) with fresh records (``write``: flushed, fsynced
-    once per 64)."""
+    """A re-run mixing cache hits (``write_replayed``: their stored lines,
+    flushed, outside the fsync window) with fresh records (``write``:
+    flushed, fsynced once per 64)."""
 
     def test_kill_after_every_write_resumes_to_the_same_stream(
             self, tmp_path, monkeypatch):
@@ -356,13 +356,23 @@ class TestReplayRun:
         manifest = (run_dir / "c.manifest.json").read_bytes()
 
         # What a kill -9 leaves: the stream's bytes on disk right after the
-        # truncating open and after each write, flushed or fsynced.
+        # truncating open and after each write, flushed or fsynced.  A
+        # fresh record arrives as a dict, a replayed one as its line.
         snapshots = [b""]
-        for name in ("write", "write_replayed"):
-            def spy(self, record, _original=getattr(JsonlStreamWriter, name)):
-                _original(self, record)
-                snapshots.append(self.path.read_bytes())
-            monkeypatch.setattr(JsonlStreamWriter, name, spy)
+        real_write = JsonlStreamWriter.write
+        real_write_replayed = JsonlStreamWriter.write_replayed
+
+        def write(self, record):
+            real_write(self, record)
+            snapshots.append(self.path.read_bytes())
+
+        def write_replayed(self, line):
+            real_write_replayed(self, line)
+            snapshots.append(self.path.read_bytes())
+            assert snapshots[-1].endswith(line + b"\n")
+
+        monkeypatch.setattr(JsonlStreamWriter, "write", write)
+        monkeypatch.setattr(JsonlStreamWriter, "write_replayed", write_replayed)
         rerun = Campaign(scenarios, name="c", results_dir=run_dir).run()
         monkeypatch.undo()
         assert (rerun.cache_hits, rerun.cache_misses) == (6, 6)
