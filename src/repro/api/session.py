@@ -249,7 +249,7 @@ class Session:
         :meth:`run` writes ``<results_dir>/<name>[.shard-…].events.jsonl``
         (DESIGN.md §8) — requires :meth:`persist`, like every durable
         artifact.  Read it back with ``repro trace`` or
-        :func:`repro.obs.load_events`.
+        :func:`repro.obs.load_partial_events`.
         """
         clone = self._clone()
         clone._trace = bool(enabled)
@@ -413,13 +413,13 @@ class SessionRun:
         """Check this run against a frozen baseline (``repro baseline check``).
 
         ``baseline`` is a baseline *name* (a bare string: resolved to
-        ``<baselines_dir>/<name>.json``), a path to a frozen JSON file
-        (anything with a suffix or a directory part), or an
-        already-loaded baseline mapping.
+        ``<baselines_dir>/<name>.json``; dots allowed), a path to a frozen
+        JSON file (anything ending in ``.json`` or with a directory part),
+        or an already-loaded baseline mapping.
         """
         if isinstance(baseline, str):
             as_path = pathlib.Path(baseline)
-            if len(as_path.parts) == 1 and not as_path.suffix:
+            if len(as_path.parts) == 1 and as_path.suffix != ".json":
                 # a bare name always means the baselines directory — a
                 # stray cwd file with the same name must not shadow it
                 candidate = pathlib.Path(baselines_dir) / f"{baseline}.json"

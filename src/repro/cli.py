@@ -569,8 +569,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.metrics import load_metrics_file, render_prometheus
 
     source = pathlib.Path(args.metrics)
-    if not source.suffix and len(source.parts) == 1:
-        # a bare name means <results-dir>/<name>.metrics.json
+    if source.suffix != ".json" and len(source.parts) == 1:
+        # a bare name (dots allowed) means <results-dir>/<name>.metrics.json
         source = metrics_path(args.results_dir, args.metrics)
     payload = load_metrics_file(source)
     if args.json:

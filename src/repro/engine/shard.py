@@ -243,10 +243,6 @@ class ShardManifest:
             spec_hashes=[s.content_hash() for s in specs],
         )
 
-    def assignments(self) -> dict[str, int]:
-        """``spec hash -> owning shard`` for the whole grid."""
-        return {h: shard_of(h, self.shards) for h in self.spec_hashes}
-
     def shard_hashes(self, index: int) -> list[str]:
         """The hashes one shard owns, in deterministic grid order."""
         if not 0 <= index < self.shards:

@@ -27,7 +27,7 @@ from repro.graphs.degeneracy import (
     degeneracy_ordering,
     core_numbers,
 )
-from repro.graphs.invariants import treewidth_exact, treewidth_upper_bound
+from repro.graphs.invariants import treewidth_exact
 from repro.graphs.properties import (
     has_triangle,
     has_square,
@@ -42,7 +42,6 @@ from repro.graphs.properties import (
 __all__ = [
     "LabeledGraph",
     "treewidth_exact",
-    "treewidth_upper_bound",
     "degeneracy",
     "degeneracy_ordering",
     "core_numbers",

@@ -1,15 +1,11 @@
-"""Treewidth — exact for small n, upper bounds beyond.
+"""Treewidth, exact for small n.
 
 Section III's reach claims lean on the chain
 ``degeneracy(G) ≤ treewidth(G)`` (k-trees are the maximal treewidth-k
 graphs): the reconstruction protocol covers every bounded-treewidth class.
-This module lets the experiments *verify* that chain instead of assuming
-it:
-
-* :func:`treewidth_exact` — the Bodlaender–Koster subset dynamic program
-  over elimination orders, ``O(2^n · n²)``, guarded to small n;
-* :func:`treewidth_upper_bound` — the min-degree / min-fill greedy
-  elimination heuristics, valid upper bounds at any size.
+The tests *verify* that chain instead of assuming it with
+:func:`treewidth_exact`, the Bodlaender–Koster subset dynamic
+program over elimination orders, ``O(2^n · n²)``, guarded to small n.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from functools import lru_cache
 from repro.errors import GraphError
 from repro.graphs.labeled import LabeledGraph
 
-__all__ = ["treewidth_exact", "treewidth_upper_bound"]
+__all__ = ["treewidth_exact"]
 
 _MAX_EXACT_N = 14
 
@@ -83,37 +79,3 @@ def treewidth_exact(g: LabeledGraph, *, max_n: int = _MAX_EXACT_N) -> int:
     result = tw(full)
     tw.cache_clear()
     return result
-
-
-def treewidth_upper_bound(g: LabeledGraph, heuristic: str = "min-fill") -> int:
-    """Greedy elimination upper bound (``min-degree`` or ``min-fill``)."""
-    if heuristic not in ("min-degree", "min-fill"):
-        raise GraphError(f"heuristic must be 'min-degree' or 'min-fill', got {heuristic!r}")
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    width = 0
-    remaining = set(g.vertices())
-    while remaining:
-        if heuristic == "min-degree":
-            v = min(remaining, key=lambda u: (len(adj[u]), u))
-        else:
-            def fill(u: int) -> int:
-                nbrs = sorted(adj[u])
-                return sum(
-                    1
-                    for i in range(len(nbrs))
-                    for j in range(i + 1, len(nbrs))
-                    if nbrs[j] not in adj[nbrs[i]]
-                )
-
-            v = min(remaining, key=lambda u: (fill(u), len(adj[u]), u))
-        nbrs = list(adj[v])
-        width = max(width, len(nbrs))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        for u in nbrs:
-            adj[u].discard(v)
-        del adj[v]
-        remaining.discard(v)
-    return width

@@ -185,28 +185,6 @@ class LabeledGraph:
             g.add_edge(u, v)
         return g
 
-    def induced_subgraph(self, keep: Iterable[int]) -> "LabeledGraph":
-        """Subgraph induced by ``keep``, *relabelled* to ``1..len(keep)``.
-
-        Vertices are relabelled in increasing ID order; returns the new
-        graph.  Use :meth:`induced_edges` when original IDs must survive.
-        """
-        kept = sorted(set(keep))
-        for v in kept:
-            self._check(v)
-        index = {v: i + 1 for i, v in enumerate(kept)}
-        g = LabeledGraph(len(kept))
-        for v in kept:
-            for w in self._adj[v]:
-                if w in index and v < w:
-                    g.add_edge(index[v], index[w])
-        return g
-
-    def induced_edges(self, keep: Iterable[int]) -> list[tuple[int, int]]:
-        """Edges of the subgraph induced by ``keep`` with original IDs."""
-        kept = set(keep)
-        return [(u, v) for (u, v) in self.edges() if u in kept and v in kept]
-
     def complement(self) -> "LabeledGraph":
         """The complement graph on the same vertex set."""
         g = LabeledGraph(self._n)
@@ -216,37 +194,9 @@ class LabeledGraph:
                     g.add_edge(u, v)
         return g
 
-    def relabeled(self, perm: dict[int, int]) -> "LabeledGraph":
-        """Apply a permutation of ``1..n`` given as a dict ``old -> new``."""
-        if sorted(perm) != list(self.vertices()) or sorted(perm.values()) != list(self.vertices()):
-            raise InvalidVertexError("perm must be a permutation of 1..n")
-        g = LabeledGraph(self._n)
-        for u, v in self.edges():
-            g.add_edge(perm[u], perm[v])
-        return g
-
     # ------------------------------------------------------------------ #
     # conversions
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_networkx(cls, g: "nx.Graph") -> "LabeledGraph":
-        """Convert from networkx, relabelling nodes to ``1..n`` in sorted order.
-
-        Node order is ``sorted(g.nodes())`` when sortable, insertion order
-        otherwise; the mapping is deterministic either way.
-        """
-        nodes = list(g.nodes())
-        try:
-            nodes = sorted(nodes)
-        except TypeError:
-            pass
-        index = {node: i + 1 for i, node in enumerate(nodes)}
-        out = cls(len(nodes))
-        for u, v in g.edges():
-            if u != v:
-                out.add_edge(index[u], index[v])
-        return out
 
     def to_networkx(self) -> "nx.Graph":
         """Convert to a networkx Graph with nodes ``1..n``."""

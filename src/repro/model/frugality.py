@@ -11,7 +11,6 @@ code.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -44,10 +43,6 @@ class FrugalityReport:
     fitted_constant: float
     #: total graphs audited
     graphs_audited: int
-
-    def is_frugal(self, budget_constant: float) -> bool:
-        """Whether every audited message fits ``budget_constant`` log-units."""
-        return self.fitted_constant <= budget_constant
 
     def rows(self) -> list[tuple[int, int, int, float]]:
         """Table rows ``(n, worst_bits, log2_ceil(n), ratio)`` sorted by n."""
@@ -94,23 +89,3 @@ class FrugalityAuditor:
             fitted_constant=fitted,
             graphs_audited=count,
         )
-
-    @staticmethod
-    def fit_scaling_exponent(samples: dict[int, int]) -> float:
-        """Least-squares slope of ``log(bits)`` against ``log(log2 n)``.
-
-        A frugal protocol's worst-case bits grow like ``c (log n)^e`` with
-        ``e ≈ 1``; a protocol sending whole neighbourhoods shows ``e`` far
-        above 1 (its bits track n, and log n is what we regress on).  Used
-        by the Lemma 2 experiment to check *shape*, not just a constant.
-        """
-        pts = [(math.log(log2_ceil(n)), math.log(bits)) for n, bits in samples.items() if bits > 0]
-        if len(pts) < 2:
-            return 0.0
-        mx = sum(x for x, _ in pts) / len(pts)
-        my = sum(y for _, y in pts) / len(pts)
-        sxx = sum((x - mx) ** 2 for x, _ in pts)
-        if sxx == 0:
-            return 0.0
-        sxy = sum((x - mx) * (y - my) for x, y in pts)
-        return sxy / sxx

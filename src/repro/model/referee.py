@@ -54,27 +54,6 @@ class RunReport:
     #: Transit-fault event counts; ``None`` unless fault injection was on.
     fault_counters: "FaultCounters | None" = None
 
-    @property
-    def mean_message_bits(self) -> float:
-        """Average message length across nodes."""
-        return self.total_message_bits / self.n if self.n else 0.0
-
-    @property
-    def phase_seconds(self) -> dict[str, float]:
-        """Per-phase durations keyed by span name (DESIGN.md §8 taxonomy).
-
-        The public accessor for the ``t0..t3`` timestamps
-        :meth:`Referee.run` captures — totals were always exposed, the
-        split was not.  Keys match the tracer's span names (``local`` /
-        ``referee`` / ``global``), so a trace's per-phase span totals
-        reconcile with these values exactly.
-        """
-        return {
-            "local": self.local_seconds,
-            "referee": self.referee_seconds,
-            "global": self.global_seconds,
-        }
-
 
 class Referee:
     """Runs one-round protocols on graphs and reports resource usage.

@@ -66,7 +66,6 @@ __all__ = [
     "events_path",
     "metrics_path",
     "validate_event",
-    "load_events",
     "load_partial_events",
     "trace_report_data",
     "render_trace_report",
@@ -76,7 +75,6 @@ _LAZY = {
     "events_path": "repro.obs.events",
     "metrics_path": "repro.obs.events",
     "validate_event": "repro.obs.events",
-    "load_events": "repro.obs.events",
     "load_partial_events": "repro.obs.events",
     "trace_report_data": "repro.obs.report",
     "render_trace_report": "repro.obs.report",

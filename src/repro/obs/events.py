@@ -46,7 +46,6 @@ __all__ = [
     "metrics_path",
     "validate_event",
     "load_partial_events",
-    "load_events",
 ]
 
 EVENT_KINDS = ("span", "mark", "metrics")
@@ -196,22 +195,3 @@ def load_partial_events(
         lambda raw: validate_event(json.loads(raw.decode())),
         what="event",
     )
-
-
-def load_events(path: str | pathlib.Path) -> list[dict]:
-    """Load a *complete* event stream; a torn tail is an error here.
-
-    The conformance-mode reader (tests, strict tooling): for a stream
-    that may still be growing — or died growing — use
-    :func:`load_partial_events`.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ObsError(f"events file {path} does not exist")
-    events, torn, _good = load_partial_events(path)
-    if torn:
-        raise ObsError(
-            f"{path.name}: torn final event (the writer died mid-line); "
-            "use load_partial_events for crash-tolerant reads"
-        )
-    return events

@@ -3,7 +3,8 @@
 The paper's positive results and baselines:
 
 * :mod:`~repro.protocols.powersum` — Algorithm 3's neighbourhood encoding
-  (ID, degree, power sums) and the two decoders of Lemma 3 / Theorem 4;
+  (ID, degree, power sums), Theorem 4's Newton decoder, and Lemma 3's
+  lookup table (measured by ``repro experiment EXP-L3``);
 * :mod:`~repro.protocols.degeneracy_reconstruction` — Algorithm 4: the
   frugal one-round protocol reconstructing degeneracy-≤k graphs
   (Theorem 5), plus its recognition variant;
@@ -18,47 +19,46 @@ The paper's positive results and baselines:
   intra-part cooperation;
 * :mod:`~repro.protocols.trivial` — degenerate protocols (empty, ID-echo,
   full-adjacency) used as baselines, adversary fodder, and test scaffolding.
+
+The package is PEP 562-lazy: ``import repro.protocols`` loads no protocol
+module, and each loads on first use of one of its names, so a campaign
+that names one protocol loads that protocol's module alone.
 """
 
-from repro.protocols.powersum import (
-    encode_powersum_message,
-    decode_powersum_messages,
-    newton_identities,
-    decode_neighborhood_newton,
-    PowerSumLookupTable,
-)
-from repro.protocols.forest import ForestReconstructionProtocol, ForestRecognitionProtocol
-from repro.protocols.degeneracy_reconstruction import (
-    DegeneracyReconstructionProtocol,
-    DegeneracyRecognitionProtocol,
-)
-from repro.protocols.generalized_degeneracy import GeneralizedDegeneracyProtocol
-from repro.protocols.bounded_degree import BoundedDegreeProtocol
-from repro.protocols.partition_connectivity import PartitionConnectivityProtocol
-from repro.protocols.adaptive_query import AdaptiveQueryReconstruction
-from repro.protocols.trivial import (
-    EmptyProtocol,
-    IdEchoProtocol,
-    FullAdjacencyProtocol,
-    DegreeProtocol,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "encode_powersum_message",
-    "decode_powersum_messages",
-    "newton_identities",
-    "decode_neighborhood_newton",
-    "PowerSumLookupTable",
-    "ForestReconstructionProtocol",
-    "ForestRecognitionProtocol",
-    "DegeneracyReconstructionProtocol",
-    "DegeneracyRecognitionProtocol",
-    "GeneralizedDegeneracyProtocol",
-    "BoundedDegreeProtocol",
-    "PartitionConnectivityProtocol",
-    "AdaptiveQueryReconstruction",
-    "EmptyProtocol",
-    "IdEchoProtocol",
-    "FullAdjacencyProtocol",
-    "DegreeProtocol",
-]
+#: Lazy export map (PEP 562): public name -> defining module.
+_LAZY = {
+    name: module
+    for module, names in {
+        "repro.protocols.powersum": (
+            "encode_powersum_message", "decode_powersum_messages", "newton_identities",
+            "decode_neighborhood_newton", "PowerSumLookupTable"),
+        "repro.protocols.forest": ("ForestReconstructionProtocol",),
+        "repro.protocols.degeneracy_reconstruction": (
+            "DegeneracyReconstructionProtocol", "DegeneracyRecognitionProtocol"),
+        "repro.protocols.generalized_degeneracy": ("GeneralizedDegeneracyProtocol",),
+        "repro.protocols.bounded_degree": ("BoundedDegreeProtocol",),
+        "repro.protocols.partition_connectivity": ("PartitionConnectivityProtocol",),
+        "repro.protocols.adaptive_query": ("AdaptiveQueryReconstruction",),
+        "repro.protocols.trivial": (
+            "EmptyProtocol", "IdEchoProtocol", "FullAdjacencyProtocol", "DegreeProtocol"),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # cache: __getattr__ runs once per name
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

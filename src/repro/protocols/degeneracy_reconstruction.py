@@ -36,9 +36,8 @@ edge goes straight into the output's adjacency sets, which become one
 ``(p_1 ± r)/2`` with ``r = isqrt(2p_2 - p_1²)``); larger degrees take the
 Newton decoder, ``O(k² log n)`` big-int operations per neighbour, so the
 whole global phase is about ``O(n·k³ log n)`` — within the paper's
-``O(n²)`` for fixed k.  A prebuilt
-:class:`~repro.protocols.powersum.PowerSumLookupTable` makes decodes
-``O(k)`` dictionary work instead.
+``O(n²)`` for fixed k.  Lemma 3's lookup table is the paper's other route
+to the same decode; ``repro experiment EXP-L3`` measures it.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from repro.graphs.labeled import LabeledGraph
 from repro.model.message import Message
 from repro.model.protocol import DecisionProtocol, ReconstructionProtocol
 from repro.protocols.powersum import (
-    PowerSumLookupTable,
     compute_power_sums,
     decode_neighborhood_newton,
     decode_powersum_messages,
@@ -66,7 +64,6 @@ def prune_decode(
     k: int,
     records: list[tuple[int, int, list[int]]],
     *,
-    table: PowerSumLookupTable | None = None,
     complement: bool = False,
 ) -> LabeledGraph:
     """The Algorithm-4 loop, shared by Theorem 5 and Section III.E.
@@ -113,9 +110,7 @@ def prune_decode(
             x, nbrs = _prune_co_side(n, k, state, remaining, totals)
         else:
             degree, sums = state[x]
-            if table is not None:
-                nbrs = table.lookup_partial(degree, tuple(sums))
-            elif degree == 0:
+            if degree == 0:
                 nbrs = ()
             elif degree == 1:
                 nbrs = (sums[0],)
@@ -209,33 +204,21 @@ class DegeneracyReconstructionProtocol(ReconstructionProtocol):
     k:
         The degeneracy bound all participants agree on ("each vertex needs
         to know the value of k").
-    decoder:
-        ``"newton"`` (default, no preprocessing) or ``"table"`` (Lemma 3's
-        lookup table, built lazily per n and cached).
     """
 
-    def __init__(self, k: int, *, decoder: str = "newton") -> None:
+    def __init__(self, k: int) -> None:
         if k < 1:
             raise GraphError(f"k must be >= 1, got {k}")
-        if decoder not in ("newton", "table"):
-            raise GraphError(f"decoder must be 'newton' or 'table', got {decoder!r}")
         self.k = k
-        self.decoder = decoder
-        self.name = f"degeneracy-reconstruction(k={k},{decoder})"
-        self._tables: dict[int, PowerSumLookupTable] = {}
+        # ",newton" stays in the name: violation records quote it in their errors
+        self.name = f"degeneracy-reconstruction(k={k},newton)"
 
     def local(self, n: int, i: int, neighborhood: frozenset[int]) -> Message:
         return encode_powersum_message(n, self.k, i, neighborhood)
 
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
         records = decode_powersum_messages(n, self.k, messages)
-        table = self._table_for(n) if self.decoder == "table" else None
-        return prune_decode(n, self.k, records, table=table)
-
-    def _table_for(self, n: int) -> PowerSumLookupTable:
-        if n not in self._tables:
-            self._tables[n] = PowerSumLookupTable(n, self.k)
-        return self._tables[n]
+        return prune_decode(n, self.k, records)
 
 
 class DegeneracyRecognitionProtocol(DecisionProtocol):
@@ -269,5 +252,5 @@ class DegeneracyRecognitionProtocol(DecisionProtocol):
           capabilities=("reconstruction", "deterministic", "frugal"),
           summary="Algorithm 4: power-sum reconstruction of degeneracy-<=k graphs "
                   "(Theorem 5).")
-def _build_degeneracy(n: int, k: int = 2, decoder: str = "newton") -> "DegeneracyReconstructionProtocol":
-    return DegeneracyReconstructionProtocol(k, decoder=decoder)
+def _build_degeneracy(n: int, k: int = 2) -> "DegeneracyReconstructionProtocol":
+    return DegeneracyReconstructionProtocol(k)

@@ -13,19 +13,16 @@ here are Theorem 5's with ``k = 1`` under the Section III.A names.
 If the input contains a cycle the pruning stalls with every remaining vertex
 at degree ≥ 2 — so, exactly as the paper notes, the same messages also
 *decide* forest-ness; :meth:`ForestReconstructionProtocol.global_` raises
-:class:`RecognitionFailure` in that case and
-:class:`ForestRecognitionProtocol` converts it to a boolean.
+:class:`RecognitionFailure` in that case, and
+``DegeneracyRecognitionProtocol(1)`` converts it to a boolean.
 """
 
 from __future__ import annotations
 
-from repro.protocols.degeneracy_reconstruction import (
-    DegeneracyRecognitionProtocol,
-    DegeneracyReconstructionProtocol,
-)
+from repro.protocols.degeneracy_reconstruction import DegeneracyReconstructionProtocol
 from repro.registry import register
 
-__all__ = ["ForestReconstructionProtocol", "ForestRecognitionProtocol"]
+__all__ = ["ForestReconstructionProtocol"]
 
 
 class ForestReconstructionProtocol(DegeneracyReconstructionProtocol):
@@ -34,14 +31,6 @@ class ForestReconstructionProtocol(DegeneracyReconstructionProtocol):
     def __init__(self) -> None:
         super().__init__(1)
         self.name = "forest-reconstruction"
-
-
-class ForestRecognitionProtocol(DegeneracyRecognitionProtocol):
-    """Same messages; referee answers "is the graph a forest?"."""
-
-    def __init__(self) -> None:
-        super().__init__(1)
-        self.name = "forest-recognition"
 
 
 

@@ -67,13 +67,6 @@ class PartitionConnectivityReport:
     total_bits: int
     forest_edges: int
 
-    @property
-    def bits_per_node_per_log(self) -> float:
-        """Measured cost in the paper's ``k log n`` unit."""
-        from repro.model.frugality import log2_ceil
-
-        return self.max_bits_per_node / (self.k_parts * log2_ceil(self.n))
-
 
 class PartitionConnectivityProtocol:
     """One coalition-round connectivity via per-part spanning forests."""

@@ -324,7 +324,9 @@ class PowerSumLookupTable:
     Size ``Σ_{d<=k} C(n,d) = O(n^k)`` entries; construction is guarded by
     ``max_entries``.  The paper sorts the table and binary-searches in
     ``O(k log n)``; a Python dict probe is the moral equivalent (and is
-    what gives Algorithm 4 its ``O(n²)`` total decode).
+    what gives the paper's Algorithm 4 its ``O(n²)`` total decode).  The
+    referee here decodes with the Newton route; ``repro experiment
+    EXP-L3`` times this table against it.
     """
 
     def __init__(self, n: int, k: int, *, max_entries: int = 5_000_000) -> None:
@@ -356,16 +358,3 @@ class PowerSumLookupTable:
                 "power-sum vector not in lookup table (degree > k or corrupt message)"
             ) from None
 
-    def lookup_partial(self, degree: int, power_sums: tuple[int, ...]) -> frozenset[int]:
-        """Decode from the first ``degree`` power sums via the Newton route.
-
-        Algorithm 4 updates records incrementally, so mid-decode a vertex's
-        *current* power sums match a subset of size ``degree < k`` whose
-        full-k key is exactly what :meth:`lookup` expects — this helper
-        recomputes the full key when possible, falling back to Newton.
-        """
-        if len(power_sums) == self.k:
-            hit = self._table.get(tuple(power_sums))
-            if hit is not None and len(hit) == degree:
-                return hit
-        return decode_neighborhood_newton(degree, power_sums, self.n)

@@ -20,8 +20,6 @@ protocol object, get back a reconstructor protocol object.
   reconstructor for triangle-free (in particular bipartite) graphs;
 * :mod:`~repro.reductions.oracles` — ground-truth detectors (non-frugal,
   ``n`` bits/node) to validate the reductions end-to-end;
-* :mod:`~repro.reductions.lemma1` — the counting bound and an injectivity
-  checker (a reconstructible family needs injective message vectors);
 * :mod:`~repro.reductions.collision` — the adversarial search: for any
   *candidate frugal* local function, hunt for two graphs with identical
   message vectors but different property values — a certificate that **no**
@@ -36,11 +34,6 @@ from repro.reductions.oracles import (
     OracleSquareDetector,
     OracleTriangleDetector,
     OracleDiameterDetector,
-)
-from repro.reductions.lemma1 import (
-    lemma1_admits_reconstruction,
-    capacity_gap_rows,
-    message_vectors_injective,
 )
 from repro.reductions.coalition import (
     CoalitionEncoder,
@@ -68,9 +61,6 @@ __all__ = [
     "OracleSquareDetector",
     "OracleTriangleDetector",
     "OracleDiameterDetector",
-    "lemma1_admits_reconstruction",
-    "capacity_gap_rows",
-    "message_vectors_injective",
     "CoalitionEncoder",
     "HashedCoalitionEncoder",
     "EdgeStatsCoalitionEncoder",

@@ -20,7 +20,7 @@ Modules self-register with the :func:`register` decorator::
 
     @register("degeneracy", kind="protocol",
               capabilities=("reconstruction", "deterministic"))
-    def _build(n: int, k: int = 2, decoder: str = "newton") -> OneRoundProtocol:
+    def _build(n: int, k: int = 2) -> OneRoundProtocol:
         ...
 
 so adding a protocol or family never touches engine code — the engine

@@ -241,10 +241,6 @@ class RemoteJob:
     def state(self) -> str:
         return self.view["state"]
 
-    def refresh(self) -> dict[str, Any]:
-        self.view = self.client.job(self.id)
-        return self.view
-
     def wait(self, *, timeout: float | None = 120.0, poll: float = 0.1) -> dict[str, Any]:
         self.view = self.client.wait(self.id, timeout=timeout, poll=poll)
         return self.view

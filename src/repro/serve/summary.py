@@ -74,11 +74,6 @@ class SummaryCache:
     def __init__(self) -> None:
         self._entries: dict[tuple[str, tuple[str, ...]], _Entry] = {}
 
-    def invalidate(self, job_id: str) -> None:
-        """Drop every entry for one job (used when its results reset)."""
-        for key in [k for k in self._entries if k[0] == job_id]:
-            del self._entries[key]
-
     def summary(
         self,
         results_dir: pathlib.Path,

@@ -30,37 +30,42 @@ package implements that machinery from scratch:
 Linearity is the whole trick: a sketch of a sum is the sum of sketches, so
 the referee can aggregate per-component without any node knowing anything
 beyond its own neighbourhood.
+
+The package is PEP 562-lazy: ``import repro.sketching`` loads no
+submodule, and each loads on first use of one of its names, so a campaign
+that names ``agm_connectivity`` alone loads neither the bipartiteness nor
+the multi-round protocol.
 """
 
-from repro.sketching.field import (
-    MERSENNE61,
-    derive_params,
-    fadd,
-    fmul,
-    fpow,
-)
-from repro.sketching.onesparse import OneSparseSketch, OneSparseResult
-from repro.sketching.l0sampler import L0Sampler, L0SamplerParams
-from repro.sketching.connectivity import (
-    AGMConnectivityProtocol,
-    SketchReport,
-)
-from repro.sketching.multiround_conn import MultiRoundSketchConnectivity
-from repro.sketching.bipartiteness import SketchBipartitenessProtocol, BipartitenessReport
+import importlib
+from typing import Any
 
-__all__ = [
-    "SketchBipartitenessProtocol",
-    "BipartitenessReport",
-    "MERSENNE61",
-    "derive_params",
-    "fadd",
-    "fmul",
-    "fpow",
-    "OneSparseSketch",
-    "OneSparseResult",
-    "L0Sampler",
-    "L0SamplerParams",
-    "AGMConnectivityProtocol",
-    "SketchReport",
-    "MultiRoundSketchConnectivity",
-]
+#: Lazy export map (PEP 562): public name -> defining module.
+_LAZY = {
+    name: module
+    for module, names in {
+        "repro.sketching.bipartiteness": (
+            "SketchBipartitenessProtocol", "BipartitenessReport"),
+        "repro.sketching.field": ("MERSENNE61", "derive_params", "fadd", "fmul", "fpow"),
+        "repro.sketching.onesparse": ("OneSparseSketch", "OneSparseResult"),
+        "repro.sketching.l0sampler": ("L0Sampler", "L0SamplerParams"),
+        "repro.sketching.connectivity": ("AGMConnectivityProtocol", "SketchReport"),
+        "repro.sketching.multiround_conn": ("MultiRoundSketchConnectivity",),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # cache: __getattr__ runs once per name
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,16 +1,19 @@
-"""Regrowth guard: every name a ``repro.*`` module exports is reached.
+"""Regrowth guard: every name a ``repro.*`` module exports is reached by code.
 
-A name in a module's ``__all__`` counts as reached when it appears, as a
-whole word, somewhere in ``src/``, ``examples/``, ``tools/``, ``perfbench/``
-or ``.github/`` outside its own definition, the ``__all__`` lists, the lazy
-export maps and import statements (a comment or docstring elsewhere counts);
-when it is in ``repro.__all__``, which the api-surface fixture pins; or when
-it is an object registered in :mod:`repro.registry`.  Tests do not count: a
-public name that only its own tests reach goes, together with those tests.
+An exported name (one in a module's ``__all__``), or a public method or
+property defined in the body of an exported class, counts as reached when
+an AST ``Name`` or ``Attribute`` load of it appears in ``src/``,
+``examples/``, ``tools/`` or ``perfbench/`` outside its own definition, or
+when a ``.github/`` workflow mentions it as a whole word.  A mention in a
+comment, docstring, import statement or export map is not a load, so it
+does not count.  Names in ``repro.__all__``, which the api-surface fixture
+pins, and objects registered in :mod:`repro.registry` are exempt.  Tests do
+not count: a public name that only its own tests reach goes, together with
+those tests.
 
 ``ORACLES`` keeps the few names that other tests use as oracles or
-fixtures, each with its reason.  It must stay exact: a name that becomes
-reached, or is deleted, leaves it.
+fixtures, each with its reason; a method is keyed ``Class.method``.  It
+must stay exact: a name that becomes reached, or is deleted, leaves it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import ast
 import functools
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -26,10 +30,8 @@ import repro
 from repro import registry
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-SEARCHED = ("src", "examples", "tools", "perfbench", ".github")
-
-#: Assignments whose lines export rather than use a name.
-EXPORT_MAPS = {"__all__", "_LAZY", "_LAZY_EXPORTS"}
+SEARCHED = ("src", "examples", "tools", "perfbench")
+WORKFLOWS = ROOT / ".github"
 
 ORACLES = {
     "petersen": "named graph for the property, scenario, Theorem 5 and gadget tests",
@@ -41,85 +43,110 @@ ORACLES = {
     "core_numbers": "the tests' window onto the peeling core, checked against networkx",
     "double_cover_components": "ground truth for the sketch-bipartiteness tests",
     "canonical_line": "the engine's line form: schema conformance checks every line against it",
+    "L0Sampler": "the plain reference twin of agm's flat-counter codec in the parity tests",
+    "percentile": "the exact reference the quantile sketch is checked against",
+    "generalized_degeneracy": "the oracle for the §III.E gate on every small graph",
+    "treewidth_exact": "checks degeneracy <= treewidth in the invariant tests",
+    "girth": "ground truth for the square and triangle detection tests",
+    "EmptyProtocol": "referee fixture: a protocol that sends nothing",
+    "IdEchoProtocol": "referee fixture: a protocol whose messages are the senders' IDs",
+    "LabeledGraph.to_networkx": "hands graphs to networkx, the tests' independent oracle",
+    "QuantileSketch.spilled": "lets the sketch tests see when a histogram left its exact mode",
+    "use_tracer": "the hook the protocol sub-phase spans of ROADMAP item 3 report through",
+    "L0Sampler.from_counters": "rebuilds the reference twin from agm's flat counters for parity",
+    "BitWriter.to_bytes": "the bytes the bits-pack floor and the bit round-trip tests compare",
+    "DecisionProtocol.decide": "the tests' bool-checked way to run a decision protocol on a graph",
+    "MetricsRegistry.gauge": "the metrics tests read a gauge back through it (set and merge)",
+    "Session.persist": "the trace-overhead floor drives a persisted Session through it",
 }
 
 
-def _exports() -> dict[str, list[str]]:
-    """Exported name -> the modules whose ``__all__`` lists it."""
-    names = ["repro"] + [
-        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
-        if info.name != "repro.__main__"  # importing it runs the CLI
-    ]
-    out: dict[str, list[str]] = {}
-    for name in names:
-        for export in getattr(importlib.import_module(name), "__all__", ()):
-            out.setdefault(export, []).append(name)
+def _span(node: ast.stmt) -> range:
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+    return range(first, node.end_lineno + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _definitions(path: str) -> dict[str, range]:
+    """Top-level name, or ``Class.member`` for a public method or property
+    in a top-level class body -> the lines of its definition in ``path``."""
+    out: dict[str, range] = {}
+    for node in ast.parse(pathlib.Path(path).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = _span(node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                            and not item.name.startswith("_"):
+                        out[f"{node.name}.{item.name}"] = _span(item)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(t, ast.Name):
+                    out[t.id] = _span(node)
     return out
 
 
-def _registered_ids() -> set[int]:
-    return {
+def _guarded() -> dict[str, tuple[str, str, range]]:
+    """Guarded name (``name`` or ``Class.member``) -> (the word a load must
+    use, the file defining it, the lines of its definition there)."""
+    registered = {
         id(registry.entry(kind, name).factory)
         for kind in registry.kinds()
         for name in registry.registry_for(kind).names()
     }
+    modules = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name != "repro.__main__"  # importing it runs the CLI
+    ]
+    out: dict[str, tuple[str, str, range]] = {}
+    for module_name in modules:
+        module = importlib.import_module(module_name)
+        for export in getattr(module, "__all__", ()):
+            value = getattr(module, export)
+            home = importlib.import_module(getattr(value, "__module__", None) or module_name)
+            if not getattr(home, "__file__", None):
+                home = module
+            path = str(pathlib.Path(home.__file__).resolve())
+            defs = _definitions(path)
+            if export not in repro.__all__ and id(value) not in registered:
+                out[export] = (export, path, defs.get(export, range(0)))
+            if inspect.isclass(value):
+                prefix = f"{value.__name__}."
+                for key, span in defs.items():
+                    if key.startswith(prefix):
+                        out[f"{export}.{key[len(prefix):]}"] = (key[len(prefix):], path, span)
+    return out
 
 
-def _scan(path: pathlib.Path, words: set[str]) -> tuple[dict[str, list[int]], dict[str, range]]:
-    """``(word -> lines that mention it, top-level name -> its definition's lines)``,
-    skipping import statements and export maps."""
-    text = path.read_text()
-    skip: set[int] = set()
-    defs: dict[str, range] = {}
-    if path.suffix == ".py":
-        tree = ast.parse(text)
-        for node in ast.walk(tree):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
-            if isinstance(node, (ast.Import, ast.ImportFrom)) or any(
-                    isinstance(t, ast.Name) and t.id in EXPORT_MAPS for t in targets):
-                skip.update(range(node.lineno, node.end_lineno + 1))
-        for node in tree.body:
-            first = min([node.lineno] + [d.lineno for d in
-                                         getattr(node, "decorator_list", ())])
-            span = range(first, node.end_lineno + 1)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs[node.name] = span
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                    if isinstance(t, ast.Name):
-                        defs[t.id] = span
-    mentions: dict[str, list[int]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if lineno not in skip:
-            for word in set(re.findall(r"[A-Za-z_]\w*", line)) & words:
-                mentions.setdefault(word, []).append(lineno)
-    return mentions, defs
+def _loads(path: pathlib.Path) -> dict[str, list[int]]:
+    """Word -> the lines where it is loaded as a ``Name`` or an ``Attribute``."""
+    out: dict[str, list[int]] = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.setdefault(node.id, []).append(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.setdefault(node.attr, []).append(node.lineno)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def unreached() -> frozenset[str]:
-    exports = _exports()
-    registered = _registered_ids()
-    words = set(exports)
-    reached: set[str] = set(repro.__all__)
+    loads: dict[str, dict[str, list[int]]] = {}
     for directory in SEARCHED:
-        for path in sorted((ROOT / directory).rglob("*")):
-            if path.suffix not in (".py", ".yml", ".yaml") or not path.is_file():
-                continue
-            mentions, defs = _scan(path, words)
-            module = path.relative_to(ROOT / "src").with_suffix("").parts \
-                if directory == "src" else ()
-            module_name = ".".join(module[:-1] if module[-1:] == ("__init__",) else module)
-            for word, lines in mentions.items():
-                own = defs.get(word, ()) if module_name in exports[word] else ()
-                if any(line not in own for line in lines):
-                    reached.add(word)
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for word, lines in _loads(path).items():
+                loads.setdefault(word, {})[str(path.resolve())] = lines
+    mentioned = {
+        word
+        for path in sorted(WORKFLOWS.rglob("*"))
+        if path.suffix in (".yml", ".yaml") and path.is_file()
+        for word in re.findall(r"[A-Za-z_]\w*", path.read_text())
+    }
     return frozenset(
-        name for name, modules in exports.items()
-        if name not in reached and not any(
-            id(getattr(importlib.import_module(m), name, None)) in registered
-            for m in modules)
+        name for name, (word, home, span) in _guarded().items()
+        if word not in mentioned and not any(
+            path != home or any(line not in span for line in lines)
+            for path, lines in loads.get(word, {}).items())
     )
 
 

@@ -281,15 +281,16 @@ class TestLazyLoading:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
-    def test_serial_campaign_loads_only_the_protocols_it_names(self, tmp_path):
-        spec = tmp_path / "deg.json"
-        spec.write_text(json.dumps({"name": "deg", "scenarios": [
-            {"name": "d", "family": "random_k_degenerate", "sizes": [12],
-             "protocol": "degeneracy", "seeds": [0, 1],
-             "family_params": {"k": 2}, "protocol_params": {"k": 2}},
-            {"name": "f", "family": "random_forest", "sizes": [12],
-             "protocol": "forest", "seeds": [0, 1]},
-        ]}))
+    DEGENERACY = {"name": "d", "family": "random_k_degenerate", "sizes": [12],
+                  "protocol": "degeneracy", "seeds": [0, 1],
+                  "family_params": {"k": 2}, "protocol_params": {"k": 2}}
+
+    def _assert_serial_campaign_skips(self, tmp_path, scenarios, heavy: str) -> None:
+        """Run ``scenarios`` twice (cold, then all cache hits) as one serial
+        ``repro campaign`` in a fresh process, then assert that no module
+        name in ``sys.modules`` satisfies the expression ``heavy`` of ``m``."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "c", "scenarios": scenarios}))
         argv = ["campaign", str(spec), "--results-dir", str(tmp_path / "r"),
                 "--executor", "serial", "--no-progress"]
         code = (
@@ -297,11 +298,32 @@ class TestLazyLoading:
             "for _ in range(2):  # cold, then every run a cache hit\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        assert repro.cli.main({argv!r}) == 0\n"
-            "heavy = [m for m in sys.modules if m.startswith('repro.sketching')"
-            " or m.split('.')[0] == 'logging' or m.startswith('concurrent')]\n"
+            f"heavy = [m for m in sys.modules if {heavy}]\n"
             "assert not heavy, heavy\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_serial_campaign_loads_only_the_protocols_it_names(self, tmp_path):
+        forest = {"name": "f", "family": "random_forest", "sizes": [12],
+                  "protocol": "forest", "seeds": [0, 1]}
+        self._assert_serial_campaign_skips(
+            tmp_path, [self.DEGENERACY, forest],
+            "m.startswith('repro.sketching') or m.split('.')[0] == 'logging'"
+            " or m.startswith('concurrent')")
+
+    def test_degeneracy_campaign_loads_no_other_protocol_module(self, tmp_path):
+        others = ("forest", "generalized_degeneracy", "bounded_degree",
+                  "partition_connectivity", "adaptive_query", "trivial")
+        self._assert_serial_campaign_skips(
+            tmp_path, [self.DEGENERACY],
+            f"m in {tuple(f'repro.protocols.{o}' for o in others)!r}")
+
+    def test_agm_campaign_loads_no_other_sketch_protocol(self, tmp_path):
+        agm = {"name": "a", "family": "two_components", "sizes": [16],
+               "protocol": "agm_connectivity", "seeds": [0, 1]}
+        self._assert_serial_campaign_skips(
+            tmp_path, [agm],
+            "m in ('repro.sketching.bipartiteness', 'repro.sketching.multiround_conn')")
 
     def test_unknown_protocol_suggests_over_the_full_list(self):
         code = (

@@ -68,6 +68,13 @@ class TestChain:
         with pytest.raises(BaselineError, match="expected"):
             _base().run().gate(baseline="smoke", baselines_dir=tmp_path / "b")
 
+    def test_gate_dotted_bare_name_resolves_under_baselines_dir(self, tmp_path):
+        """A dot in a name (campaign names allow them) does not make it a path."""
+        session = _base()
+        session.run().freeze("smoke.v2", baselines_dir=tmp_path)
+        assert (tmp_path / "smoke.v2.json").exists()
+        assert session.run().gate(baseline="smoke.v2", baselines_dir=tmp_path).passed
+
     def test_gate_accepts_explicit_path(self, tmp_path):
         session = _base()
         path = session.run().freeze("frozen", baselines_dir=tmp_path)

@@ -14,12 +14,11 @@ from repro.graphs.generators import (
     cycle_graph,
     erdos_renyi,
     k_tree,
-    partial_k_tree,
     path_graph,
     polarity_graph,
     random_tree,
 )
-from repro.graphs.invariants import treewidth_exact, treewidth_upper_bound
+from repro.graphs.invariants import treewidth_exact
 
 
 class TestTreewidthExact:
@@ -53,26 +52,6 @@ class TestTreewidthExact:
         g = erdos_renyi(n, p, seed=seed)
         ub, _ = nx.algorithms.approximation.treewidth_min_fill_in(g.to_networkx())
         assert treewidth_exact(g) <= ub
-
-
-class TestTreewidthUpperBound:
-    @pytest.mark.parametrize("heuristic", ["min-degree", "min-fill"])
-    def test_is_an_upper_bound(self, heuristic):
-        for seed in range(5):
-            g = erdos_renyi(9, 0.4, seed=seed)
-            assert treewidth_upper_bound(g, heuristic) >= treewidth_exact(g)
-
-    def test_tight_on_k_trees(self):
-        g = k_tree(15, 3, seed=4)
-        assert treewidth_upper_bound(g, "min-degree") == 3
-
-    def test_partial_k_tree_bounded(self):
-        g = partial_k_tree(20, 3, seed=5)
-        assert treewidth_upper_bound(g, "min-fill") <= 3
-
-    def test_bad_heuristic(self):
-        with pytest.raises(GraphError):
-            treewidth_upper_bound(path_graph(3), "magic")
 
 
 class TestPolarityGraph:

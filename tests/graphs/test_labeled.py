@@ -1,6 +1,5 @@
 """Unit tests for the LabeledGraph type."""
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -90,16 +89,6 @@ class TestDerivedGraphs:
         with pytest.raises(InvalidVertexError):
             LabeledGraph(1).extended(-1)
 
-    def test_induced_subgraph_relabels(self):
-        g = LabeledGraph(5, [(1, 3), (3, 5), (2, 4)])
-        h = g.induced_subgraph([1, 3, 5])
-        assert h.n == 3
-        assert h.edge_set() == frozenset({(1, 2), (2, 3)})
-
-    def test_induced_edges_keeps_ids(self):
-        g = LabeledGraph(5, [(1, 3), (3, 5), (2, 4)])
-        assert g.induced_edges([1, 3, 5]) == [(1, 3), (3, 5)]
-
     def test_complement(self):
         g = LabeledGraph(3, [(1, 2)])
         c = g.complement()
@@ -108,34 +97,6 @@ class TestDerivedGraphs:
     def test_complement_involution(self):
         g = LabeledGraph(4, [(1, 2), (3, 4), (1, 4)])
         assert g.complement().complement() == g
-
-    def test_relabeled(self):
-        g = LabeledGraph(3, [(1, 2)])
-        h = g.relabeled({1: 3, 2: 1, 3: 2})
-        assert h.edge_set() == frozenset({(1, 3)})
-
-    def test_relabeled_rejects_non_permutation(self):
-        g = LabeledGraph(2, [(1, 2)])
-        with pytest.raises(InvalidVertexError):
-            g.relabeled({1: 1, 2: 1})
-
-
-class TestConversions:
-    def test_networkx_roundtrip(self):
-        g = LabeledGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-        assert LabeledGraph.from_networkx(g.to_networkx()) == g
-
-    def test_from_networkx_relabels(self):
-        nxg = nx.Graph([("b", "c"), ("a", "b")])
-        g = LabeledGraph.from_networkx(nxg)
-        assert g.n == 3
-        assert g.edge_set() == frozenset({(1, 2), (2, 3)})
-
-    def test_from_networkx_drops_self_loops(self):
-        nxg = nx.Graph()
-        nxg.add_edges_from([(1, 1), (1, 2)])
-        g = LabeledGraph.from_networkx(nxg)
-        assert g.edge_set() == frozenset({(1, 2)})
 
 
 class TestEquality:

@@ -17,7 +17,6 @@ class TestEmptyGraph:
         assert report.max_message_bits == 0
         assert report.total_message_bits == 0
         assert report.per_vertex_bits == ()
-        assert report.mean_message_bits == 0.0
 
     def test_zero_vertices_with_all_referee_options(self):
         from repro.engine import FaultSpec

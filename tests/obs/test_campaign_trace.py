@@ -9,6 +9,7 @@ are collected whether or not event streaming is on.
 
 import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -16,8 +17,16 @@ import repro.engine.campaign as campaign_module
 from repro.engine import Campaign, Scenario
 from repro.engine.scenario import execute_run
 from repro.errors import ObsError, WorkerCrash
-from repro.obs.events import load_events, metrics_path
+from repro.obs.events import load_partial_events, metrics_path
 from repro.obs.metrics import load_metrics_file
+
+
+def load_events(path):
+    """The whole event stream at ``path``; a missing file or torn tail fails."""
+    assert os.path.exists(path)
+    events, torn, _good = load_partial_events(path)
+    assert not torn
+    return events
 
 
 def _grid(n_seeds=4, sizes=(12,)):
@@ -244,8 +253,6 @@ class TestWorkerCrashContext:
         with pytest.raises(RuntimeError):
             campaign.run(trace=True)
         # The tracer closed on the way out: the crash mark is durable.
-        from repro.obs.events import load_partial_events
-
         events, _torn, _good = load_partial_events(tmp_path / "c.events.jsonl")
         crashes = [e for e in events
                    if e["kind"] == "mark" and e["name"] == "worker-crash"]

@@ -137,6 +137,13 @@ class TestStatsCommand:
         assert "repro_cache_hit_ratio" in out
         assert 'repro_runs_completed{status="ok"}' in out
 
+    def test_dotted_name_resolves_under_results_dir(self, traced_smoke, capsys):
+        """A dot in a campaign name does not make the argument a path."""
+        snapshot = traced_smoke / "smoke.metrics.json"
+        (traced_smoke / "sweep.v2.metrics.json").write_bytes(snapshot.read_bytes())
+        assert main(["stats", "sweep.v2", "--results-dir", str(traced_smoke)]) == 0
+        assert "repro_bits_total" in capsys.readouterr().out
+
     def test_explicit_path_works_too(self, traced_smoke, capsys):
         assert main(["stats", str(traced_smoke / "smoke.metrics.json")]) == 0
         assert "repro_bits_total" in capsys.readouterr().out

@@ -16,7 +16,6 @@ from repro.errors import ObsError, ShardError
 from repro.obs.events import (
     EVENT_VERSION,
     events_path,
-    load_events,
     load_partial_events,
     metrics_path,
     validate_event,
@@ -140,12 +139,6 @@ class TestLoading:
         path.write_bytes(data + tail)
         return len(data)
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "c.events.jsonl"
-        events = [_mark(), _span(), _metrics()]
-        self._write(path, events)
-        assert load_events(path) == events
-
     def test_partial_tolerates_a_torn_tail(self, tmp_path):
         path = tmp_path / "c.events.jsonl"
         good = self._write(path, [_mark(), _span()],
@@ -155,19 +148,9 @@ class TestLoading:
         assert torn == 1
         assert good_bytes == good  # the resume truncation offset
 
-    def test_strict_loader_refuses_a_torn_tail(self, tmp_path):
-        path = tmp_path / "c.events.jsonl"
-        self._write(path, [_mark()], tail=b'{"v": 1')
-        with pytest.raises(ObsError, match="torn final event"):
-            load_events(path)
-
     def test_missing_file_is_an_empty_partial_stream(self, tmp_path):
         events, torn, good = load_partial_events(tmp_path / "nope.jsonl")
         assert (events, torn, good) == ([], 0, 0)
-
-    def test_missing_file_is_an_error_for_the_strict_loader(self, tmp_path):
-        with pytest.raises(ObsError, match="does not exist"):
-            load_events(tmp_path / "nope.jsonl")
 
     def test_mid_stream_corruption_is_never_tolerated(self, tmp_path):
         path = tmp_path / "c.events.jsonl"

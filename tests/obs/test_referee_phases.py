@@ -1,4 +1,4 @@
-"""Model-layer instrumentation: phase spans, phase_seconds, digest safety.
+"""Model-layer instrumentation: phase spans, phase times, digest safety.
 
 The referee emits retro spans for its three phases only under an
 explicitly installed ambient tracer — by default the instrumentation is
@@ -65,14 +65,6 @@ class TestPhaseSpans:
 
 
 class TestPhaseSeconds:
-    def test_mapping_names_the_three_phases(self):
-        report, _events = _run_traced()
-        assert report.phase_seconds == {
-            "local": report.local_seconds,
-            "referee": report.referee_seconds,
-            "global": report.global_seconds,
-        }
-
     def test_referee_seconds_defaults_to_zero(self):
         # Hand-built reports (older call sites, tests) stay valid.
         fields = {f for f in RunReport.__dataclass_fields__}

@@ -16,7 +16,15 @@ import pytest
 import repro.engine.campaign as campaign_module
 from repro.engine import Campaign, Scenario
 from repro.engine.scenario import execute_run
-from repro.obs.events import load_events, load_partial_events
+from repro.obs.events import load_partial_events
+
+
+def load_events(path):
+    """The whole event stream at ``path``; a missing file or torn tail fails."""
+    assert os.path.exists(path)
+    events, torn, _good = load_partial_events(path)
+    assert not torn
+    return events
 
 
 class SimulatedCrash(RuntimeError):

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from repro.errors import DecodeError, RecognitionFailure
 from repro.graphs import LabeledGraph
 from repro.graphs.generators import cycle_graph, path_graph, random_forest, random_tree, star_graph
-from repro.model import FrugalityAuditor, Message, log2_ceil
+from repro.model import Message, log2_ceil
 from repro.protocols import (
     DegeneracyReconstructionProtocol,
     ForestReconstructionProtocol,
-    ForestRecognitionProtocol,
 )
 
 
@@ -67,7 +66,6 @@ class TestForestReconstruction:
              "star": lambda: star_graph(n),
              "path": lambda: path_graph(n)}[family]()
         assert (ForestReconstructionProtocol().message_vector(g)
-                == ForestRecognitionProtocol().message_vector(g)
                 == DegeneracyReconstructionProtocol(1).message_vector(g))
 
     def test_malformed_message(self):
@@ -79,20 +77,6 @@ class TestForestReconstruction:
         m = p.local(3, 1, frozenset())
         with pytest.raises(DecodeError, match="duplicate"):
             p.global_(3, [m, m, m])
-
-
-class TestForestRecognition:
-    def test_accepts_forest(self):
-        assert ForestRecognitionProtocol().decide(random_forest(12, 2, seed=4)) is True
-
-    def test_rejects_cycle(self):
-        assert ForestRecognitionProtocol().decide(cycle_graph(4)) is False
-
-    def test_frugality(self):
-        graphs = [random_tree(n, seed=n) for n in (8, 64, 512)]
-        report = FrugalityAuditor().audit(ForestRecognitionProtocol(), graphs)
-        # 4 * id_width(n) bits; id_width(8)/log2_ceil(8) = 4/3 worst case
-        assert report.fitted_constant <= 4 * 4 / 3
 
 
 @settings(max_examples=50, deadline=None)

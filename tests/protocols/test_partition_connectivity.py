@@ -87,7 +87,7 @@ class TestBudgetClaim:
         # forest <= n-1 edges * 2w bits over n/k members + header
         bound = (2 * (n - 1) * (log2_ceil(n) + 1)) / (n // k) + 4 * log2_ceil(n) + 8
         assert report.max_bits_per_node <= bound
-        assert report.bits_per_node_per_log <= 4.0
+        assert report.max_bits_per_node <= 4.0 * k * log2_ceil(n)  # k log n units
 
     def test_report_fields(self):
         g = path_graph(20)

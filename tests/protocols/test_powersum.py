@@ -217,9 +217,16 @@ class TestLookupTable:
         assert len(table) == 1 + 8 + 28
 
     def test_lookup_roundtrip(self):
-        table = PowerSumLookupTable(10, 3)
-        for subset in [frozenset(), frozenset({4}), frozenset({1, 9}), frozenset({2, 5, 10})]:
-            assert table.lookup(compute_power_sums(subset, 3)) == subset
+        """Lemma 3's table and Theorem 4's Newton route agree on every
+        subset of size <= k of 1..n, for n <= 10 and k <= 3."""
+        for n in range(1, 11):
+            for k in (1, 2, 3):
+                table = PowerSumLookupTable(n, k)
+                for d in range(min(k, n) + 1):
+                    for subset in map(frozenset, combinations(range(1, n + 1), d)):
+                        sums = compute_power_sums(subset, k)
+                        assert table.lookup(sums) == subset
+                        assert decode_neighborhood_newton(d, sums, n) == subset
 
     def test_lookup_miss_raises(self):
         table = PowerSumLookupTable(6, 2)
@@ -229,12 +236,6 @@ class TestLookupTable:
     def test_guard_rejects_huge(self):
         with pytest.raises(GraphError):
             PowerSumLookupTable(10_000, 4, max_entries=1000)
-
-    def test_lookup_partial_matches_newton(self):
-        table = PowerSumLookupTable(12, 3)
-        subset = frozenset({3, 7})
-        sums = compute_power_sums(subset, 3)
-        assert table.lookup_partial(2, sums) == decode_neighborhood_newton(2, sums, 12) == subset
 
     def test_rejects_k0(self):
         with pytest.raises(GraphError):

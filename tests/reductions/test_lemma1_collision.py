@@ -1,78 +1,24 @@
-"""Tests for Lemma 1's bound checker and the adversarial collision search."""
+"""Tests for Lemma 1's counting and the adversarial collision search."""
 
 import math
 
 import pytest
 
 from repro.graphs import has_square, has_triangle
-from repro.graphs.counting import (
-    bipartite_fixed_parts_count,
-    labeled_forest_count,
-    labeled_graph_count,
-)
-from repro.graphs.generators import erdos_renyi, random_forest, random_k_degenerate
-from repro.protocols import (
-    DegeneracyReconstructionProtocol,
-    DegreeProtocol,
-    ForestReconstructionProtocol,
-)
+from repro.graphs.counting import bipartite_fixed_parts_count
+from repro.graphs.generators import erdos_renyi, random_forest
+from repro.protocols import DegreeProtocol, ForestReconstructionProtocol
 from repro.reductions import (
     HashedNeighborhoodEncoder,
-    capacity_gap_rows,
     find_collision_exhaustive,
     find_collision_sampled,
-    lemma1_admits_reconstruction,
-    message_vectors_injective,
 )
 
 
 class TestLemma1Arithmetic:
-    def test_all_graphs_eventually_exceed_capacity(self):
-        n = 256
-        assert not lemma1_admits_reconstruction(
-            math.log2(labeled_graph_count(n)), n, k_const=8.0
-        )
-
-    def test_forests_always_fit(self):
-        for n in (8, 64, 512):
-            assert lemma1_admits_reconstruction(
-                math.log2(labeled_forest_count(n)), n, k_const=2.0
-            )
-
-    def test_capacity_gap_rows_shape(self):
-        rows = capacity_gap_rows(
-            [16, 64],
-            k_const=4.0,
-            families={
-                "all": lambda n: math.log2(labeled_graph_count(n)),
-                "forests": lambda n: math.log2(labeled_forest_count(n)),
-            },
-        )
-        assert len(rows) == 2
-        assert {"n", "capacity_bits", "log2_all", "fits_all", "log2_forests", "fits_forests"} <= set(rows[0])
-        # forests fit at both sizes; all-graphs do not at n = 64 with c = 4
-        assert rows[1]["fits_forests"] == 1.0
-        assert rows[1]["fits_all"] == 0.0
-
     def test_bipartite_grows_quadratically(self):
         n = 128
         assert math.log2(bipartite_fixed_parts_count(n)) == (n // 2) ** 2
-
-
-class TestInjectivity:
-    def test_reconstruction_protocol_is_injective_on_its_family(self):
-        graphs = [random_k_degenerate(8, 2, seed=s) for s in range(60)]
-        ok, witness = message_vectors_injective(DegeneracyReconstructionProtocol(2), graphs)
-        assert ok and witness is None
-
-    def test_degree_encoder_not_injective(self):
-        """Two different forests share a degree sequence -> not reconstructible."""
-        from repro.graphs import LabeledGraph
-
-        g1 = LabeledGraph(4, [(1, 2), (3, 4)])
-        g2 = LabeledGraph(4, [(1, 3), (2, 4)])
-        ok, witness = message_vectors_injective(DegreeProtocol(), [g1, g2])
-        assert not ok and set(witness) == {g1, g2}
 
 
 class TestCollisionSearch:

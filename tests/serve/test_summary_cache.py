@@ -160,10 +160,3 @@ class TestRebuildPaths:
         assert json.dumps(groups, sort_keys=True) == \
             json.dumps(aggregate(records, by=BY), sort_keys=True)
 
-    def test_invalidate_drops_job_state(self, tmp_path, opens):
-        _write_stream(tmp_path, 0, 1, [_rec()])
-        cache = SummaryCache()
-        cache.summary(tmp_path, _job(shards=1), BY)
-        cache.invalidate("j1")
-        cache.summary(tmp_path, _job(shards=1), BY)
-        assert opens["n"] == 2  # re-read after invalidation

@@ -27,8 +27,8 @@ from repro.model.protocol import ReconstructionProtocol
 from repro.protocols import (
     BoundedDegreeProtocol,
     DegeneracyReconstructionProtocol,
+    DegeneracyRecognitionProtocol,
     DegreeProtocol,
-    ForestRecognitionProtocol,
     ForestReconstructionProtocol,
     GeneralizedDegeneracyProtocol,
     IdEchoProtocol,
@@ -321,8 +321,8 @@ def test_tiny_graphs_decode_exactly(name, graph):
         assert isinstance(out, bool)
 
 
-def test_forest_recognition_accepts_the_empty_graph():
-    assert ForestRecognitionProtocol().global_(0, []) is True
+def test_degeneracy_recognition_accepts_the_empty_graph():
+    assert DegeneracyRecognitionProtocol(1).global_(0, []) is True
 
 
 @pytest.mark.parametrize("protocol", [DegreeProtocol(), IdEchoProtocol()],
