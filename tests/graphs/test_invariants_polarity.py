@@ -14,6 +14,7 @@ from repro.graphs.generators import (
     cycle_graph,
     erdos_renyi,
     k_tree,
+    partial_k_tree,
     path_graph,
     polarity_graph,
     random_tree,
@@ -33,6 +34,12 @@ class TestTreewidthExact:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_k_tree_has_treewidth_k(self, k):
         assert treewidth_exact(k_tree(k + 6, k, seed=k)) == k
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_partial_k_tree_has_treewidth_at_most_k(self, k):
+        for seed in range(4):
+            g = partial_k_tree(12, k, seed=seed)
+            assert degeneracy(g) <= treewidth_exact(g) <= k
 
     def test_guard(self):
         with pytest.raises(GraphError):

@@ -99,6 +99,14 @@ class TestDerivedGraphs:
         assert g.complement().complement() == g
 
 
+class TestConversions:
+    def test_to_networkx_keeps_ids_and_isolated_vertices(self):
+        g = LabeledGraph(5, [(1, 2), (2, 4)])
+        nxg = g.to_networkx()
+        assert sorted(nxg.nodes) == [1, 2, 3, 4, 5]
+        assert sorted(tuple(sorted(e)) for e in nxg.edges) == [(1, 2), (2, 4)]
+
+
 class TestEquality:
     def test_eq_and_hash(self):
         g = LabeledGraph(3, [(1, 2)])

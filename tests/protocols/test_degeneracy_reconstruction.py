@@ -124,6 +124,13 @@ class TestFrugality:
         # exceeds log2_ceil by one bit at powers of two, hence the 1.25 slack
         assert report.fitted_constant <= (2 + k * (k + 3) / 2) * 1.25
 
+    def test_forest_recognizer_frugal(self):
+        """Forests are k = 1: four ID-width fields per node."""
+        graphs = [random_tree(n, seed=n) for n in (8, 64, 512)]
+        report = FrugalityAuditor().audit(DegeneracyRecognitionProtocol(1), graphs)
+        # id_width(8) / log2_ceil(8) = 4/3 is the worst ratio of these sizes
+        assert report.fitted_constant <= 4 * 4 / 3
+
     def test_budgeted_referee_run(self):
         from repro.model import log2_ceil
 

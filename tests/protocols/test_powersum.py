@@ -216,17 +216,17 @@ class TestLookupTable:
         table = PowerSumLookupTable(8, 2)
         assert len(table) == 1 + 8 + 28
 
-    def test_lookup_roundtrip(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_lookup_roundtrip(self, n, k):
         """Lemma 3's table and Theorem 4's Newton route agree on every
-        subset of size <= k of 1..n, for n <= 10 and k <= 3."""
-        for n in range(1, 11):
-            for k in (1, 2, 3):
-                table = PowerSumLookupTable(n, k)
-                for d in range(min(k, n) + 1):
-                    for subset in map(frozenset, combinations(range(1, n + 1), d)):
-                        sums = compute_power_sums(subset, k)
-                        assert table.lookup(sums) == subset
-                        assert decode_neighborhood_newton(d, sums, n) == subset
+        subset of size <= k of 1..n."""
+        table = PowerSumLookupTable(n, k)
+        for d in range(min(k, n) + 1):
+            for subset in map(frozenset, combinations(range(1, n + 1), d)):
+                sums = compute_power_sums(subset, k)
+                assert table.lookup(sums) == subset
+                assert decode_neighborhood_newton(d, sums, n) == subset
 
     def test_lookup_miss_raises(self):
         table = PowerSumLookupTable(6, 2)

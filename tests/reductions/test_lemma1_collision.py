@@ -50,6 +50,18 @@ class TestCollisionSearch:
             assert find_collision_exhaustive(
                 ForestReconstructionProtocol(), n, has_square) is None
 
+    def test_degree_encoder_collides_on_forests_with_equal_degrees(self):
+        """Two different forests share a degree sequence, so no referee can
+        tell them apart from degree messages alone."""
+        from repro.graphs import LabeledGraph
+
+        g1 = LabeledGraph(4, [(1, 2), (3, 4)])
+        g2 = LabeledGraph(4, [(1, 3), (2, 4)])
+        w = find_collision_sampled(DegreeProtocol(), [g1, g2], lambda g: g == g1, "is_g1")
+        assert w is not None
+        assert (w.g_with, w.g_without) == (g1, g2)
+        assert w.verify(DegreeProtocol(), lambda g: g == g1)
+
     def test_degree_encoder_killed_on_triangles(self):
         w = find_collision_exhaustive(DegreeProtocol(), 5, has_triangle, "has_triangle")
         assert w is not None
