@@ -33,11 +33,14 @@ unpruned is ``O(k)`` set probes, and each
 edge goes straight into the output's adjacency sets, which become one
 :class:`~repro.graphs.labeled.LabeledGraph` at the end.  Degrees 0, 1 and
 2 decode inline in ``O(1)`` big-int operations (``p_1`` itself, or
-``(p_1 ± r)/2`` with ``r = isqrt(2p_2 - p_1²)``); larger degrees take the
-Newton decoder, ``O(k² log n)`` big-int operations per neighbour, so the
-whole global phase is about ``O(n·k³ log n)`` — within the paper's
-``O(n²)`` for fixed k.  Lemma 3's lookup table is the paper's other route
-to the same decode; ``repro experiment EXP-L3`` measures it.
+``(p_1 ± r)/2`` with ``r = isqrt(2p_2 - p_1²)``), and degree 3 in ``O(1)``
+as well: :func:`~repro.protocols.powersum.decode_neighborhood_newton`
+solves the cubic in floats and checks the rounded roots exactly in ints.
+Larger degrees, and any miss, take the Newton route, ``O(k² log n)``
+big-int operations per neighbour, so the whole global phase is about
+``O(n·k³ log n)`` — within the paper's ``O(n²)`` for fixed k.  Lemma 3's
+lookup table is the paper's other route to the same decode; ``repro
+experiment EXP-L3`` measures it.
 """
 
 from __future__ import annotations
