@@ -73,106 +73,77 @@ campaign quickstart.
 """
 
 import importlib
+import sys
+from collections.abc import Callable, Sequence
 from typing import Any
 
 __version__ = "2.0.0"
 
-#: Lazy export map (PEP 562): public name -> defining module.  `import
-#: repro` stays cheap — protocols, engine, sketching, and the analysis
-#: stack load on first attribute access, and the registry layer
-#: (repro.registry) lazy-loads their registrations the same way.
-_LAZY_EXPORTS = {
-    # errors
-    "ReproError": "repro.errors",
-    "UnknownRegistryEntry": "repro.errors",
-    "BitstreamError": "repro.errors",
-    "CodecError": "repro.errors",
-    "GraphError": "repro.errors",
-    "ProtocolError": "repro.errors",
-    "FrugalityViolation": "repro.errors",
-    "DecodeError": "repro.errors",
-    "RecognitionFailure": "repro.errors",
-    "SketchFailure": "repro.errors",
-    # graphs
-    "LabeledGraph": "repro.graphs",
-    "degeneracy": "repro.graphs",
-    # model
-    "Message": "repro.model",
-    "OneRoundProtocol": "repro.model",
-    "DecisionProtocol": "repro.model",
-    "ReconstructionProtocol": "repro.model",
-    "Referee": "repro.model",
-    "RunReport": "repro.model",
-    "FrugalityAuditor": "repro.model",
-    "MultiRoundReferee": "repro.model",
-    # protocols
-    "DegeneracyReconstructionProtocol": "repro.protocols",
-    "DegeneracyRecognitionProtocol": "repro.protocols",
-    "ForestReconstructionProtocol": "repro.protocols",
-    "GeneralizedDegeneracyProtocol": "repro.protocols",
-    "BoundedDegreeProtocol": "repro.protocols",
-    "PartitionConnectivityProtocol": "repro.protocols",
-    # reductions
-    "SquareReduction": "repro.reductions",
-    "DiameterReduction": "repro.reductions",
-    "TriangleReduction": "repro.reductions",
-    # sketching
-    "AGMConnectivityProtocol": "repro.sketching",
-    # engine
-    "Executor": "repro.engine",
-    "SerialExecutor": "repro.engine",
-    "ThreadPoolExecutor": "repro.engine",
-    "ProcessPoolExecutor": "repro.engine",
-    "FaultSpec": "repro.engine",
-    "Scenario": "repro.engine",
-    "RunSpec": "repro.engine",
-    "RunRecord": "repro.engine",
-    "Campaign": "repro.engine",
-    "builtin_campaign": "repro.engine",
-    "load_campaign": "repro.engine",
-    "ShardError": "repro.errors",
-    "ShardIncomplete": "repro.errors",
-    "ShardManifest": "repro.engine",
-    "merge_shards": "repro.engine",
-    # fluent front door
-    "Session": "repro.api",
-    # observability
-    "ObsError": "repro.errors",
-    "WorkerCrash": "repro.errors",
-    "Tracer": "repro.obs",
-    "MetricsRegistry": "repro.obs",
-    "ProgressReporter": "repro.obs",
-    # results
-    "aggregate": "repro.results",
-    "diff_campaigns": "repro.results",
-    "load_records": "repro.results",
-    # campaign service
-    "ServeError": "repro.errors",
-    "JobNotFound": "repro.errors",
-    "QueueFull": "repro.errors",
-    "ServeClient": "repro.serve",
-    "RemoteJob": "repro.serve",
-    "ReproServer": "repro.serve",
-    "ServerThread": "repro.serve",
-}
 
-__all__ = ["__version__", *_LAZY_EXPORTS]
+def _lazy_exports(
+    package: str, table: Sequence[tuple[str, Sequence[str]]]
+) -> tuple[list[str], Callable[[str], Any], Callable[[], list[str]]]:
+    """PEP 562 exports for ``package`` from its ordered ``(module, names)`` table.
+
+    Returns ``(__all__, __getattr__, __dir__)``: ``__all__`` lists the names
+    in table order, and each name loads from its module on first access and
+    is then cached in the package namespace, so importing a package loads
+    none of its submodules.  Any other attribute resolves as a submodule
+    (``import repro; repro.engine``).  A name that is also the name of its
+    defining submodule (``repro.graphs.degeneracy``) is bound now: the first
+    import of that submodule would otherwise rebind the package attribute to
+    the module.
+    """
+    homes = {name: module for module, names in table for name in names}
+    namespace = sys.modules[package].__dict__
+    for name, module in homes.items():
+        if module == f"{package}.{name}":
+            namespace[name] = getattr(importlib.import_module(module), name)
+
+    def __getattr__(name: str) -> Any:
+        module = homes.get(name)
+        if module is not None:
+            value = namespace[name] = getattr(importlib.import_module(module), name)
+            return value
+        try:
+            return importlib.import_module(f"{package}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{package}.{name}":
+                raise  # a real missing dependency inside the submodule
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *homes})
+
+    return list(homes), __getattr__, __dir__
 
 
-def __getattr__(name: str) -> Any:
-    module = _LAZY_EXPORTS.get(name)
-    if module is not None:
-        value = getattr(importlib.import_module(module), name)
-        globals()[name] = value  # cache: __getattr__ runs once per name
-        return value
-    # subpackages resolve as attributes too (`import repro; repro.engine`)
-    try:
-        return importlib.import_module(f"repro.{name}")
-    except ModuleNotFoundError as exc:
-        if exc.name != f"repro.{name}":
-            raise  # a real missing dependency inside the submodule
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    (__name__, ("__version__",)),
+    ("repro.errors", (
+        "ReproError", "UnknownRegistryEntry", "BitstreamError", "CodecError", "GraphError",
+        "ProtocolError", "FrugalityViolation", "DecodeError", "RecognitionFailure",
+        "SketchFailure")),
+    ("repro.graphs", ("LabeledGraph", "degeneracy")),
+    ("repro.model", (
+        "Message", "OneRoundProtocol", "DecisionProtocol", "ReconstructionProtocol",
+        "Referee", "RunReport", "FrugalityAuditor", "MultiRoundReferee")),
+    ("repro.protocols", (
+        "DegeneracyReconstructionProtocol", "DegeneracyRecognitionProtocol",
+        "ForestReconstructionProtocol", "GeneralizedDegeneracyProtocol",
+        "BoundedDegreeProtocol", "PartitionConnectivityProtocol")),
+    ("repro.reductions", ("SquareReduction", "DiameterReduction", "TriangleReduction")),
+    ("repro.sketching", ("AGMConnectivityProtocol",)),
+    ("repro.engine", (
+        "Executor", "SerialExecutor", "ThreadPoolExecutor", "ProcessPoolExecutor",
+        "FaultSpec", "Scenario", "RunSpec", "RunRecord", "Campaign", "builtin_campaign",
+        "load_campaign")),
+    ("repro.errors", ("ShardError", "ShardIncomplete")),
+    ("repro.engine", ("ShardManifest", "merge_shards")),
+    ("repro.api", ("Session",)),
+    ("repro.errors", ("ObsError", "WorkerCrash")),
+    ("repro.obs", ("Tracer", "MetricsRegistry", "ProgressReporter")),
+    ("repro.results", ("aggregate", "diff_campaigns", "load_records")),
+    ("repro.errors", ("ServeError", "JobNotFound", "QueueFull")),
+    ("repro.serve", ("ServeClient", "RemoteJob", "ReproServer", "ServerThread")),
+))

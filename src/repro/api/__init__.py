@@ -22,7 +22,9 @@ four spellings of one pipeline.  Discovery lives next door in
 :func:`repro.registry.catalog` (CLI: ``python -m repro list``).
 """
 
-from repro.api.session import Session, SessionAggregate, SessionRun
-from repro.registry import catalog
+from repro import _lazy_exports
 
-__all__ = ["Session", "SessionRun", "SessionAggregate", "catalog"]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.api.session", ("Session", "SessionRun", "SessionAggregate")),
+    ("repro.registry", ("catalog",)),
+))

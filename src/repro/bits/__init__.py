@@ -15,8 +15,10 @@ actually written, not a Python ``sys.getsizeof`` estimate, so the auditor's
 counts are honest.
 """
 
-from repro.bits.writer import BitWriter
-from repro.bits.reader import BitReader
-from repro.bits.sizing import id_width
+from repro import _lazy_exports
 
-__all__ = ["BitWriter", "BitReader", "id_width"]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.bits.writer", ("BitWriter",)),
+    ("repro.bits.reader", ("BitReader",)),
+    ("repro.bits.sizing", ("id_width",)),
+))

@@ -682,7 +682,7 @@ def _follow(client: Any, job_id: str, *, as_json: bool) -> int:
     """Poll a job to a terminal state, printing progress transitions."""
     import time
 
-    from repro.serve.store import TERMINAL_STATES
+    from repro.serve.client import TERMINAL_STATES
 
     last = None
     while True:
@@ -714,8 +714,7 @@ def _job_epilogue(view: dict[str, Any], *, as_json: bool) -> int:
 
 
 def _cmd_job(args: argparse.Namespace) -> int:
-    from repro.serve.client import ServeClient
-    from repro.serve.store import TERMINAL_STATES
+    from repro.serve.client import TERMINAL_STATES, ServeClient
 
     client = ServeClient(_serve_url(args))
     if args.cancel:

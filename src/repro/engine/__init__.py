@@ -34,10 +34,11 @@ enforces this), so a campaign's JSONL is byte-stable modulo timing across
 backends, machines, and worker schedules.
 """
 
-import importlib
 import json
 from collections.abc import Mapping
 from typing import Any
+
+from repro import _lazy_exports
 
 #: Bumped whenever record semantics change, so stale cache entries miss.
 #: v2: records carry a top-level ``spec_version`` stamp (repro.results
@@ -66,38 +67,17 @@ def spec_content_hash(spec: Mapping[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-#: Lazy export map (PEP 562): public name -> defining module.  `import
-#: repro.engine` loads nothing else; each submodule loads on first use.
-_LAZY = {
-    name: module
-    for module, names in {
-        "repro.engine.executor": (
-            "Executor", "SerialExecutor", "ThreadPoolExecutor", "ProcessPoolExecutor",
-            "EXECUTOR_KINDS", "default_jobs", "make_executor"),
-        "repro.engine.faults": ("FaultSpec", "FaultInjector", "FaultCounters"),
-        "repro.engine.scenario": (
-            "Scenario", "RunSpec", "RunRecord", "execute_run", "output_digest"),
-        "repro.engine.campaign": (
-            "Campaign", "CampaignResult", "builtin_campaign", "load_campaign"),
-        "repro.engine.shard": (
-            "MANIFEST_VERSION", "JsonlStreamWriter", "ShardManifest",
-            "load_partial_records", "manifest_path", "merge_shards",
-            "shard_done_path", "shard_of", "shard_specs", "shard_stream_path"),
-    }.items()
-    for name in names
-}
-
-__all__ = list(_LAZY)
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.engine.executor", (
+        "Executor", "SerialExecutor", "ThreadPoolExecutor", "ProcessPoolExecutor",
+        "EXECUTOR_KINDS", "default_jobs", "make_executor")),
+    ("repro.engine.faults", ("FaultSpec", "FaultInjector", "FaultCounters")),
+    ("repro.engine.scenario", (
+        "Scenario", "RunSpec", "RunRecord", "execute_run", "output_digest")),
+    ("repro.engine.campaign", (
+        "Campaign", "CampaignResult", "builtin_campaign", "load_campaign")),
+    ("repro.engine.shard", (
+        "MANIFEST_VERSION", "JsonlStreamWriter", "ShardManifest",
+        "load_partial_records", "manifest_path", "merge_shards",
+        "shard_done_path", "shard_of", "shard_specs", "shard_stream_path")),
+))

@@ -67,6 +67,7 @@ from repro.engine.shard import (
     ShardManifest,
     atomic_write_json,
     atomic_write_jsonl,
+    drop_torn_tail,
     durable_records,
     load_partial_records,
     merge_shards,
@@ -348,10 +349,7 @@ class Campaign:
             canonical = (
                 len(kept) == len(loaded) and kept == order[: len(kept)]
             )
-            # Drop any torn tail so appended records start on a clean line.
-            if stream_path.exists() and stream_path.stat().st_size > good_bytes:
-                with stream_path.open("rb+") as fh:
-                    fh.truncate(good_bytes)
+            drop_torn_tail(stream_path, good_bytes)
             # Replayed records keep their original payload; restamp the
             # requesting spec so provenance matches this campaign (the
             # content hash is identical either way).
@@ -550,13 +548,9 @@ class Campaign:
                 shard_index=shard_index, shards=shards,
             )
             if resume:
-                # Drop a torn tail so appended events start on a clean
-                # line; completed-run events survive the crash (replays
-                # emit nothing, so appending cannot duplicate them).
-                _evs, _torn, good_bytes = _load_partial_events(ev_path)
-                if ev_path.exists() and ev_path.stat().st_size > good_bytes:
-                    with ev_path.open("rb+") as fh:
-                        fh.truncate(good_bytes)
+                # Completed-run events survive the crash (replays emit
+                # nothing, so appending cannot duplicate them).
+                drop_torn_tail(ev_path, _load_partial_events(ev_path)[2])
             writer = JsonlStreamWriter(ev_path, append=resume)
         tracer: Tracer | NullTracer = NULL_TRACER
         if writer is not None or reporter is not None:

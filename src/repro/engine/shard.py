@@ -90,6 +90,7 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_jsonl",
     "scan_partial_lines",
+    "drop_torn_tail",
     "load_partial_records",
     "durable_records",
     "write_done_marker",
@@ -490,6 +491,14 @@ def scan_partial_lines(
         values.append(parsed)
         good_bytes += len(raw) + 1
     return values, 0, good_bytes
+
+
+def drop_torn_tail(path: pathlib.Path, good_bytes: int) -> None:
+    """Cut ``path`` back to ``good_bytes`` (from :func:`scan_partial_lines`)
+    so the next appended line starts clean; a missing file is left alone."""
+    if path.exists() and path.stat().st_size > good_bytes:
+        with path.open("rb+") as fh:
+            fh.truncate(good_bytes)
 
 
 def load_partial_records(

@@ -21,36 +21,13 @@ Submodules
                  demonstration graphs)
 """
 
-from repro.graphs.labeled import LabeledGraph
-from repro.graphs.degeneracy import (
-    degeneracy,
-    degeneracy_ordering,
-    core_numbers,
-)
-from repro.graphs.invariants import treewidth_exact
-from repro.graphs.properties import (
-    has_triangle,
-    has_square,
-    girth,
-    diameter,
-    is_connected,
-    connected_components,
-    is_bipartite,
-    bipartition,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LabeledGraph",
-    "treewidth_exact",
-    "degeneracy",
-    "degeneracy_ordering",
-    "core_numbers",
-    "has_triangle",
-    "has_square",
-    "girth",
-    "diameter",
-    "is_connected",
-    "connected_components",
-    "is_bipartite",
-    "bipartition",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.graphs.labeled", ("LabeledGraph",)),
+    ("repro.graphs.invariants", ("treewidth_exact",)),
+    ("repro.graphs.degeneracy", ("degeneracy", "degeneracy_ordering", "core_numbers")),
+    ("repro.graphs.properties", (
+        "has_triangle", "has_square", "girth", "diameter", "is_connected",
+        "connected_components", "is_bipartite", "bipartition")),
+))

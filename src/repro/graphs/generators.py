@@ -279,14 +279,13 @@ def partial_k_tree(n: int, k: int, keep_prob: float = 0.7, seed: int | None = No
     return g
 
 
-def random_k_degenerate(n: int, k: int, seed: int | None = None, *, exact: bool = True) -> LabeledGraph:
+def random_k_degenerate(n: int, k: int, seed: int | None = None) -> LabeledGraph:
     """A random graph with degeneracy <= k, built along a random elimination order.
 
     Vertices are inserted in a random permutation order; each new vertex
-    picks ``min(k, #existing)`` earlier vertices as neighbours (all of them
-    when ``exact`` is true, a random subset otherwise).  The insertion order
-    reversed is a valid Definition-2 elimination order, so degeneracy <= k
-    by construction.
+    picks ``min(k, #existing)`` earlier vertices as neighbours.  The
+    insertion order reversed is a valid Definition-2 elimination order, so
+    degeneracy <= k by construction.
 
     The adjacency sets are filled directly and adopted in one
     ``LabeledGraph._from_adjacency`` call: a new vertex's picks are
@@ -305,8 +304,6 @@ def random_k_degenerate(n: int, k: int, seed: int | None = None, *, exact: bool 
     for v in order:
         if placed:
             want = min(k, len(placed))
-            if not exact:
-                want = rng.randint(0, want)
             picks = rng.sample(placed, want)
             adj[v].update(picks)
             for u in picks:

@@ -25,28 +25,14 @@ This package provides:
   message still frugal.
 """
 
-from repro.model.message import Message
-from repro.model.protocol import (
-    OneRoundProtocol,
-    DecisionProtocol,
-    ReconstructionProtocol,
-)
-from repro.model.referee import Referee, RunReport, monotonic_clock
-from repro.model.frugality import FrugalityAuditor, FrugalityReport, log2_ceil
-from repro.model.multiround import MultiRoundProtocol, MultiRoundReferee, MultiRoundReport
+from repro import _lazy_exports
 
-__all__ = [
-    "Message",
-    "OneRoundProtocol",
-    "DecisionProtocol",
-    "ReconstructionProtocol",
-    "Referee",
-    "monotonic_clock",
-    "RunReport",
-    "FrugalityAuditor",
-    "FrugalityReport",
-    "log2_ceil",
-    "MultiRoundProtocol",
-    "MultiRoundReferee",
-    "MultiRoundReport",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.model.message", ("Message",)),
+    ("repro.model.protocol", (
+        "OneRoundProtocol", "DecisionProtocol", "ReconstructionProtocol")),
+    ("repro.model.referee", ("Referee", "monotonic_clock", "RunReport")),
+    ("repro.model.frugality", ("FrugalityAuditor", "FrugalityReport", "log2_ceil")),
+    ("repro.model.multiround", (
+        "MultiRoundProtocol", "MultiRoundReferee", "MultiRoundReport")),
+))

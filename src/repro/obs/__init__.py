@@ -16,77 +16,31 @@ The observability substrate for the whole execution stack (DESIGN.md §8):
 * :mod:`repro.obs.progress` — a live progress reporter (rate, ETA,
   per-shard completion) driven by the same event bus, TTY-aware.
 * :mod:`repro.obs.events` — the event schema: strict validation and
-  torn-tail-tolerant loading (lazy: pulls in the engine's shard I/O).
+  torn-tail-tolerant loading (pulls in the engine's shard I/O).
 * :mod:`repro.obs.report` — ``repro trace``'s phase breakdown, critical
-  path, and slowest-run analysis (lazy: pulls in the analysis tables).
+  path, and slowest-run analysis (pulls in the analysis tables).
 * :mod:`repro.obs.taxonomy` — every span name, registered under registry
   kind ``"span"`` so the taxonomy is introspectable and CI-pinned.
 
-Import discipline: this package's eager modules (trace, metrics,
-progress) depend only on the stdlib and :mod:`repro.errors` /
-:mod:`repro.registry`, because the *model and engine layers import the
-tracer* — the event sink is injected by the campaign, never constructed
-here, which is what keeps the dependency arrow pointing one way.
+Import discipline: the package is PEP 562-lazy, so each name loads only
+its own module.  The modules the model and engine layers import (trace,
+metrics, progress) depend only on the stdlib and :mod:`repro.errors` /
+:mod:`repro.registry` — the event sink is injected by the campaign,
+never constructed here, which is what keeps the dependency arrow
+pointing one way; events and report import the engine and analysis
+layers, which import this package, and resolving them lazily breaks
+that cycle.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-import importlib
-from typing import Any
-
-from repro.obs.metrics import MetricsRegistry, load_metrics_file, render_prometheus
-from repro.obs.progress import ProgressReporter
-from repro.obs.trace import (
-    EVENT_VERSION,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    current_tracer,
-    mark,
-    span,
-    use_tracer,
-)
-
-__all__ = [
-    "EVENT_VERSION",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Span",
-    "current_tracer",
-    "use_tracer",
-    "span",
-    "mark",
-    "MetricsRegistry",
-    "render_prometheus",
-    "load_metrics_file",
-    "ProgressReporter",
-    # lazy (see __getattr__): repro.obs.events / repro.obs.report names
-    "events_path",
-    "metrics_path",
-    "validate_event",
-    "load_partial_events",
-    "trace_report_data",
-    "render_trace_report",
-]
-
-_LAZY = {
-    "events_path": "repro.obs.events",
-    "metrics_path": "repro.obs.events",
-    "validate_event": "repro.obs.events",
-    "load_partial_events": "repro.obs.events",
-    "trace_report_data": "repro.obs.report",
-    "render_trace_report": "repro.obs.report",
-}
-
-
-def __getattr__(name: str) -> Any:
-    # PEP 562: events/report import the engine/analysis layers, which
-    # import this package — resolving them lazily breaks the cycle.
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.obs.trace", (
+        "EVENT_VERSION", "Tracer", "NullTracer", "NULL_TRACER", "Span", "current_tracer",
+        "use_tracer", "span", "mark")),
+    ("repro.obs.metrics", ("MetricsRegistry", "render_prometheus", "load_metrics_file")),
+    ("repro.obs.progress", ("ProgressReporter",)),
+    ("repro.obs.events", (
+        "events_path", "metrics_path", "validate_event", "load_partial_events")),
+    ("repro.obs.report", ("trace_report_data", "render_trace_report")),
+))

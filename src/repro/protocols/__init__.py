@@ -25,40 +25,19 @@ module, and each loads on first use of one of its names, so a campaign
 that names one protocol loads that protocol's module alone.
 """
 
-import importlib
-from typing import Any
+from repro import _lazy_exports
 
-#: Lazy export map (PEP 562): public name -> defining module.
-_LAZY = {
-    name: module
-    for module, names in {
-        "repro.protocols.powersum": (
-            "encode_powersum_message", "decode_powersum_messages", "newton_identities",
-            "decode_neighborhood_newton", "PowerSumLookupTable"),
-        "repro.protocols.forest": ("ForestReconstructionProtocol",),
-        "repro.protocols.degeneracy_reconstruction": (
-            "DegeneracyReconstructionProtocol", "DegeneracyRecognitionProtocol"),
-        "repro.protocols.generalized_degeneracy": ("GeneralizedDegeneracyProtocol",),
-        "repro.protocols.bounded_degree": ("BoundedDegreeProtocol",),
-        "repro.protocols.partition_connectivity": ("PartitionConnectivityProtocol",),
-        "repro.protocols.adaptive_query": ("AdaptiveQueryReconstruction",),
-        "repro.protocols.trivial": (
-            "EmptyProtocol", "IdEchoProtocol", "FullAdjacencyProtocol", "DegreeProtocol"),
-    }.items()
-    for name in names
-}
-
-__all__ = list(_LAZY)
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.protocols.powersum", (
+        "encode_powersum_message", "decode_powersum_messages", "newton_identities",
+        "decode_neighborhood_newton", "PowerSumLookupTable")),
+    ("repro.protocols.forest", ("ForestReconstructionProtocol",)),
+    ("repro.protocols.degeneracy_reconstruction", (
+        "DegeneracyReconstructionProtocol", "DegeneracyRecognitionProtocol")),
+    ("repro.protocols.generalized_degeneracy", ("GeneralizedDegeneracyProtocol",)),
+    ("repro.protocols.bounded_degree", ("BoundedDegreeProtocol",)),
+    ("repro.protocols.partition_connectivity", ("PartitionConnectivityProtocol",)),
+    ("repro.protocols.adaptive_query", ("AdaptiveQueryReconstruction",)),
+    ("repro.protocols.trivial", (
+        "EmptyProtocol", "IdEchoProtocol", "FullAdjacencyProtocol", "DegreeProtocol")),
+))

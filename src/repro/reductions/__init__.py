@@ -26,50 +26,20 @@ protocol object, get back a reconstructor protocol object.
   global function can make that local function work.
 """
 
-from repro.reductions.gadgets import square_gadget, diameter_gadget, triangle_gadget
-from repro.reductions.square import SquareReduction
-from repro.reductions.diameter import DiameterReduction
-from repro.reductions.triangle import TriangleReduction
-from repro.reductions.oracles import (
-    OracleSquareDetector,
-    OracleTriangleDetector,
-    OracleDiameterDetector,
-)
-from repro.reductions.coalition import (
-    CoalitionEncoder,
-    HashedCoalitionEncoder,
-    EdgeStatsCoalitionEncoder,
-    CoalitionCollisionWitness,
-    find_coalition_collision,
-    coalition_parts,
-    coalition_capacity_bits,
-)
-from repro.reductions.collision import (
-    CollisionWitness,
-    find_collision_exhaustive,
-    find_collision_sampled,
-    HashedNeighborhoodEncoder,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "square_gadget",
-    "diameter_gadget",
-    "triangle_gadget",
-    "SquareReduction",
-    "DiameterReduction",
-    "TriangleReduction",
-    "OracleSquareDetector",
-    "OracleTriangleDetector",
-    "OracleDiameterDetector",
-    "CoalitionEncoder",
-    "HashedCoalitionEncoder",
-    "EdgeStatsCoalitionEncoder",
-    "CoalitionCollisionWitness",
-    "find_coalition_collision",
-    "coalition_parts",
-    "coalition_capacity_bits",
-    "CollisionWitness",
-    "find_collision_exhaustive",
-    "find_collision_sampled",
-    "HashedNeighborhoodEncoder",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.reductions.gadgets", ("square_gadget", "diameter_gadget", "triangle_gadget")),
+    ("repro.reductions.square", ("SquareReduction",)),
+    ("repro.reductions.diameter", ("DiameterReduction",)),
+    ("repro.reductions.triangle", ("TriangleReduction",)),
+    ("repro.reductions.oracles", (
+        "OracleSquareDetector", "OracleTriangleDetector", "OracleDiameterDetector")),
+    ("repro.reductions.coalition", (
+        "CoalitionEncoder", "HashedCoalitionEncoder", "EdgeStatsCoalitionEncoder",
+        "CoalitionCollisionWitness", "find_coalition_collision", "coalition_parts",
+        "coalition_capacity_bits")),
+    ("repro.reductions.collision", (
+        "CollisionWitness", "find_collision_exhaustive", "find_collision_sampled",
+        "HashedNeighborhoodEncoder")),
+))

@@ -26,62 +26,16 @@ Everything is pure stdlib and — timing aside, which is opt-in in
 records produce byte-identical reports.
 """
 
-from repro.results.records import (
-    RECORD_VERSION,
-    canonical_line,
-    index_by_spec_hash,
-    iter_records,
-    load_records,
-    migrate_record,
-    spec_content_hash,
-    validate_record,
-)
-from repro.results.aggregate import (
-    DEFAULT_AXES,
-    Aggregator,
-    QuantileSketch,
-    RunningStats,
-    aggregate,
-    aggregate_table,
-    normalized_bits,
-    percentile,
-)
-from repro.results.baseline import (
-    BASELINE_VERSION,
-    DEFAULT_BASELINES_DIR,
-    BaselineCheck,
-    CheckFailure,
-    check,
-    diff_campaigns,
-    freeze,
-    load_baseline,
-    summarize_campaign,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "RECORD_VERSION",
-    "validate_record",
-    "migrate_record",
-    "iter_records",
-    "load_records",
-    "canonical_line",
-    "spec_content_hash",
-    "index_by_spec_hash",
-    "DEFAULT_AXES",
-    "Aggregator",
-    "QuantileSketch",
-    "RunningStats",
-    "percentile",
-    "normalized_bits",
-    "aggregate",
-    "aggregate_table",
-    "BASELINE_VERSION",
-    "DEFAULT_BASELINES_DIR",
-    "summarize_campaign",
-    "freeze",
-    "load_baseline",
-    "CheckFailure",
-    "BaselineCheck",
-    "check",
-    "diff_campaigns",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.results.records", (
+        "RECORD_VERSION", "validate_record", "migrate_record", "iter_records",
+        "load_records", "canonical_line", "spec_content_hash", "index_by_spec_hash")),
+    ("repro.results.aggregate", (
+        "DEFAULT_AXES", "Aggregator", "QuantileSketch", "RunningStats", "percentile",
+        "normalized_bits", "aggregate", "aggregate_table")),
+    ("repro.results.baseline", (
+        "BASELINE_VERSION", "DEFAULT_BASELINES_DIR", "summarize_campaign", "freeze",
+        "load_baseline", "CheckFailure", "BaselineCheck", "check", "diff_campaigns")),
+))

@@ -115,10 +115,13 @@ def append_point(
     path: str | pathlib.Path, point: Mapping
 ) -> pathlib.Path:
     """Durably append one validated point: one line, one flush, and
-    the one fsync the writer's close makes before this returns."""
-    from repro.engine.shard import JsonlStreamWriter
+    the one fsync the writer's close makes before this returns.  A torn
+    final line is cut off first, so the point starts on a clean line."""
+    from repro.engine.shard import JsonlStreamWriter, drop_torn_tail
 
     point = validate_point(point)
+    path = pathlib.Path(path)
+    drop_torn_tail(path, _scan_points(path)[1])
     with JsonlStreamWriter(path, append=True) as writer:
         writer.write(point)
     return writer.path
@@ -132,18 +135,22 @@ def load_points(path: str | pathlib.Path) -> list[dict]:
     hit real disk corruption, and silently skipping points would bend the
     very series the gate trusts.
     """
+    return _scan_points(pathlib.Path(path))[0]
+
+
+def _scan_points(path: pathlib.Path) -> tuple[list[dict], int]:
+    """``(points, good_bytes)`` of the ledger at ``path``."""
     from repro.engine.shard import scan_partial_lines
 
-    path = pathlib.Path(path)
     try:
-        points, _torn, _good = scan_partial_lines(
+        points, _torn, good_bytes = scan_partial_lines(
             path,
             lambda raw: validate_point(json.loads(raw.decode())),
             what="trend point",
         )
     except ShardError as exc:
         raise StoreError(str(exc)) from None
-    return points
+    return points, good_bytes
 
 
 def series(

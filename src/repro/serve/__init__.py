@@ -32,22 +32,13 @@ Quickstart (in-process)::
 or as a daemon: ``python -m repro serve``, then ``repro submit smoke``.
 """
 
-from repro.serve.client import DEFAULT_URL, RemoteJob, ServeClient
-from repro.serve.http import DEFAULT_HOST, DEFAULT_PORT, ReproServer, ServerThread
-from repro.serve.queue import Scheduler
-from repro.serve.store import JOB_STATES, PRIORITIES, TERMINAL_STATES, JobStore
+from repro import _lazy_exports
 
-__all__ = [
-    "ServeClient",
-    "RemoteJob",
-    "ReproServer",
-    "ServerThread",
-    "Scheduler",
-    "JobStore",
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "PRIORITIES",
-    "DEFAULT_URL",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.serve.client", ("ServeClient", "RemoteJob")),
+    ("repro.serve.http", ("ReproServer", "ServerThread")),
+    ("repro.serve.queue", ("Scheduler",)),
+    ("repro.serve.store", ("JobStore",)),
+    ("repro.serve.client", ("JOB_STATES", "TERMINAL_STATES", "PRIORITIES", "DEFAULT_URL")),
+    ("repro.serve.http", ("DEFAULT_HOST", "DEFAULT_PORT")),
+))

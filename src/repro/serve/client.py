@@ -26,11 +26,23 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.errors import JobNotFound, QueueFull, ServeError
-from repro.serve.store import TERMINAL_STATES
 
-__all__ = ["ServeClient", "RemoteJob", "DEFAULT_URL"]
+__all__ = [
+    "ServeClient", "RemoteJob", "DEFAULT_URL", "JOB_STATES", "TERMINAL_STATES", "PRIORITIES",
+]
 
 DEFAULT_URL = "http://127.0.0.1:7341"
+
+#: Every state a job can be in, in lifecycle order.  The job vocabulary
+#: lives here, in the stdlib-only client, so that a client process loads
+#: neither the store nor the engine; the daemon imports it from here.
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: States a job never leaves.
+TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: Admission classes, highest first; the scheduler drains lower numbers first.
+PRIORITIES = {"high": 0, "normal": 1, "low": 2}
 
 #: Sentinel: "use the client's default timeout" (None means "no timeout").
 _DEFAULT_TIMEOUT: Any = object()

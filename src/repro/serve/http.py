@@ -45,7 +45,8 @@ from repro.errors import JobNotFound, QueueFull, ReproError, ServeError
 from repro.engine.shard import ShardManifest, shard_done_path, shard_stream_path
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.serve.queue import Scheduler
-from repro.serve.store import TERMINAL_STATES, JobStore
+from repro.serve.client import TERMINAL_STATES
+from repro.serve.store import JobStore
 from repro.serve.summary import SummaryCache
 
 __all__ = ["ReproServer", "ServerThread", "DEFAULT_HOST", "DEFAULT_PORT"]

@@ -46,7 +46,8 @@ from repro.engine.campaign import Campaign, builtin_campaign
 from repro.engine.executor import make_executor
 from repro.engine.shard import manifest_path, merge_shards
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.store import PRIORITIES, TERMINAL_STATES, JobStore
+from repro.serve.client import PRIORITIES, TERMINAL_STATES
+from repro.serve.store import JobStore
 
 __all__ = ["Scheduler"]
 
@@ -275,13 +276,7 @@ class Scheduler:
         await asyncio.to_thread(self._close_active_executors)
         for job in self.store.list():
             if job["state"] == "running":
-                self.store.update(
-                    job["id"], state="queued",
-                    note="requeued at daemon shutdown",
-                    shards_done=[False] * job["shards"],
-                    records=0, resumed=0, cache_hits=0,
-                    _started_clock=None,
-                )
+                self.store.requeue(job, note="requeued at daemon shutdown")
 
     def _close_active_executors(self) -> None:
         with self._active_lock:

@@ -35,22 +35,9 @@ from typing import Any
 
 from repro.errors import JobNotFound, ServeError
 from repro.engine.shard import atomic_write_json
+from repro.serve.client import JOB_STATES, PRIORITIES, TERMINAL_STATES
 
-__all__ = [
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "PRIORITIES",
-    "JobStore",
-]
-
-#: Every state a job can be in, in lifecycle order.
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-
-#: States a job never leaves.
-TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-#: Admission classes, highest first; the scheduler drains lower numbers first.
-PRIORITIES = {"high": 0, "normal": 1, "low": 2}
+__all__ = ["JobStore"]
 
 _JOB_VERSION = 1
 
@@ -94,7 +81,7 @@ class JobStore:
         died); they go back to ``queued`` — with their shard streams and
         manifest intact, so the scheduler's resume path replays every
         durable record instead of recomputing it — and their per-attempt
-        progress counters reset (the resumed run re-derives them).
+        progress counters reset (:meth:`requeue`).
         Returns the jobs now awaiting execution (state ``queued``), in
         submission order.  Unreadable state files are skipped with the
         job dir left in place for post-mortem, never deleted.
@@ -111,14 +98,7 @@ class JobStore:
                 if not isinstance(job, dict) or "id" not in job:
                     continue
                 if job.get("state") == "running":
-                    job["state"] = "queued"
-                    job["note"] = "requeued after daemon restart"
-                    job["shards_done"] = [False] * int(job.get("shards", 1))
-                    job["records"] = 0
-                    job["resumed"] = 0
-                    # a monotonic stamp from a dead process means nothing
-                    job["_started_clock"] = None
-                    atomic_write_json(state_path, job)
+                    self.requeue(job, note="requeued after daemon restart")
                 self._jobs[job["id"]] = job
                 self._seq = max(self._seq, int(job.get("seq", 0)))
         return [j for j in self.list() if j["state"] == "queued"]
@@ -216,6 +196,22 @@ class JobStore:
         """Merge ``fields`` into the job state, atomically persisted."""
         job = self.get(job_id)
         job.update(fields)
+        self._write(job)
+        return job
+
+    def requeue(self, job: dict[str, Any], *, note: str) -> dict[str, Any]:
+        """Put an interrupted ``running`` job back to ``queued``.
+
+        Both requeue paths (shutdown and restart recovery) come through
+        here.  The per-attempt progress counters reset, since the resumed
+        run re-derives them from the shard streams, and so does the start
+        stamp: a monotonic clock from another process means nothing.
+        """
+        job.update(
+            state="queued", note=note,
+            shards_done=[False] * int(job.get("shards", 1)),
+            records=0, resumed=0, cache_hits=0, _started_clock=None,
+        )
         self._write(job)
         return job
 

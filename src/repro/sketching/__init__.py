@@ -37,35 +37,13 @@ that names ``agm_connectivity`` alone loads neither the bipartiteness nor
 the multi-round protocol.
 """
 
-import importlib
-from typing import Any
+from repro import _lazy_exports
 
-#: Lazy export map (PEP 562): public name -> defining module.
-_LAZY = {
-    name: module
-    for module, names in {
-        "repro.sketching.bipartiteness": (
-            "SketchBipartitenessProtocol", "BipartitenessReport"),
-        "repro.sketching.field": ("MERSENNE61", "derive_params", "fadd", "fmul", "fpow"),
-        "repro.sketching.onesparse": ("OneSparseSketch", "OneSparseResult"),
-        "repro.sketching.l0sampler": ("L0Sampler", "L0SamplerParams"),
-        "repro.sketching.connectivity": ("AGMConnectivityProtocol", "SketchReport"),
-        "repro.sketching.multiround_conn": ("MultiRoundSketchConnectivity",),
-    }.items()
-    for name in names
-}
-
-__all__ = list(_LAZY)
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, (
+    ("repro.sketching.bipartiteness", ("SketchBipartitenessProtocol", "BipartitenessReport")),
+    ("repro.sketching.field", ("MERSENNE61", "derive_params", "fadd", "fmul", "fpow")),
+    ("repro.sketching.onesparse", ("OneSparseSketch", "OneSparseResult")),
+    ("repro.sketching.l0sampler", ("L0Sampler", "L0SamplerParams")),
+    ("repro.sketching.connectivity", ("AGMConnectivityProtocol", "SketchReport")),
+    ("repro.sketching.multiround_conn", ("MultiRoundSketchConnectivity",)),
+))

@@ -1,5 +1,6 @@
 """The registry core: registration, aliases, suggestions, lazy loading."""
 
+import ast
 import json
 import pathlib
 import subprocess
@@ -11,6 +12,31 @@ import pytest
 from repro import registry
 from repro.errors import ProtocolError, RegistryError, UnknownRegistryEntry
 from repro.registry import Registry
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+#: Every package whose init is one table handed to ``repro._lazy_exports``
+#: (``repro.registry`` defines its names in its init).
+LAZY_PACKAGES = ["repro", *sorted(
+    f"repro.{init.parent.name}" for init in SRC.glob("repro/*/__init__.py")
+    if init.parent.name != "registry")]
+
+#: Submodules a bare package import loads: an export named like its
+#: defining submodule is bound at import, with what that submodule imports.
+EAGERLY_LOADED = {
+    "repro.graphs": {"repro.graphs.degeneracy", "repro.graphs.labeled"},
+    "repro.results": {"repro.results.aggregate"},
+}
+
+
+def _export_table(package: str) -> list[tuple[str, tuple[str, ...]]]:
+    """The ``(module, names)`` table ``package``'s init hands ``_lazy_exports``."""
+    init = SRC.joinpath(*package.split("."), "__init__.py")
+    calls = [node for node in ast.walk(ast.parse(init.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy_exports"]
+    assert len(calls) == 1, init
+    return [(package if isinstance(module, ast.Name) else ast.literal_eval(module),
+             ast.literal_eval(names)) for module, names in (row.elts for row in calls[0].args[1].elts)]
 
 
 def _fresh() -> Registry:
@@ -249,18 +275,79 @@ class TestLazyLoading:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
-    def test_engine_exports_resolve_lazily(self):
-        """Each `repro.engine.__all__` name is its defining module's object."""
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_package_exports_resolve_lazily(self, package):
+        """Importing a package loads none of its submodules but the eagerly
+        bound ones; each `__all__` name is its table module's object (also
+        when every submodule was imported first) and is in `dir()`."""
+        table = _export_table(package)
         code = (
-            "import importlib, sys, repro.engine as e\n"
-            "assert 'repro.engine.executor' not in sys.modules\n"
-            "for name in e.__all__:\n"
-            "    value, home = getattr(e, name), importlib.import_module(e._LAZY[name])\n"
-            "    assert value is getattr(home, name) and name in home.__all__, name\n"
-            "    assert getattr(value, '__module__', home.__name__) == home.__name__\n"
-            "    assert name in dir(e), name\n"
+            f"import importlib, inspect, pkgutil, sys, {package} as pkg\n"
+            f"loaded = {{m for m in sys.modules if m.startswith({package + '.'!r})}}\n"
+            f"assert loaded == {EAGERLY_LOADED.get(package, set())!r}, loaded\n"
+            f"table = {table!r}\n"
+            "assert pkg.__all__ == [name for _, names in table for name in names]\n"
+            "for info in pkgutil.iter_modules(pkg.__path__):\n"
+            "    if info.name != '__main__':\n"
+            "        importlib.import_module(f'{pkg.__name__}.{info.name}')\n"
+            "for module, names in table:\n"
+            "    home = importlib.import_module(module)\n"
+            "    for name in names:\n"
+            "        value = getattr(pkg, name)\n"
+            "        assert value is getattr(home, name) and name in home.__all__, name\n"
+            "        if inspect.isfunction(value) or inspect.isclass(value):\n"
+            "            assert getattr(sys.modules[value.__module__], name) is value, name\n"
+            "        assert name in dir(pkg), name\n"
+            "try:\n"
+            "    pkg.no_such_export\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('unknown name resolved')\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_engine_keeps_its_spec_version(self):
+        code = (
+            "import repro.engine as e\n"
             "from repro.engine import scenario\n"
             "assert e.SPEC_VERSION is scenario.SPEC_VERSION == 2\n"
+            "assert 'SPEC_VERSION' not in e.__all__ and 'spec_content_hash' not in e.__all__\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_exports_named_like_their_submodule_stay_functions(self):
+        """Importing the submodule first must not rebind the package name."""
+        code = (
+            "import inspect, repro.graphs.degeneracy, repro.results.aggregate, repro\n"
+            "for value in (repro.degeneracy, repro.graphs.degeneracy,\n"
+            "              repro.aggregate, repro.results.aggregate):\n"
+            "    assert inspect.isfunction(value), value\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_package_init_holds_one_export_table(self, package):
+        """No init defines its own `__getattr__` / `__dir__` or a `_LAZY`
+        map (the helper's are nested), and no init names an export twice."""
+        init = SRC.joinpath(*package.split("."), "__init__.py")
+        tree = ast.parse(init.read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"__getattr__", "__dir__"}
+        assigned = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert not any(name.startswith("_LAZY") for name in assigned)
+        names = [name for _, row in _export_table(package) for name in row]
+        assert len(names) == len(set(names))
+
+    def test_import_serve_client_loads_no_daemon(self):
+        """`submit` / `jobs` / `job` and `Session.submit` pay only for the client."""
+        code = (
+            "import sys, repro.serve.client\n"
+            "heavy = [m for m in sys.modules if m == 'asyncio' or m.startswith(('asyncio.',"
+            " 'repro.engine')) or m in ('repro.serve.http', 'repro.serve.queue',"
+            " 'repro.serve.store')]\n"
+            "assert not heavy, heavy\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 

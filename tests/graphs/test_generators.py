@@ -161,7 +161,7 @@ class TestDegeneracyFamilies:
             random_k_degenerate(5, -1)
 
     def test_random_k_degenerate_exact_edge_count(self):
-        g = random_k_degenerate(10, 2, seed=4, exact=True)
+        g = random_k_degenerate(10, 2, seed=4)
         # first vertex 0 edges, second 1, rest 2 each
         assert g.m == 0 + 1 + 8 * 2
 

@@ -82,6 +82,18 @@ def test_load_tolerates_torn_tail(tmp_path):
     assert len(points) == 1
 
 
+def test_append_after_torn_tail_keeps_every_point(tmp_path):
+    ledger = trends_path(tmp_path)
+    append_point(ledger, _point(1.0))
+    with ledger.open("a") as fh:
+        fh.write('{"trend_vers')  # crash mid-write
+    append_point(ledger, _point(2.0))
+    assert [p["metrics"]["wall_p95_seconds"] for p in load_points(ledger)] == [1.0, 2.0]
+    append_point(ledger, _point(3.0))
+    assert [p["metrics"]["wall_p95_seconds"] for p in load_points(ledger)] == [1.0, 2.0, 3.0]
+    assert ledger.read_bytes().count(b"\n") == 3
+
+
 def test_load_rejects_midstream_corruption(tmp_path):
     ledger = trends_path(tmp_path)
     good = json.dumps(_point(1.0), sort_keys=True)

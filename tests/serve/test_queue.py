@@ -349,3 +349,18 @@ def test_requeued_job_cancelled_while_queued_has_no_wall_time(tmp_path, requeue)
     assert done["state"] == "cancelled" and done["wall_seconds"] == 0.0
     h = sched.metrics.to_dict()["histograms"]["serve_job_wall_seconds"]
     assert h["count"] == 1 and h["total"] == 2.0
+
+
+@pytest.mark.parametrize("requeue", [_requeue_at_shutdown, _requeue_at_restart],
+                         ids=["stop", "recover"])
+def test_both_requeue_paths_reset_every_progress_counter(tmp_path, requeue):
+    """A requeued job re-derives its progress on resume, so nothing from
+    the interrupted attempt may be counted twice."""
+    sched = _scheduler(tmp_path)
+    job = sched.submit({"campaign": "smoke", "shards": 2})
+    sched.store.update(job["id"], state="running", shards_done=[True, False],
+                       records=7, resumed=3, cache_hits=5)
+    requeue(sched)
+    view = sched.store.get(job["id"])
+    assert view["state"] == "queued" and view["shards_done"] == [False, False]
+    assert (view["records"], view["resumed"], view["cache_hits"]) == (0, 0, 0)
