@@ -6,21 +6,22 @@ blocks.  :meth:`Campaign.run`:
 1. expands every scenario into :class:`~repro.engine.scenario.RunSpec`
    values and deduplicates them by content hash (grids often overlap —
    identical work is done once);
-2. replays cache hits from the record streams already in ``results_dir``
+2. reads each record stream in ``results_dir`` once
    (:func:`~repro.engine.shard.durable_records`: the streams *are* the
-   cache).  Hits match by content hash, which covers the spec and
-   :data:`~repro.engine.scenario.SPEC_VERSION`; streams whose manifest
-   names another ``SPEC_VERSION`` are never read.  A hit whose stored
-   spec equals the requesting one is written back as its stored line,
-   with only the ``cached`` flag set.  Old ``cache/``
-   directories from earlier versions are ignored, not read or deleted;
+   cache) and replays hits, matched by content hash, which covers the
+   spec and :data:`~repro.engine.scenario.SPEC_VERSION`; streams whose
+   manifest names another ``SPEC_VERSION`` are never read.  A hit whose
+   stored spec equals the requesting one is written as its stored line,
+   with only the ``cached`` flag set; a resume first takes the records
+   its own stream holds.  Old ``cache/`` directories are ignored;
 3. fans the misses out through any :class:`~repro.engine.executor.Executor`;
 4. streams every record, in deterministic spec order, to
    ``<results_dir>/<name>.jsonl`` — one JSON object per line with
    ``spec`` / ``result`` / ``timing`` sections, ``sort_keys`` so the bytes
    are stable (the determinism test strips only ``timing`` and ``cached``).
-   Every line is flushed whole and the stream is fsynced once per 64
-   fresh records (replayed lines, i.e. cache hits, do not count) and at
+   The longest prefix of the stream already holding these bytes stays and
+   the rest is appended.  Every line is flushed whole and the stream is
+   fsynced once per 64 fresh records (replayed lines do not count) and at
    close, so a crash tears at most the final line and a power loss
    loses at most that unsynced window, which resume re-executes.  Every
    persisted run also writes the checkpoint manifest from
@@ -67,10 +68,9 @@ from repro.engine.shard import (
     ShardManifest,
     atomic_write_json,
     atomic_write_jsonl,
-    drop_torn_tail,
     durable_records,
-    load_partial_records,
     merge_shards,
+    scan_records,
     shard_done_path,
     shard_specs,
     shard_stream_path,
@@ -89,21 +89,26 @@ __all__ = [
 _FRESH, _CACHED = b'{"cached": false', b'{"cached": true'
 
 
-def _replayed_line(record: RunRecord, line: bytes, spec: RunSpec) -> bytes:
-    """Restamp a cache hit for ``spec``, mark it cached, return its line.
+def _replayed_line(
+    record: RunRecord, line: bytes, spec: RunSpec, *, resumed: bool = False
+) -> bytes:
+    """Restamp a stored record for ``spec`` and return its line.
 
-    The stored line is kept, with its flag set, when its spec equals
-    ``spec`` (label included) and it begins with the flag; otherwise
-    the record is serialized again (DESIGN.md §7).
+    A resumed record keeps its ``cached`` flag and its stored line; a
+    cache hit is marked cached, and its stored line is kept with the
+    flag set when it begins with the flag.  Either keeps its stored line
+    only when its spec equals ``spec``, label included; otherwise the
+    record is serialized again (DESIGN.md §7).
     """
     same = record.spec == spec
     # The hash covers only the physical run; restamp the requesting spec
     # so the emitted record carries this campaign's provenance.
     record.spec = spec
-    record.cached = True
-    if same and line.startswith(_FRESH):
-        return _CACHED + line[len(_FRESH):]
-    if same and line.startswith(_CACHED):
+    if not resumed:
+        record.cached = True
+        if same and line.startswith(_FRESH):
+            return _CACHED + line[len(_FRESH):]
+    if same and (resumed or line.startswith(_CACHED)):
         return line
     return json.dumps(record.to_json_dict(), sort_keys=True).encode()
 
@@ -303,6 +308,7 @@ class Campaign:
         stream_path: pathlib.Path | None,
         *,
         cache: Mapping[str, tuple[RunRecord, bytes]],
+        stored: tuple[list[tuple[str, RunRecord, bytes]], int, int],
         resume: bool = False,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         metrics: MetricsRegistry | None = None,
@@ -310,53 +316,35 @@ class Campaign:
     ) -> tuple[list[RunRecord], int, int, int]:
         """Execute ``specs`` in order, streaming each record as it lands.
 
-        Records are streamed to ``stream_path`` through
+        Each spec's line is decided before anything is written.  With
+        ``resume``, a spec whose record ``stored`` (the
+        :func:`~repro.engine.shard.scan_records` scan of ``stream_path``)
+        holds is resumed, matched by content hash, so completed work
+        survives grid edits: it keeps its stored line unless its label
+        changed, and emits no events.  Any other spec found in ``cache``
+        (a :func:`~repro.engine.shard.durable_records` index) is a hit,
+        written as :func:`_replayed_line`; the rest execute.
+
+        The stream keeps the longest prefix of its lines that equals, byte
+        for byte, what this run writes there, is cut after it (dropping
+        stale records and a torn tail), and the rest appends through one
         :class:`~repro.engine.shard.JsonlStreamWriter`: every line is
         flushed whole, fresh records are fsynced in groups of 64, and the
-        writer's close (which precedes the done marker) fsyncs any
-        unsynced tail, so a crash tears at most the final line.
-        Pending specs found in ``cache`` (a
-        :func:`~repro.engine.shard.durable_records` index of
-        ``(record, stored line)``) are replayed instead of executed: a
-        hit whose stored spec equals the requesting one, label included,
-        writes the stored line's bytes back with only its leading
-        ``"cached"`` flag set, and any other hit is restamped with the
-        requesting spec and serialized again (DESIGN.md §7).  With ``resume``,
-        every durable record of an interrupted stream whose spec is still
-        in the grid is replayed instead of re-executed — matched by
-        content hash, so completed work survives scenario reordering and
-        grid edits, not just a clean kill.  A torn tail is truncated and
-        its spec re-run.  New records always *append* (durability is never
-        traded away mid-run); if replay found the stream out of grid order
-        or holding stale specs, the finished stream is rewritten
-        canonically in one atomic replace at the end.
+        writer's close (which precedes the done marker) fsyncs whatever
+        is unsynced, kept lines included.  A resume never cuts a record it
+        replays: when one lies beyond the kept prefix, every line stays,
+        the rest appends, and the stream is rewritten canonically in one
+        atomic replace at the end.
 
         Returns ``(records, cache_hits, cache_misses, resumed)``.
         """
         metrics = metrics if metrics is not None else MetricsRegistry()
         order = [s.content_hash() for s in specs]
-        durable: dict[str, RunRecord] = {}
-        canonical = True  # does the on-disk stream equal canonical order?
-        if resume and stream_path is not None:
-            loaded, _torn, good_bytes = load_partial_records(stream_path)
-            current = set(order)
-            kept: list[str] = []
-            for record in loaded:
-                h = record.spec.content_hash()
-                if h in current:  # stale specs (grid edits) are dropped
-                    durable[h] = record
-                    kept.append(h)
-            canonical = (
-                len(kept) == len(loaded) and kept == order[: len(kept)]
-            )
-            drop_torn_tail(stream_path, good_bytes)
-            # Replayed records keep their original payload; restamp the
-            # requesting spec so provenance matches this campaign (the
-            # content hash is identical either way).
-            by_hash = {h: s for h, s in zip(order, specs)}
-            for h, record in durable.items():
-                record.spec = by_hash[h]
-
+        entries, _torn, good_bytes = stored
+        durable: dict[str, tuple[RunRecord, bytes]] = {}
+        if resume:
+            current = set(order)  # stale specs (grid edits) are dropped
+            durable = {h: (r, line) for h, r, line in entries if h in current}
         if durable:
             # Replayed records emit NO events (their events survived the
             # crash in the stream) — the mark is how progress consumers
@@ -364,23 +352,33 @@ class Campaign:
             tracer.mark("resume-replay", replayed=len(durable))
             metrics.inc("runs_resumed", len(durable))
 
-        pending = [s for s, h in zip(specs, order) if h not in durable]
-        slots: list[RunRecord | None] = []
-        lines: list[bytes | None] = []  # each hit's line, as it is written
-        for spec in pending:
-            hit, line = cache.get(spec.content_hash(), (None, None))
-            if hit is not None:
-                line = _replayed_line(hit, line, spec)
-            slots.append(hit)
+        records: list[RunRecord | None] = []
+        lines: list[bytes | None] = []  # None: executed, line unknown yet
+        for spec, h in zip(specs, order):
+            record, line = durable.get(h) or cache.get(h, (None, None))
+            if record is not None:
+                line = _replayed_line(record, line, spec, resumed=h in durable)
+            records.append(record)
             lines.append(line)
-        misses = [s for s, r in zip(pending, slots) if r is None]
+        keep = 0  # offsets count scanned lines: a stream with blanks keeps none
+        if sum(len(e[2]) + 1 for e in entries) == good_bytes:
+            for (_h, _r, old), new in zip(entries, lines):
+                if old != new:
+                    break
+                keep += 1
+        rewrite = resume and len(durable) > keep
+        cut = good_bytes if rewrite else sum(len(e[2]) + 1 for e in entries[:keep])
+
+        pending = [i for i, h in enumerate(order) if h not in durable]
+        misses = [specs[i] for i in pending if records[i] is None]
         miss_iter = executor.imap_observed(execute_run, misses)
 
         writer = None
         if stream_path is not None:
-            writer = JsonlStreamWriter(stream_path, append=resume)
+            writer = JsonlStreamWriter(stream_path, keep=cut)
         try:
-            for spec, record, line in zip(pending, slots, lines):
+            for i in pending:
+                spec, record = specs[i], records[i]
                 t_land = monotonic_clock()
                 worker = busy = None
                 fresh = record is None
@@ -418,12 +416,12 @@ class Campaign:
                         # type); annotate it with run context instead.
                         exc.add_note(f"while running {where}")
                         raise
-                durable[spec.content_hash()] = record
-                if writer is not None:
+                    records[i] = record
+                if writer is not None and i >= keep:
                     if fresh:
                         writer.write(record.to_json_dict())
                     else:
-                        writer.write_replayed(line)
+                        writer.write_replayed(lines[i])
                 self._observe_record(
                     record, tracer, metrics,
                     t_land, monotonic_clock() - t_land, worker, busy,
@@ -432,14 +430,13 @@ class Campaign:
             if writer is not None:
                 writer.close()
 
-        records = [durable[h] for h in order]
-        if stream_path is not None and not canonical:
-            # Reordered/edited grid: impose canonical order atomically now
-            # that every record is durable in the append-ordered stream.
+        if rewrite:
+            # A replayed record lay past the kept prefix: impose canonical
+            # order atomically now that every record is durable in the stream.
             atomic_write_jsonl(
                 stream_path, (r.to_json_dict() for r in records)
             )
-        return records, len(pending) - len(misses), len(misses), len(durable) - len(pending)
+        return records, len(pending) - len(misses), len(misses), len(durable)
 
     def run(
         self,
@@ -472,10 +469,10 @@ class Campaign:
             manifest written by the interrupted run; a manifest whose
             ``SPEC_VERSION``, campaign name, or shard count no longer
             matches is refused with an actionable
-            :class:`~repro.errors.ShardError`.  Grid edits and scenario
-            reordering are tolerated: records are matched by spec content
-            hash, stale ones dropped, and the stream rewritten in
-            canonical order if it drifted.
+            :class:`~repro.errors.ShardError` before any stream is read.
+            Grid edits and scenario reordering are tolerated: records are
+            matched by spec content hash, stale ones dropped, and the
+            stream rewritten in canonical order if it drifted.
         trace:
             Stream span/mark/metrics events (DESIGN.md §8) to
             ``<results_dir>/<name>[.shard-…].events.jsonl`` through the
@@ -495,10 +492,9 @@ class Campaign:
         ``<results_dir>/<name>.manifest.json`` atomically, a completion
         mark per shard it finishes (``<name>.done`` for one shard), plus
         ``<name>[.shard-…].metrics.json`` — metrics are collected
-        unconditionally; only *event streaming* is opt-in.  With
-        ``use_cache``, the cache index is read from the record streams
-        before anything is written, so a re-run replays its own previous
-        stream before truncating it.
+        unconditionally; only *event streaming* is opt-in.  Every stream
+        is read before anything is written, so a re-run replays its own
+        previous stream before cutting it after the prefix it keeps.
         """
         t0 = monotonic_clock()
         executor = executor or SerialExecutor()
@@ -524,11 +520,25 @@ class Campaign:
                 "lives there); pass results_dir= or drop trace=True"
             )
         specs = self.specs()
+        grid = {s: s.content_hash() for s in specs}
+        # An unsharded campaign is shard 0 of 1: its stream is the
+        # canonical <name>.jsonl, completed by the same mark.
+        n = shards or 1
+        indices = [shard_index] if shard_index is not None else list(range(n))
+        # The streams this run writes (none unpersisted), each read once.
+        streams = [None] * len(indices) if self.results_dir is None else [
+            shard_stream_path(self.results_dir, self.name, i, n) for i in indices]
+        own = dict.fromkeys(filter(None, streams))
+        if resume:
+            # The manifest is checked before any stream is read, and a
+            # stream corrupt mid-stream raises here, its bytes untouched.
+            ShardManifest.load(self.results_dir, self.name).validate_for(
+                self.name, n
+            )
+            own = {path: scan_records(path, grid) for path in own}
         cache: dict[str, tuple[RunRecord, bytes]] = {}
         if self.use_cache:
-            cache = durable_records(
-                self.results_dir, {s: s.content_hash() for s in specs}
-            )
+            cache = durable_records(self.results_dir, grid, own)
 
         reporter: ProgressReporter | None
         if progress is None or progress is False:
@@ -547,11 +557,11 @@ class Campaign:
                 self.results_dir, self.name,
                 shard_index=shard_index, shards=shards,
             )
-            if resume:
-                # Completed-run events survive the crash (replays emit
-                # nothing, so appending cannot duplicate them).
-                drop_torn_tail(ev_path, _load_partial_events(ev_path)[2])
-            writer = JsonlStreamWriter(ev_path, append=resume)
+            # On resume, completed-run events survive the crash (replays
+            # emit nothing, so appending cannot duplicate them).
+            writer = JsonlStreamWriter(
+                ev_path, keep=_load_partial_events(ev_path)[2] if resume else 0
+            )
         tracer: Tracer | NullTracer = NULL_TRACER
         if writer is not None or reporter is not None:
             tracer = Tracer(
@@ -559,25 +569,13 @@ class Campaign:
             )
 
         try:
-            # An unsharded campaign is shard 0 of 1: its stream is the
-            # canonical <name>.jsonl, completed by the same mark.
-            n = shards or 1
-            manifest = None
             if self.results_dir is not None:
                 self.results_dir.mkdir(parents=True, exist_ok=True)
-                if resume:
-                    ShardManifest.load(self.results_dir, self.name).validate_for(
-                        self.name, n
-                    )
-                manifest = ShardManifest.from_specs(self.name, specs, n)
-                manifest.write(self.results_dir)
+                ShardManifest.from_specs(self.name, specs, n).write(self.results_dir)
 
             with tracer.span("campaign", campaign=self.name,
                              executor=executor.kind):
                 per_shard = shard_specs(specs, n)
-                indices = (
-                    [shard_index] if shard_index is not None else list(range(n))
-                )
                 tracer.mark(
                     "campaign-start", campaign=self.name,
                     runs=sum(len(per_shard[i]) for i in indices),
@@ -585,12 +583,8 @@ class Campaign:
                 )
                 records = []
                 hits = misses = resumed = 0
-                stream = None
-                for i in indices:
-                    if self.results_dir is not None:
-                        stream = shard_stream_path(
-                            self.results_dir, self.name, i, n
-                        )
+                for i, stream in zip(indices, streams):
+                    if stream is not None:
                         # A stale mark must not claim completion while the
                         # shard reruns.
                         shard_done_path(
@@ -601,6 +595,7 @@ class Campaign:
                                     runs=len(per_shard[i]))
                         recs, h, m, r = self._run_stream(
                             per_shard[i], executor, stream, cache=cache,
+                            stored=own.get(stream) or ([], 0, 0),
                             resume=resume, tracer=tracer, metrics=metrics,
                             shard_index=None if shards is None else i,
                         )
@@ -618,7 +613,7 @@ class Campaign:
                     # file and hand records back in deduplicated grid order.
                     jsonl_path, _count = merge_shards(self.results_dir, self.name)
                     by_hash = {rec.spec.content_hash(): rec for rec in records}
-                    records = [by_hash[h] for h in manifest.spec_hashes]
+                    records = [by_hash[h] for h in grid.values()]
                 tracer.mark("campaign-end", campaign=self.name)
 
             # The pinned definition of cache_hit_ratio (see

@@ -1,11 +1,9 @@
 """Sharded, checkpointed campaign execution: split, stream, mark, merge.
 
 A :class:`~repro.engine.campaign.Campaign` is embarrassingly parallel
-across runs, but until this module a campaign was a single monolithic
-fan-out: kill a 10k-run sweep at run 9,999 and everything re-executes,
-and there is no way to split one campaign across worker processes,
-machines, or CI matrix jobs.  This module adds the four pieces that fix
-that, each crash-consistent on its own:
+across runs.  Four pieces split one across worker processes, machines
+or CI matrix jobs and resume it after a kill, each crash-consistent on
+its own:
 
 **Deterministic sharding** — :func:`shard_of` assigns every deduplicated
 :class:`~repro.engine.scenario.RunSpec` to one of ``n`` shards by its
@@ -32,12 +30,11 @@ streams, stale records are dropped, and the manifest is rewritten.
 to ``<name>.shard-<i>-of-<n>.jsonl`` through :class:`JsonlStreamWriter`:
 every line is flushed whole, and the stream is fsynced once per 64 fresh
 records (replayed lines, i.e. cache hits, do not count).  A killed
-process can therefore tear at most the final line;
-:func:`load_partial_records` detects a torn tail, drops it, and reports
-it so ``resume`` re-runs exactly that spec.  A power loss can also lose
-the unsynced window since the last fsync, whose specs ``resume``
-re-executes.  When a shard finishes and its writer has closed (closing
-fsyncs any unsynced tail), :func:`write_done_marker` atomically
+process can therefore tear at most the final line, which ``resume``
+re-runs, as it does the unsynced window a power loss may take.  A run
+keeps the longest prefix of its stream already holding its bytes and
+appends the rest.  When a shard finishes and its writer has closed
+(closing fsyncs any unsynced tail), :func:`write_done_marker` atomically
 publishes ``<name>.shard-<i>-of-<n>.done`` with the record count — the
 completion mark :func:`merge_shards` trusts.  An unsharded campaign is
 shard 0 of 1, and a one-shard stem is plain ``<name>``: its stream is the
@@ -57,8 +54,8 @@ Crash-consistency invariants (DESIGN.md §7):
    streams only — torn in its final line; a power loss may also cut a
    stream back to any point after its last fsync;
 2. the manifest and done markers only ever appear atomically;
-3. resume never re-executes a spec whose record is on disk whole, and
-   always re-executes a spec whose record is absent or torn;
+3. resume never re-executes a spec whose record is on disk whole, nor
+   cuts that record, and always re-executes one absent or torn;
 4. shard membership is a pure function of ``(spec content hash, n)``.
 """
 
@@ -90,8 +87,8 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_jsonl",
     "scan_partial_lines",
-    "drop_torn_tail",
     "load_partial_records",
+    "scan_records",
     "durable_records",
     "write_done_marker",
     "read_done_marker",
@@ -368,25 +365,27 @@ _SYNC_EVERY = 64
 class JsonlStreamWriter:
     """Append JSONL records: every line flushed whole, fsynced in groups.
 
-    :meth:`write` flushes its line and fsyncs once every
+    The file's first ``keep`` bytes (whole lines) stay and the rest is
+    cut.  :meth:`write` flushes its line and fsyncs once every
     ``_SYNC_EVERY`` (64) fresh lines, which makes every earlier line
     durable too.  :meth:`write_replayed` is for a line that was already
     durable (a cache hit): it is flushed whole but does not count
     toward the window.  :meth:`close` fsyncs once if any line is still
-    unsynced.  Every line reaches the file in one flush, so a killed
-    process tears *at most the final line* — the invariant
-    :func:`load_partial_records` (and therefore resume) relies on; a
-    power loss can also lose the lines written since the last fsync,
-    whose specs resume re-executes.  Use as a context manager.
+    unsynced, kept lines included.  Every line reaches the file in one
+    flush, so a killed process tears *at most the final line* — the
+    invariant :func:`scan_partial_lines` (and therefore resume) relies
+    on; a power loss can also lose the lines written since the last
+    fsync, whose specs resume re-executes.  Use as a context manager.
     """
 
-    def __init__(self, path: str | pathlib.Path, *, append: bool = False) -> None:
+    def __init__(self, path: str | pathlib.Path, *, keep: int = 0) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("ab" if append else "wb")
+        self._fh = self.path.open("ab")
+        self._fh.truncate(keep)
         self.written = 0
         self._fresh = 0  # fresh lines since the last fsync
-        self._unsynced = False  # any line, fresh or replayed, since then
+        self._unsynced = keep > 0  # any line, kept or written, since then
 
     def _append(self, line: bytes) -> None:
         self._fh.write(line + b"\n")
@@ -437,18 +436,18 @@ def scan_partial_lines(
 ) -> tuple[list, int, int]:
     """Scan a :class:`JsonlStreamWriter` stream, tolerating one torn tail.
 
-    The machinery behind :func:`load_partial_records` (shard/record
-    streams) and :func:`repro.obs.events.load_partial_events` (trace
-    event streams), which share the :class:`JsonlStreamWriter`
-    durability contract and therefore the same recovery rules.
+    The machinery behind :func:`scan_records` (record streams) and
+    :func:`repro.obs.events.load_partial_events` (trace event streams),
+    which share the :class:`JsonlStreamWriter` durability contract and
+    therefore the same recovery rules.
     ``parse`` maps one raw line (bytes) to a value; any
     :class:`ValueError` / :class:`KeyError` / :class:`TypeError` /
     :class:`~repro.errors.ReproError` it raises marks the line malformed.
 
     Returns ``(values, torn, good_bytes)``: the cleanly-parsed values,
     how many trailing torn lines were dropped (0 or 1), and the byte
-    offset just past the last good line — the truncation point a resume
-    uses so appended lines start clean.
+    offset just past the last good line — the ``keep`` of a
+    :class:`JsonlStreamWriter` that appends after them.
 
     Because the writer flushes every line whole (and fsyncs in groups
     of 64 fresh lines), only the *final* line can be incomplete after a
@@ -472,16 +471,12 @@ def scan_partial_lines(
             if terminated:
                 good_bytes += len(raw) + 1
             continue
-        parsed = None
-        ok = False
         try:
-            parsed = parse(raw)
-            ok = True
+            parsed, ok = parse(raw), True
         except (ValueError, KeyError, TypeError, ReproError):
-            ok = False
+            parsed, ok = None, False
         if not ok or not terminated:
-            tail = all(not rest.strip() for rest in lines[i + 1:])
-            if tail:
+            if all(not rest.strip() for rest in lines[i + 1:]):
                 return values, 1, good_bytes  # the one tear fsync allows
             raise ShardError(
                 f"{path.name}:{i + 1}: corrupt {what} mid-stream; only the "
@@ -491,14 +486,6 @@ def scan_partial_lines(
         values.append(parsed)
         good_bytes += len(raw) + 1
     return values, 0, good_bytes
-
-
-def drop_torn_tail(path: pathlib.Path, good_bytes: int) -> None:
-    """Cut ``path`` back to ``good_bytes`` (from :func:`scan_partial_lines`)
-    so the next appended line starts clean; a missing file is left alone."""
-    if path.exists() and path.stat().st_size > good_bytes:
-        with path.open("rb+") as fh:
-            fh.truncate(good_bytes)
 
 
 def load_partial_records(
@@ -520,8 +507,30 @@ def load_partial_records(
     )
 
 
+def scan_records(
+    path: str | pathlib.Path, grid: Mapping[RunSpec, str]
+) -> tuple[list[tuple[str, RunRecord, bytes]], int, int]:
+    """:func:`scan_partial_lines` of a record stream, each value a
+    ``(hash, record, line)`` triple in stream order.
+
+    ``line`` is the stored bytes (no newline), cut from the one read.
+    ``grid`` maps each spec being run to its content hash; a stored spec
+    equal to one of them (label included) takes that hash, since equal
+    fields hash equally, and any other stored spec is hashed.
+    """
+    from repro.engine.scenario import RunRecord
+
+    def parse(raw: bytes) -> tuple[str, RunRecord, bytes]:
+        record = RunRecord.from_json_dict(json.loads(raw.decode()))
+        return grid.get(record.spec) or record.spec.content_hash(), record, raw
+
+    return scan_partial_lines(path, parse)
+
+
 def durable_records(
-    results_dir: str | pathlib.Path, grid: Mapping[RunSpec, str]
+    results_dir: str | pathlib.Path,
+    grid: Mapping[RunSpec, str],
+    own: dict[pathlib.Path, Any] | None = None,
 ) -> dict[str, tuple[RunRecord, bytes]]:
     """The run cache: every durable record under ``results_dir`` for ``grid``.
 
@@ -535,21 +544,15 @@ def durable_records(
     a stream corrupt mid-stream; their specs simply recompute.  A torn
     tail drops only that record.
 
-    ``grid`` maps each spec being run to its content hash.  A stored spec
-    equal to one of them (label included) takes that hash, since equal
-    fields hash equally; any other stored spec is hashed.  Only records
-    whose hash is in the grid are kept, so memory is bounded by the
-    grid, not by everything in a shared results directory.  Each maps
-    its hash to ``(record, line)``: ``line`` is the stored line's bytes
-    (no newline), cut from the stream's one read, so a cache hit can be
-    written back without serializing it again.
+    Only records whose :func:`scan_records` hash is in ``grid`` are kept,
+    so memory is bounded by the grid, not by a shared results directory;
+    each maps its hash to ``(record, line)``.  ``own`` maps the running
+    campaign's own streams to their :func:`scan_records` result, or to
+    ``None`` until read: a scanned stream is not read again, and an own
+    stream read here is stored there, so each file is read once.
     """
-    from repro.engine.scenario import RunRecord
-
-    def parse(raw: bytes) -> tuple[RunRecord, bytes]:
-        return RunRecord.from_json_dict(json.loads(raw.decode())), raw
-
     results_dir = pathlib.Path(results_dir)
+    own = {} if own is None else own
     wanted = set(grid.values())
     found: dict[str, tuple[RunRecord, bytes]] = {}
     suffix = ".manifest.json"
@@ -567,12 +570,15 @@ def durable_records(
             for i in range(manifest.shards)
         ])
         for stream in streams:
-            try:
-                lines, _torn, _good = scan_partial_lines(stream, parse)
-            except ShardError:
-                continue
-            for record, raw in lines:
-                h = grid.get(record.spec) or record.spec.content_hash()
+            scanned = own.get(stream)
+            if scanned is None:
+                try:
+                    scanned = scan_records(stream, grid)
+                except ShardError:
+                    continue
+                if stream in own:
+                    own[stream] = scanned
+            for h, record, raw in scanned[0]:
                 if h in wanted:
                     found[h] = (record, raw)
     return found

@@ -20,7 +20,7 @@ __all__ = ["treewidth_exact"]
 _MAX_EXACT_N = 14
 
 
-def treewidth_exact(g: LabeledGraph, *, max_n: int = _MAX_EXACT_N) -> int:
+def treewidth_exact(g: LabeledGraph) -> int:
     """Exact treewidth via DP over vertex subsets (elimination orderings).
 
     Recurrence (Bodlaender & Koster, *Treewidth computations I*): for a set
@@ -31,8 +31,8 @@ def treewidth_exact(g: LabeledGraph, *, max_n: int = _MAX_EXACT_N) -> int:
     the fill-in graph.  ``TW(V)`` is the treewidth.
     """
     n = g.n
-    if n > max_n:
-        raise GraphError(f"exact treewidth limited to n <= {max_n}, got {n}")
+    if n > _MAX_EXACT_N:
+        raise GraphError(f"exact treewidth limited to n <= {_MAX_EXACT_N}, got {n}")
     if n == 0:
         return 0
     masks = [0] * (n + 1)

@@ -136,7 +136,7 @@ class MetricsRegistry:
         }
 
 
-def render_prometheus(snapshot: dict[str, Any], *, prefix: str = "repro") -> str:
+def render_prometheus(snapshot: dict[str, Any]) -> str:
     """The snapshot in Prometheus text exposition format.
 
     Counters and gauges map directly; a streaming histogram becomes the
@@ -150,7 +150,7 @@ def render_prometheus(snapshot: dict[str, Any], *, prefix: str = "repro") -> str
 
     def prefixed(series: str) -> str:
         name, brace, labels = series.partition("{")
-        return f"{prefix}_{name}{brace}{labels}"
+        return f"repro_{name}{brace}{labels}"
 
     lines: list[str] = []
     typed: set[str] = set()
@@ -159,7 +159,7 @@ def render_prometheus(snapshot: dict[str, Any], *, prefix: str = "repro") -> str
         base = series.partition("{")[0]
         if base not in typed:
             typed.add(base)
-            lines.append(f"# TYPE {prefix}_{base} {mtype}")
+            lines.append(f"# TYPE repro_{base} {mtype}")
         lines.append(f"{prefixed(series)} {value}")
 
     for series, value in snapshot["counters"].items():

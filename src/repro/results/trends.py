@@ -85,27 +85,27 @@ def trends_path(results_dir: str | pathlib.Path) -> pathlib.Path:
     return pathlib.Path(results_dir) / TRENDS_FILENAME
 
 
-def validate_point(point: Mapping, *, where: str = "trend point") -> dict:
+def validate_point(point: Mapping) -> dict:
     """Check one ledger entry; returns it as a plain dict."""
     point = dict(point)
-    check_mapping(point, _POINT_FIELDS, "point", where, error=StoreError)
+    check_mapping(point, _POINT_FIELDS, "point", "trend point", error=StoreError)
     if point["trend_version"] > TREND_VERSION:
         raise StoreError(
-            f"{where}: trend_version {point['trend_version']} is newer than "
+            f"trend point: trend_version {point['trend_version']} is newer than "
             f"this reader (understands <= {TREND_VERSION})"
         )
     if point["kind"] not in _KINDS:
         raise StoreError(
-            f"{where}: kind must be one of {_KINDS}, got {point['kind']!r}"
+            f"trend point: kind must be one of {_KINDS}, got {point['kind']!r}"
         )
     if not point["metrics"]:
-        raise StoreError(f"{where}: metrics must be non-empty")
+        raise StoreError("trend point: metrics must be non-empty")
     for name, value in point["metrics"].items():
         if not isinstance(name, str):
-            raise StoreError(f"{where}: metric names must be strings")
+            raise StoreError("trend point: metric names must be strings")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise StoreError(
-                f"{where}: metrics.{name} must be a number, "
+                f"trend point: metrics.{name} must be a number, "
                 f"got {type(value).__name__}"
             )
     return point
@@ -117,12 +117,11 @@ def append_point(
     """Durably append one validated point: one line, one flush, and
     the one fsync the writer's close makes before this returns.  A torn
     final line is cut off first, so the point starts on a clean line."""
-    from repro.engine.shard import JsonlStreamWriter, drop_torn_tail
+    from repro.engine.shard import JsonlStreamWriter
 
     point = validate_point(point)
     path = pathlib.Path(path)
-    drop_torn_tail(path, _scan_points(path)[1])
-    with JsonlStreamWriter(path, append=True) as writer:
+    with JsonlStreamWriter(path, keep=_scan_points(path)[1]) as writer:
         writer.write(point)
     return writer.path
 

@@ -15,9 +15,9 @@ most one torn tail):
   opens, which is the property the regression test counts;
 * only newline-complete bytes are fed; a torn tail stays unconsumed
   until its newline lands;
-* a stream that *shrank* (a resume truncated a torn tail, a retry
-  rewrote the stream) invalidates the entry and rebuilds from scratch —
-  correctness over cleverness for the rare path;
+* a stream that *shrank* (a resume cut a torn tail, a re-run cut its
+  stream after the prefix it keeps) invalidates the entry and rebuilds
+  from scratch — correctness over cleverness for the rare path;
 * when the job completes, the entry rebuilds once from the canonical
   merged ``<name>.jsonl`` (identical records, so the answer is the same;
   the canonical file is the durable artifact that outlives the streams)

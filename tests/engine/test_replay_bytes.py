@@ -8,13 +8,16 @@ begin with the flag.
 """
 
 import json
+import os
+import pathlib
 
 import pytest
 
 import repro.engine.scenario as scenario_module
+import repro.engine.shard as shard_module
 from repro import registry
 from repro.engine import Campaign, Scenario, builtin_campaign
-from repro.engine.shard import durable_records
+from repro.engine.shard import JsonlStreamWriter, durable_records
 
 FRESH, CACHED = b'{"cached": false', b'{"cached": true'
 
@@ -123,6 +126,81 @@ def test_hand_edited_lines_replay_as_design_section_7_says(tmp_path):
     assert lines[1] == _flagged(cold_lines[1])  # canonical again
     assert lines[2] == _flagged(cold_lines[2])
     assert lines[3:] == [_flagged(line) for line in cold_lines[3:]]
+
+
+@pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
+def test_resume_under_a_new_label_restamps_the_stream(tmp_path, use_cache):
+    """The content hash leaves the label out, so a resumed record is
+    restamped with the requesting spec, in the stream as in the result."""
+    def grid(label):
+        return [Scenario(name=label, family="random_forest", sizes=(10,),
+                         protocol="forest", seeds=(0, 1, 2))]
+
+    Campaign(grid("old"), name="c", results_dir=tmp_path,
+             use_cache=False).run()
+    resumed = Campaign(grid("new"), name="c", results_dir=tmp_path,
+                       use_cache=use_cache).run(resume=True)
+    assert (resumed.resumed, resumed.cache_misses) == (3, 0)
+    assert {r.spec.scenario for r in resumed.records} == {"new"}
+    lines = _lines(resumed.jsonl_path)
+    assert [json.loads(line)["spec"]["scenario"] for line in lines] == ["new"] * 3
+    assert lines == _canonical(resumed.records)
+
+
+def test_resume_with_the_cache_on_reads_each_stream_once(tmp_path, monkeypatch):
+    Campaign(_grid("a"), name="a", results_dir=tmp_path).run()
+    Campaign(_grid(), name="c", results_dir=tmp_path, use_cache=False).run()
+    reads = []
+    real = shard_module.scan_partial_lines
+
+    def counting(path, *args, **kwargs):
+        reads.append(pathlib.Path(path).name)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(shard_module, "scan_partial_lines", counting)
+    again = Campaign(_grid(), name="c", results_dir=tmp_path).run(resume=True)
+    assert again.resumed == len(again.records)
+    assert sorted(reads) == ["a.jsonl", "c.jsonl"]
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["second-warm", "resume"])
+def test_a_stream_that_already_holds_the_run_gets_no_line(
+        tmp_path, monkeypatch, resume):
+    """A second warm re-run and a resume of a complete stream keep every
+    line in place; close still fsyncs the kept stream once."""
+    Campaign(_grid(), name="c", results_dir=tmp_path).run()
+    warm = Campaign(_grid(), name="c", results_dir=tmp_path).run()
+    stream = warm.jsonl_path
+    before = stream.read_bytes()
+    writes, syncs = [], []
+    real_write = JsonlStreamWriter.write
+    real_write_replayed = JsonlStreamWriter.write_replayed
+    real_fsync = os.fsync
+
+    def write(self, record):
+        writes.append(record)
+        real_write(self, record)
+
+    def write_replayed(self, line):
+        writes.append(line)
+        real_write_replayed(self, line)
+
+    def fsync(fd):
+        if os.path.samestat(os.fstat(fd), os.stat(stream)):
+            syncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(JsonlStreamWriter, "write", write)
+    monkeypatch.setattr(JsonlStreamWriter, "write_replayed", write_replayed)
+    monkeypatch.setattr(os, "fsync", fsync)
+    again = Campaign(_grid(), name="c", results_dir=tmp_path).run(resume=resume)
+    monkeypatch.undo()
+    assert again.cache_misses == 0
+    assert (again.resumed, again.cache_hits) == (
+        (len(again.records), 0) if resume else (0, len(again.records)))
+    assert writes == []
+    assert len(syncs) == 1
+    assert stream.read_bytes() == before
 
 
 class TestDurableRecords:

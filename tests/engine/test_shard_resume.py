@@ -35,6 +35,7 @@ from repro.engine import (
 )
 from repro.engine.scenario import execute_run
 from repro.engine.shard import JsonlStreamWriter, load_partial_records
+from repro.errors import ShardError
 
 
 class SimulatedCrash(RuntimeError):
@@ -138,6 +139,21 @@ class TestMonolithicResume:
         assert resumed.resumed == 4
         assert resumed.cache_misses == 1  # the torn spec re-ran
         assert _strip(stream.read_text()) == _strip(clean.jsonl_path.read_text())
+
+
+@pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
+def test_resume_refuses_a_stream_corrupt_mid_stream_untouched(
+        tmp_path, use_cache):
+    Campaign(_grid(4), name="c", results_dir=tmp_path, use_cache=False).run()
+    stream = tmp_path / "c.jsonl"
+    lines = stream.read_bytes().splitlines(keepends=True)
+    lines[1] = b"{not json\n"
+    corrupt = b"".join(lines) + b'{"cached": fal'  # and a torn tail
+    stream.write_bytes(corrupt)
+    with pytest.raises(ShardError, match="corrupt record mid-stream"):
+        Campaign(_grid(4), name="c", results_dir=tmp_path,
+                 use_cache=use_cache).run(resume=True)
+    assert stream.read_bytes() == corrupt
 
 
 class TestShardedResume:
@@ -305,6 +321,37 @@ class TestResumeSurvivesGridChanges:
         lines = (tmp_path / "c.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert all(json.loads(l)["spec"]["protocol"] == "forest" for l in lines)
+
+    def test_crash_in_a_reordered_resume_keeps_every_durable_line(
+            self, tmp_path, crash_after):
+        scenarios = [
+            Scenario(name="a", family="random_forest", sizes=(12,),
+                     protocol="forest", seeds=(0, 1, 2)),
+            Scenario(name="b", family="random_tree", sizes=(12, 14),
+                     protocol="agm_connectivity", seeds=(0,)),
+        ]
+        clean = Campaign(list(reversed(scenarios)), name="c",
+                         results_dir=tmp_path / "clean", use_cache=False).run()
+        Campaign(scenarios, name="c", results_dir=tmp_path,
+                 use_cache=False).run()
+        stream = tmp_path / "c.jsonl"
+        lines = stream.read_bytes().splitlines(keepends=True)
+        durable = b"".join(lines[i] for i in (0, 2, 4))  # a0, a2, b14
+        stream.write_bytes(durable)
+        # Reversed, the grid is b12, b14, a0, a1, a2: the miss b12 runs,
+        # and the crash comes at the miss a1, before the resumed a2.
+        crash_after(1)
+        reordered = list(reversed(scenarios))
+        with pytest.raises(SimulatedCrash):
+            Campaign(reordered, name="c", results_dir=tmp_path,
+                     use_cache=False).run(resume=True)
+        after = stream.read_bytes()
+        assert after.startswith(durable) and after.count(b"\n") == 4
+        crash_after(10**9)
+        final = Campaign(reordered, name="c", results_dir=tmp_path,
+                         use_cache=False).run(resume=True)
+        assert (final.resumed, final.cache_misses) == (4, 1)
+        assert _strip(stream.read_text()) == _strip(clean.jsonl_path.read_text())
 
     def test_sharded_resume_after_grid_growth(self, tmp_path, crash_after):
         base = _grid(4)
